@@ -49,7 +49,6 @@ from .objectives import (
     CallableObjective,
     ConvergenceError,
     Dataset,
-    LabeledExample,
     LeastSquaresObjective,
     LinearObjective,
     LogisticObjective,
@@ -57,12 +56,8 @@ from .objectives import (
     QuadraticMeanObjective,
     ReferenceSolution,
     composite_objective,
-    least_squares_component,
-    logistic_component_gradient,
-    logistic_component_value,
     regularizer_G_gradient,
     regularizer_G_value,
-    smoothness_bound,
     solve_reference,
 )
 from .omega import (
@@ -82,7 +77,6 @@ from .schedule import (
     C_of_t,
     M_of_t,
     QuadratureError,
-    RateEnvelope,
     ScheduleSpec,
     c_bar,
     eta,
@@ -93,6 +87,7 @@ from .schedule import (
     rate_bound,
     rate_bound_constants,
     sqrt_neg_c_bar_prime,
+    step_size,
 )
 from .verify import CheckResult, verify_all
 

@@ -11,16 +11,17 @@ import dataclasses
 import os
 import sys
 
-from .dataio import execute_runfile, build_objective, read_runfile
+from .dataio import (build_objective, execute_runfile, read_runfile,
+                     resolve_reference)
 from .engine import EngineError
 from .omega import fit_curvature
 from .schedule import (
     C_of_t,
     M_of_t,
     c_bar,
-    eta,
     exp_neg_M,
     parse_schedule,
+    step_size,
 )
 from .verify import verify_all
 
@@ -130,7 +131,13 @@ def _cmd_verify(args) -> int:
 def _cmd_estimate(args) -> int:
     config = read_runfile(args.runfile)
     objective, _ = build_objective(config)
-    h = fit_curvature(objective, seed=args.seed)
+    reference = resolve_reference(objective)
+    if reference is None:
+        print("error: the objective is not certifiably strongly convex, so "
+              "its minimizer may be unattained and no gap can be measured; "
+              "use variant = norm2_squared with lambda > 0", file=sys.stderr)
+        return 2
+    h = fit_curvature(objective, reference=reference, seed=args.seed)
     print("fitted h = %.4g" % h)
     return 0
 
@@ -152,8 +159,7 @@ def _cmd_schedule(args) -> int:
     else:
         print("t eta")
     for t in times:
-        t_eff = max(t, 1.0) if spec.kind == "power_law" else t
-        step = eta(spec, t_eff)
+        step = step_size(spec, t)
         if matched:
             print("%.10g %.10g %.10g %.10g %.10g %.10g" % (
                 t, step, M_of_t(spec, t), exp_neg_M(spec, t),

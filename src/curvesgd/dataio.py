@@ -25,7 +25,9 @@ from .objectives import (
 from .schedule import parse_schedule
 
 RESULT_HEADER = ("run", "seed", "epoch", "t", "eta", "F", "E", "Y", "smoothed_F")
-RESULT_SCHEMA_VERSION = 1
+
+# seconds a dataset download may stall before load_libsvm gives up
+URL_TIMEOUT = 60.0
 
 # runfile vocabulary -> internal regularizer names
 VARIANT_MAP = {
@@ -133,7 +135,7 @@ def parse_libsvm(source) -> Dataset:
 def load_libsvm(source: str) -> Dataset:
     """Read LIBSVM text from a local path or an http(s) URL."""
     if source.startswith("http://") or source.startswith("https://"):
-        with urllib.request.urlopen(source) as response:
+        with urllib.request.urlopen(source, timeout=URL_TIMEOUT) as response:
             text = response.read().decode("utf-8")
         return parse_libsvm(text)
     with open(source, "r", encoding="utf-8") as handle:

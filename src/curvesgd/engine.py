@@ -10,20 +10,24 @@ are counted and flagged, not corrected.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import ScheduleSpec, eta as schedule_eta
+from .schedule import ScheduleSpec, step_size
 
 INDEX_BLOCK = 8192
-THREAD_ENV_VAR = "CURVESGD_THREADS"
 
 
 class EngineError(RuntimeError):
-    """A run aborted (non-finite iterate or objective value)."""
+    """A run aborted (non-finite iterate or objective value, or overflow)."""
+
+
+def _diverged(what: str, t: int, seed: int) -> EngineError:
+    return EngineError(
+        "%s at iteration %d (seed %d); the schedule is likely too "
+        "aggressive for this objective" % (what, t, seed)
+    )
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,6 @@ class SweepResult:
     epoch_t: np.ndarray
     mean_epoch_F: np.ndarray
     smoothed_epoch_F: np.ndarray
-    fitted_slopes: dict = field(default_factory=dict)
-
-
-def _step_time(kind: str, t: int) -> float:
-    # iteration index 0 is evaluated at t = 1 for power_law schedules,
-    # which start at t = 1
-    if kind == "power_law":
-        return float(max(t, 1))
-    return float(t)
 
 
 def sgd_run(config: RunConfig) -> RunTrace:
@@ -115,15 +110,14 @@ def sgd_run(config: RunConfig) -> RunTrace:
 
     def record(t_now: int):
         nonlocal violated_since_record
-        f_val = obj.value(w)
+        try:
+            f_val = obj.value(w)
+        except OverflowError as err:
+            raise _diverged("overflow (%s)" % err, t_now, config.seed) from err
         if not math.isfinite(f_val) or not np.all(np.isfinite(w)):
-            raise EngineError(
-                "non-finite iterate at iteration %d (seed %d); the schedule "
-                "is likely too aggressive for this objective"
-                % (t_now, config.seed)
-            )
+            raise _diverged("non-finite iterate", t_now, config.seed)
         rec_t.append(t_now)
-        rec_eta.append(schedule_eta(sched, _step_time(sched.kind, t_now)))
+        rec_eta.append(step_size(sched, t_now))
         rec_f.append(f_val)
         if ref is not None:
             rec_e.append(f_val - ref.f_min)
@@ -145,9 +139,7 @@ def sgd_run(config: RunConfig) -> RunTrace:
     # cost at an array lookup without materializing all `total` step sizes
     def step_block(base: int) -> np.ndarray:
         grid = np.arange(base, min(base + INDEX_BLOCK, total), dtype=float)
-        if sched.kind == "power_law":
-            np.maximum(grid, 1.0, out=grid)
-        return np.asarray(schedule_eta(sched, grid), dtype=float)
+        return np.asarray(step_size(sched, grid), dtype=float)
 
     steps = np.empty(0)
     block_base = 0
@@ -164,8 +156,16 @@ def sgd_run(config: RunConfig) -> RunTrace:
         if pos == INDEX_BLOCK:
             buf = rng.integers(0, n, size=INDEX_BLOCK)
             pos = 0
-        w -= steps[k] * obj.component_gradient(i, w)
-        if np.abs(w).max() > radius:
+        try:
+            w -= steps[k] * obj.component_gradient(i, w)
+        except OverflowError as err:
+            raise _diverged("overflow (%s)" % err, t + 1, config.seed) from err
+        top = np.abs(w).max()
+        # written so that a NaN iterate, for which every comparison is
+        # false, lands in the same branch as a region violation
+        if not top <= radius:
+            if not math.isfinite(top):
+                raise _diverged("non-finite iterate", t + 1, config.seed)
             violations += 1
             violated_since_record = True
         t_next = t + 1
@@ -197,33 +197,17 @@ def moving_mean(values, window: int = 3) -> np.ndarray:
     return out
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (THREAD_ENV_VAR, raw))
-    return max(1, workers)
-
-
 def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
     """Repeat one configuration across seeds and aggregate.
 
-    Runs execute sequentially unless the CURVESGD_THREADS environment
-    variable requests more workers. The epoch series takes F at every
-    record landing on a multiple of the component count and applies a
-    trailing moving mean of window 3.
+    Runs execute one after another, each exactly as sgd_run would run it
+    alone. The epoch series takes F at every record landing on a multiple
+    of the component count and applies a trailing moving mean of window 3.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    configs = [replace(config, seed=s) for s in seeds]
-    workers = min(_max_workers(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(sgd_run, configs))
-    else:
-        traces = [sgd_run(c) for c in configs]
+    traces = [sgd_run(replace(config, seed=s)) for s in seeds]
 
     t_grid = traces[0].t
     mean_f = np.mean([tr.F for tr in traces], axis=0)

@@ -24,14 +24,6 @@ class ConvergenceError(RuntimeError):
     """The reference solver did not reach its gradient tolerance."""
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """A single (features, label) pair."""
-
-    features: np.ndarray
-    label: float
-
-
 class Dataset:
     """A fixed design matrix with one label per row.
 
@@ -60,48 +52,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.X.shape[1]
-
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.X[i], float(self.y[i]))
-
-    @property
-    def examples(self):
-        return [self.example(i) for i in range(self.size)]
-
-
-def _check_dims(x, w):
-    if x.shape != np.shape(w):
-        raise ValueError(
-            "dimension mismatch: features have shape %s, weights %s"
-            % (x.shape, np.shape(w))
-        )
-
-
-def logistic_component_value(example: LabeledExample, w) -> float:
-    """log(1 + exp(-y * <x, w>)), computed overflow-safely."""
-    w = np.asarray(w, dtype=float)
-    _check_dims(example.features, w)
-    z = example.label * float(example.features @ w)
-    return float(np.logaddexp(0.0, -z))
-
-
-def logistic_component_gradient(example: LabeledExample, w) -> np.ndarray:
-    """Gradient of the logistic component: -y * sigmoid(-y <x, w>) * x."""
-    w = np.asarray(w, dtype=float)
-    _check_dims(example.features, w)
-    z = example.label * float(example.features @ w)
-    # sigmoid(-z) without overflow in either tail
-    s = 0.5 * (1.0 + math.tanh(-0.5 * z))
-    return -example.label * s * example.features
-
-
-def least_squares_component(example: LabeledExample, w):
-    """Value and gradient of (a'w - b)^2."""
-    w = np.asarray(w, dtype=float)
-    _check_dims(example.features, w)
-    r = float(example.features @ w) - example.label
-    return r * r, 2.0 * r * example.features
-
 
 def _check_exp_range(w: np.ndarray):
     if w.size and np.abs(w).max() > EXP_SAFE_LIMIT:
@@ -190,16 +140,6 @@ class Objective:
     def _base_value_rows(self, W: np.ndarray) -> np.ndarray:
         return np.array([self._base_value(W[k]) for k in range(W.shape[0])])
 
-    def _base_component_value_rows(self, i: int, W: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self._base_component_value(i, W[k]) for k in range(W.shape[0])]
-        )
-
-    def _base_component_gradient_rows(self, i: int, W: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self._base_component_gradient(i, W[k]) for k in range(W.shape[0])]
-        )
-
     def _base_smoothness(self, region_radius: float) -> float:
         raise NotImplementedError
 
@@ -238,7 +178,7 @@ class Objective:
             return np.linalg.norm(W, axis=1)
         if kind == "norm2_squared":
             return 0.5 * np.einsum("ij,ij->i", W, W)
-        return np.array([np.sum(_g_terms(W[k])) for k in range(W.shape[0])])
+        return regularizer_G_value(W)
 
     def _reg_hessian_bound(self, region_radius: float) -> float:
         kind = self.regularizer
@@ -291,29 +231,6 @@ class Objective:
                 vals = vals + self.regularization_weight * self._reg_value_rows(block)
             out[lo : lo + block.shape[0]] = vals
         return out
-
-    def component_value_many(self, i: int, W) -> np.ndarray:
-        W = np.asarray(W, dtype=float)
-        vals = self._base_component_value_rows(i, W)
-        if self.regularization_weight:
-            vals = vals + self.regularization_weight * self._reg_value_rows(W)
-        return vals
-
-    def component_gradient_many(self, i: int, W) -> np.ndarray:
-        W = np.asarray(W, dtype=float)
-        grads = self._base_component_gradient_rows(i, W)
-        if self.regularization_weight:
-            lam = self.regularization_weight
-            kind = self.regularizer
-            if kind == "norm2_squared":
-                grads = grads + lam * W
-            elif kind == "exp_cosh_G":
-                grads = grads + lam * (np.expm1(W) - np.expm1(-W) - 2.0 * W)
-            elif kind == "norm2":
-                nrm = np.linalg.norm(W, axis=1, keepdims=True)
-                safe = np.where(nrm == 0.0, 1.0, nrm)
-                grads = grads + lam * np.where(nrm == 0.0, 0.0, W / safe)
-        return grads
 
     @property
     def known_mu(self):
@@ -369,15 +286,6 @@ class LogisticObjective(Objective):
         z = (W @ self.X.T) * self.y
         return np.mean(np.logaddexp(0.0, -z), axis=1)
 
-    def _base_component_value_rows(self, i, W):
-        z = self.y[i] * (W @ self.X[i])
-        return np.logaddexp(0.0, -z)
-
-    def _base_component_gradient_rows(self, i, W):
-        z = self.y[i] * (W @ self.X[i])
-        s = 0.5 * (1.0 + np.tanh(-0.5 * z))
-        return (-self.y[i] * s)[:, None] * self.X[i]
-
     def _base_smoothness(self, region_radius):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
         return self._max_row_sq / 4.0
@@ -412,14 +320,6 @@ class LeastSquaresObjective(Objective):
         R = W @ self.X.T - self.y
         return np.einsum("ij,ij->i", R, R) / self.component_count
 
-    def _base_component_value_rows(self, i, W):
-        r = W @ self.X[i] - self.y[i]
-        return r * r
-
-    def _base_component_gradient_rows(self, i, W):
-        r = W @ self.X[i] - self.y[i]
-        return (2.0 * r)[:, None] * self.X[i]
-
     def _base_smoothness(self, region_radius):
         return 2.0 * self._max_row_sq
 
@@ -453,12 +353,6 @@ class LinearObjective(Objective):
 
     def _base_value_rows(self, W):
         return W @ self._mean_c
-
-    def _base_component_value_rows(self, i, W):
-        return W @ self.C[i]
-
-    def _base_component_gradient_rows(self, i, W):
-        return np.broadcast_to(self.C[i], W.shape).copy()
 
     def _base_smoothness(self, region_radius):
         return 0.0
@@ -500,13 +394,6 @@ class QuadraticMeanObjective(Objective):
         sq = np.einsum("ij,ij->i", W, W)
         csq = np.einsum("ij,ij->i", self.centers, self.centers)
         return 0.5 * self.mu * (sq - 2.0 * (W @ self._mean_center) + np.mean(csq))
-
-    def _base_component_gradient_rows(self, i, W):
-        return self.mu * (W - self.centers[i])
-
-    def _base_component_value_rows(self, i, W):
-        diffs = W - self.centers[i]
-        return 0.5 * self.mu * np.einsum("ij,ij->i", diffs, diffs)
 
     def _base_smoothness(self, region_radius):
         return self.mu
@@ -559,10 +446,6 @@ def composite_objective(base: Objective, regularizer: str, lam: float) -> Object
     clone.regularizer = regularizer
     clone.regularization_weight = float(lam)
     return clone
-
-
-def smoothness_bound(objective: Objective, region_radius: float = 3.0) -> float:
-    return objective.smoothness_bound(region_radius)
 
 
 def solve_reference(objective: Objective, tolerance: float = 1e-10,

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("constant", "power_law", "curvature_matched")
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach its tolerance."""
@@ -114,15 +112,16 @@ def eta(spec: ScheduleSpec, t) -> float:
     return out
 
 
-def _eta_integrand(spec: ScheduleSpec, x: np.ndarray) -> np.ndarray:
-    """Schedule as a function on [0, inf) for quadrature purposes.
+def step_size(spec: ScheduleSpec, t):
+    """Step size used at iteration (or real time) t >= 0.
 
-    power_law is frozen at its t = 1 value below 1, matching the engine's
-    mapping of iteration 0 to t = 1.
+    power_law schedules start at t = 1, so below 1 they are frozen at
+    their t = 1 value: iteration 0 takes the t = 1 step. Every other kind
+    is eta itself.
     """
     if spec.kind == "power_law":
-        return eta(spec, np.maximum(np.asarray(x, dtype=float), 1.0))
-    return eta(spec, x)
+        return eta(spec, np.maximum(t, 1.0))
+    return eta(spec, t)
 
 
 def schedule_v(spec: ScheduleSpec):
@@ -198,7 +197,7 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, method: str = "auto") -> float:
         return closed
 
     def integrand(x):
-        n_val = _eta_integrand(spec, x)
+        n_val = step_size(spec, x)
         return n_val * np.asarray(vv(n_val), dtype=float)
 
     return _log_trapezoid(integrand, t)
@@ -224,7 +223,7 @@ def C_of_t(spec: ScheduleSpec, t: float, v=None, abs_tol: float = 1e-8,
         s = np.linspace(0.0, smax, m + 1)
         x = np.expm1(s)
         weight = np.exp(s)
-        n_vals = _eta_integrand(spec, x)
+        n_vals = step_size(spec, x)
         g = n_vals * np.asarray(vv(n_vals), dtype=float) * weight
         ds = smax / m
         cum = np.empty(m + 1)
@@ -281,7 +280,7 @@ def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> 
         raise ArithmeticError(
             "sqrt(-C_bar') = %.17g disagrees with eta_t = %.17g" % (n_hat, step)
         )
-    v_val = spec.beta * spec.h * n_hat ** (1.0 - spec.h)
+    v_val = float(schedule_v(spec)(n_hat))
     return c_bar(spec, t) - 2.0 * n_hat / v_val
 
 
@@ -303,30 +302,6 @@ def rate_bound_constants(spec: ScheduleSpec, noise_constant: float,
     a = two_n1 * math.exp(n0)
     b = two_n1 * math.exp(M_of_t(spec, 1.0)) * n0 * n0 + y0
     return a, b
-
-
-class RateEnvelope:
-    """Bundle of the rate maps M, C, C_bar and exp(-M) for one schedule.
-
-    For non-matched schedules a contraction map v must be supplied and the
-    closed-form members raise.
-    """
-
-    def __init__(self, spec: ScheduleSpec, v=None):
-        self.spec = spec
-        self.v = v
-
-    def M(self, t: float, method: str = "auto") -> float:
-        return M_of_t(self.spec, t, v=self.v, method=method)
-
-    def C(self, t: float) -> float:
-        return C_of_t(self.spec, t, v=self.v)
-
-    def C_bar(self, t: float) -> float:
-        return c_bar(self.spec, t)
-
-    def exp_neg_M(self, t: float) -> float:
-        return exp_neg_M(self.spec, t, v=self.v)
 
 
 # ---------------------------------------------------------------------------

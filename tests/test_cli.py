@@ -133,3 +133,43 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert rc_a == 0 and rc_b == 0
     with open(dir_a / "res.csv", "rb") as fa, open(dir_b / "res.csv", "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_estimate_curvature_refuses_unattained_minimizer(tmp_path, capsys):
+    # separable blobs without a strongly convex regularizer: the logistic
+    # infimum is not attained, so there is no minimizer to measure against
+    text = BASE_RUNFILE.replace("synth:linear,n=20,d=3,seed=4",
+                                "synth:blobs,n=40,d=3,seed=1,separation=8")
+    path = write_runfile(tmp_path, text.replace("norm2_squared", "plain"))
+    rc = main(["estimate-curvature", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "fitted h" not in captured.out
+    assert "strongly convex" in captured.err
+
+
+def test_estimate_curvature_solves_reference_once(tmp_path, monkeypatch, capsys):
+    from curvesgd import dataio, objectives
+
+    calls = []
+    solve = objectives.solve_reference
+
+    def counting_solve(objective, *args, **kwargs):
+        calls.append(objective)
+        return solve(objective, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "solve_reference", counting_solve)
+    monkeypatch.setattr(objectives, "solve_reference", counting_solve)
+    rc = main(["estimate-curvature", write_runfile(tmp_path, BASE_RUNFILE)])
+    assert rc == 0
+    assert "fitted h" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_diverging_run_exits_one(tmp_path, capsys):
+    text = BASE_RUNFILE.replace("norm2_squared", "exp_cosh_G")
+    path = write_runfile(tmp_path, text.replace("const:0.01", "const:5.0"))
+    rc = main(["run", path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "overflow" in err and "seed 0" in err

@@ -1,4 +1,4 @@
-"""Engine tests: deterministic recurrences, recording, threading, checks."""
+"""Engine tests: deterministic recurrences, recording, sweeps, checks."""
 
 import math
 
@@ -122,6 +122,36 @@ def test_divergence_raises_engine_error():
         cg.sgd_run(cfg)
 
 
+def test_divergence_reported_at_the_step_it_happens():
+    # w <- -8 w + 3 grows until it overflows to inf and then turns NaN,
+    # long before the first record at t = 1000
+    obj = cg.LeastSquaresObjective(cg.Dataset([[3.0]], [1.0]))
+    w = np.zeros(1)
+    first_bad = 0
+    with np.errstate(all="ignore"):
+        while np.all(np.isfinite(w)):
+            w = w - 0.5 * obj.component_gradient(0, w)
+            first_bad += 1
+    assert first_bad < 1000
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                       seed=4, iterations=2000, record_stride=1000)
+    with pytest.raises(cg.EngineError) as err, np.errstate(all="ignore"):
+        cg.sgd_run(cfg)
+    assert "iteration %d (seed 4)" % first_bad in str(err.value)
+
+
+def test_overflow_in_a_step_raises_engine_error():
+    # a drift of -10 throws w far past the exp-cosh safe range
+    obj = cg.LinearObjective(np.array([[-10.0]]), "exp_cosh_G", 1.0)
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(5.0),
+                       seed=2, iterations=100, record_stride=50)
+    with pytest.raises(cg.EngineError) as err:
+        cg.sgd_run(cfg)
+    assert "overflow" in str(err.value)
+    assert "seed 2" in str(err.value)
+    assert isinstance(err.value.__cause__, OverflowError)
+
+
 def test_power_law_schedule_starts_at_one():
     obj, _ = contraction_problem()
     spec = cg.ScheduleSpec.power_law(0.1, 0.5)
@@ -166,16 +196,18 @@ def test_multi_seed_sweep_aggregates():
         cg.multi_seed_sweep(cfg, seeds=())
 
 
-def test_sweep_threaded_matches_sequential(monkeypatch):
+def test_sweep_seed_matches_solo_sweep():
+    # a seed's trace does not depend on which other seeds run beside it
     b = cg.quadratic_mean_problem()
     cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
                        iterations=300, record_stride=30, reference=b.reference)
-    seq = cg.multi_seed_sweep(cfg, seeds=range(4))
-    monkeypatch.setenv("CURVESGD_THREADS", "3")
-    par = cg.multi_seed_sweep(cfg, seeds=range(4))
-    for a, c in zip(seq.traces, par.traces):
-        assert np.array_equal(a.F, c.F)
-    assert np.array_equal(seq.mean_Y, par.mean_Y)
+    together = cg.multi_seed_sweep(cfg, seeds=range(4))
+    for seed, trace in zip(range(4), together.traces):
+        alone = cg.multi_seed_sweep(cfg, seeds=(seed,)).traces[0]
+        assert trace.seed == alone.seed == seed
+        for name in ("t", "eta", "F", "E", "Y", "region_violation"):
+            assert np.array_equal(getattr(trace, name), getattr(alone, name))
+        assert trace.violation_count == alone.violation_count
 
 
 def test_tail_average_exact_window():

@@ -1,10 +1,12 @@
 """Dataset parsing, synthesis, runfiles, result tables, and plot scripts."""
 
+import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import curvesgd as cg
 from curvesgd import dataio
@@ -147,6 +149,30 @@ def test_parse_runfile_and_round_trip():
     assert cfg.epochs == 2
     assert cfg.out == "demo.csv"
     assert cg.parse_runfile(cg.format_runfile(cfg)) == cfg
+
+
+field_text = st.text(alphabet="abcXYZ019._-/:,=+ ", min_size=1, max_size=20).map(
+    str.strip).filter(bool)
+schedule_text = st.lists(
+    st.sampled_from(["const:0.01", "power:scale=0.1,h=0.25",
+                     "paper-opt:h=0.5,beta=1.0,L=2.0,r=inf"]),
+    min_size=1, max_size=3).map("; ".join)
+runfiles = st.builds(
+    cg.RunFileConfig,
+    dataset=field_text,
+    schedule=schedule_text,
+    seeds=st.lists(st.integers(-2 ** 63, 2 ** 64), min_size=1, max_size=5).map(tuple),
+    epochs=st.integers(1, 10 ** 6),
+    out=field_text,
+    variant=st.sampled_from(sorted(dataio.VARIANT_MAP)),
+    lam=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    stride=st.integers(1, 10 ** 6),
+)
+
+
+@given(runfiles)
+def test_parse_format_runfile_round_trip_property(config):
+    assert cg.parse_runfile(cg.format_runfile(config)) == config
 
 
 def test_parse_runfile_rejects_unknown_and_duplicate_keys():
@@ -332,3 +358,18 @@ def test_execute_runfile_reruns_identically(tmp_path):
     second, _ = cg.execute_runfile(cfg, base_dir=str(dir_b))
     with open(first[0], "rb") as fa, open(second[0], "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_load_libsvm_url_has_timeout(monkeypatch):
+    seen = {}
+
+    def fake_urlopen(url, timeout=None):
+        seen.update(url=url, timeout=timeout)
+        return io.BytesIO(b"+1 1:0.5\n-1 2:1.5\n")
+
+    monkeypatch.setattr(dataio.urllib.request, "urlopen", fake_urlopen)
+    data = cg.load_libsvm("https://example.invalid/data.svm")
+    assert seen["url"] == "https://example.invalid/data.svm"
+    assert seen["timeout"] == dataio.URL_TIMEOUT
+    assert 0 < dataio.URL_TIMEOUT < float("inf")
+    assert np.array_equal(data.y, [1.0, -1.0])

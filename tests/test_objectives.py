@@ -16,12 +16,12 @@ def two_point_least_squares():
 
 
 def test_logistic_component_values():
-    ex = cg.LabeledExample(np.array([1.0]), 1.0)
-    assert cg.logistic_component_value(ex, np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-15)
+    obj = cg.LogisticObjective(cg.Dataset(np.array([[1.0]]), np.array([1.0])))
+    assert obj.component_value(0, np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-15)
     # a'w = 1 with label +1: log(1 + e^-1)
-    assert cg.logistic_component_value(ex, np.ones(1)) == pytest.approx(
+    assert obj.component_value(0, np.ones(1)) == pytest.approx(
         math.log(1.0 + math.exp(-1.0)), abs=1e-15)
-    g = cg.logistic_component_gradient(ex, np.ones(1))
+    g = obj.component_gradient(0, np.ones(1))
     sig = 1.0 / (1.0 + math.exp(1.0))
     assert g[0] == pytest.approx(-sig, abs=1e-15)
 
@@ -37,17 +37,20 @@ def test_logistic_objective_matches_hand_values():
 
 
 def test_least_squares_component_example():
-    ex = cg.LabeledExample(np.array([1.0, -2.0]), 1.0)
-    v, g = cg.least_squares_component(ex, np.array([1.0, 1.0]))
+    obj = cg.LeastSquaresObjective(cg.Dataset(np.array([[1.0, -2.0]]), np.array([1.0])))
+    w = np.array([1.0, 1.0])
     # residual 1 - 2 - 1 = -2
-    assert v == 4.0
-    assert np.array_equal(g, np.array([-4.0, 8.0]))
+    assert obj.component_value(0, w) == 4.0
+    assert np.array_equal(obj.component_gradient(0, w), np.array([-4.0, 8.0]))
 
 
 def test_mislabeled_shapes_raise():
-    ex = cg.LabeledExample(np.array([1.0, -2.0]), 1.0)
-    with pytest.raises(ValueError):
-        cg.least_squares_component(ex, np.array([1.0]))
+    data = cg.Dataset(np.array([[1.0, -2.0]]), np.array([1.0]))
+    for obj in (cg.LeastSquaresObjective(data), cg.LogisticObjective(data)):
+        with pytest.raises(ValueError):
+            obj.component_value(0, np.array([1.0]))
+        with pytest.raises(ValueError):
+            obj.component_gradient(0, np.array([1.0]))
 
 
 def test_noise_constant_at_minimizer():
@@ -125,16 +128,16 @@ def test_component_mean_equals_full_objective():
 
 
 def test_smoothness_bounds():
-    assert cg.smoothness_bound(two_point_least_squares()) == pytest.approx(2.0)
+    assert two_point_least_squares().smoothness_bound() == pytest.approx(2.0)
     dlog = cg.Dataset(np.array([[2.0, 0.0]]), np.array([1.0]))
-    assert cg.smoothness_bound(cg.LogisticObjective(dlog)) == pytest.approx(1.0)
+    assert cg.LogisticObjective(dlog).smoothness_bound() == pytest.approx(1.0)
     # the norm2 regularizer has unbounded curvature at the origin
     data = cg.Dataset(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    assert math.isinf(cg.smoothness_bound(cg.LeastSquaresObjective(data, "norm2", 0.5)))
+    assert math.isinf(cg.LeastSquaresObjective(data, "norm2", 0.5).smoothness_bound())
     # exp-cosh curvature adds lam (e^R + e^-R - 2) on the radius-R box
     obj_g = cg.LeastSquaresObjective(data, "exp_cosh_G", 1.0)
     expected = 2.0 + (math.exp(0.1) + math.exp(-0.1) - 2.0)
-    assert cg.smoothness_bound(obj_g, region_radius=0.1) == pytest.approx(expected)
+    assert obj_g.smoothness_bound(region_radius=0.1) == pytest.approx(expected)
 
 
 def test_known_mu_tracks_strong_convexity():

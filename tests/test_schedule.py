@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import curvesgd as cg
 from curvesgd.schedule import MAX_DOUBLINGS
@@ -208,10 +209,29 @@ def test_quadrature_doubling_cap():
     assert MAX_DOUBLINGS >= 20
 
 
-def test_rate_envelope_wrapper():
-    spec = matched(1.0, 0.5, 1.0)
-    env = cg.RateEnvelope(spec)
-    t = 11.0
-    assert env.C_bar(t) == pytest.approx(cg.c_bar(spec, t), rel=1e-14)
-    assert env.M(t) == pytest.approx(cg.M_of_t(spec, t), rel=1e-14)
-    assert env.C(t) == pytest.approx(cg.C_of_t(spec, t), rel=1e-9)
+def test_step_size_freezes_power_law_below_one():
+    spec = cg.ScheduleSpec.power_law(0.1, 0.5)
+    assert cg.step_size(spec, 0) == cg.step_size(spec, 0.5) == cg.eta(spec, 1.0)
+    grid = np.array([0.0, 1.0, 4.0])
+    assert np.array_equal(cg.step_size(spec, grid), cg.eta(spec, np.array([1.0, 1.0, 4.0])))
+    # every other kind is eta itself, including at t = 0
+    for other in (cg.ScheduleSpec.constant(0.3), matched(0.5, 1.0, 2.0)):
+        assert cg.step_size(other, 0.0) == cg.eta(other, 0.0)
+        assert np.array_equal(cg.step_size(other, grid), cg.eta(other, grid))
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
+                     allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+schedules = st.one_of(
+    st.builds(cg.ScheduleSpec.constant, positive),
+    st.builds(cg.ScheduleSpec.power_law, positive, unit),
+    st.builds(cg.ScheduleSpec.curvature_matched,
+              unit.filter(lambda h: h > 0.0), positive, positive,
+              st.one_of(positive, st.just(math.inf))),
+)
+
+
+@given(schedules)
+def test_parse_format_round_trip_property(spec):
+    assert cg.parse_schedule(cg.format_schedule(spec)) == spec
