@@ -10,7 +10,7 @@ are counted and flagged, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,51 +88,91 @@ class SweepResult:
 
 def sgd_run(config: RunConfig) -> RunTrace:
     """Run SGD and record the trace. Bit-identical across repeat calls."""
+    return _run_seeds(config, (config.seed,))[0]
+
+
+def _run_seeds(config: RunConfig, seeds: tuple) -> list:
+    """Run one configuration for every seed in lockstep.
+
+    The iterates of all S seeds form one (S, d) array, and each step
+    advances it with a single grad_rows call. Each seed draws its own index
+    stream, and every row is computed from that seed's data alone, so a
+    seed's trace is the same whichever seeds run beside it. A divergence is
+    reported at the earliest iteration at which any seed fails, naming the
+    first such seed in sweep order, with the error that seed's own run
+    raises.
+    """
     obj = config.objective
     n = obj.component_count
     d = obj.dimension
     sched = config.schedule
+    S = len(seeds)
     if config.w0 is None:
-        w = np.zeros(d)
+        w0 = np.zeros(d)
     else:
-        w = np.asarray(config.w0, dtype=float).copy()
-        if w.shape != (d,):
-            raise ValueError("w0 has shape %s, expected (%d,)" % (w.shape, d))
+        w0 = np.asarray(config.w0, dtype=float)
+        if w0.shape != (d,):
+            raise ValueError("w0 has shape %s, expected (%d,)" % (w0.shape, d))
+    W = np.tile(w0, (S, 1))
     ref = config.reference
     radius = config.region_radius
     stride = config.record_stride
     total = config.iterations
+    grad_rows = obj.grad_rows
 
-    rec_t, rec_eta, rec_f, rec_e, rec_y, rec_flag = [], [], [], [], [], []
+    rec_t, rec_eta, rec_f, rec_y, rec_flag = [], [], [], [], []
     iterates = [] if config.keep_iterates else None
-    violations = 0
-    violated_since_record = False
+    violations = np.zeros(S, dtype=np.int64)
+    violated_since_record = np.zeros(S, dtype=bool)
 
-    def record(t_now: int):
-        nonlocal violated_since_record
+    def is_record(t_now: int) -> bool:
+        return t_now % stride == 0 or t_now == total
+
+    def checked_value(k: int, t_now: int, w: np.ndarray) -> float:
         try:
             f_val = obj.value(w)
         except OverflowError as err:
-            raise _diverged("overflow (%s)" % err, t_now, config.seed) from err
+            raise _diverged("overflow (%s)" % err, t_now, seeds[k]) from err
         if not math.isfinite(f_val) or not np.all(np.isfinite(w)):
-            raise _diverged("non-finite iterate", t_now, config.seed)
+            raise _diverged("non-finite iterate", t_now, seeds[k])
+        return f_val
+
+    def record(t_now: int):
         rec_t.append(t_now)
         rec_eta.append(step_size(sched, t_now))
-        rec_f.append(f_val)
+        rec_f.append([checked_value(k, t_now, W[k]) for k in range(S)])
         if ref is not None:
-            rec_e.append(f_val - ref.f_min)
-            diff = w - ref.w_star
-            rec_y.append(float(diff @ diff))
-        else:
-            rec_e.append(math.nan)
-            rec_y.append(math.nan)
-        rec_flag.append(violated_since_record)
-        violated_since_record = False
+            rec_y.append([float(diff @ diff) for diff in W - ref.w_star])
+        rec_flag.append(violated_since_record.copy())
+        violated_since_record[:] = False
         if iterates is not None:
-            iterates.append(w.copy())
+            iterates.append(W.copy())
 
-    rng = np.random.default_rng(config.seed)
-    buf = rng.integers(0, n, size=INDEX_BLOCK)
+    def raise_first_failure(t_now: int, idx: np.ndarray, step: float):
+        # redo the failed step one row at a time, in sweep order, checking
+        # each row as that seed's own run checks it; rows are independent,
+        # so this reproduces the batched step bit for bit
+        for k in range(S):
+            try:
+                g = grad_rows(idx[k : k + 1], W[k : k + 1])[0]
+            except OverflowError as err:
+                raise _diverged("overflow (%s)" % err, t_now, seeds[k]) from err
+            w = W[k] - step * g
+            if not np.all(np.isfinite(w)):
+                raise _diverged("non-finite iterate", t_now, seeds[k])
+            if is_record(t_now):
+                checked_value(k, t_now, w)
+        raise EngineError("iteration %d failed as a batch but in no single "
+                          "row" % t_now)
+
+    # one column per seed, each drawn from that seed's own generator
+    rngs = [np.random.default_rng(s) for s in seeds]
+
+    def index_block() -> np.ndarray:
+        return np.stack([rng.integers(0, n, size=INDEX_BLOCK) for rng in rngs],
+                        axis=1)
+
+    buf = index_block()
     pos = 0
 
     # evaluating the schedule one block at a time keeps the per-iteration
@@ -151,39 +191,55 @@ def sgd_run(config: RunConfig) -> RunTrace:
             block_base = t
             steps = step_block(t)
             k = 0
-        i = int(buf[pos])
+        idx = buf[pos]
         pos += 1
         if pos == INDEX_BLOCK:
-            buf = rng.integers(0, n, size=INDEX_BLOCK)
+            buf = index_block()
             pos = 0
+        t_next = t + 1
         try:
-            w -= steps[k] * obj.component_gradient(i, w)
-        except OverflowError as err:
-            raise _diverged("overflow (%s)" % err, t + 1, config.seed) from err
-        top = np.abs(w).max()
+            W_next = W - steps[k] * grad_rows(idx, W)
+        except OverflowError:
+            raise_first_failure(t_next, idx, steps[k])
+        top = np.abs(W_next).max()
         # written so that a NaN iterate, for which every comparison is
         # false, lands in the same branch as a region violation
         if not top <= radius:
-            if not math.isfinite(top):
-                raise _diverged("non-finite iterate", t + 1, config.seed)
-            violations += 1
-            violated_since_record = True
-        t_next = t + 1
-        if t_next % stride == 0 or t_next == total:
+            row_top = np.abs(W_next).max(axis=1)
+            if not np.all(np.isfinite(row_top)):
+                raise_first_failure(t_next, idx, steps[k])
+            over = row_top > radius
+            violations += over
+            violated_since_record |= over
+        W = W_next
+        if is_record(t_next):
             record(t_next)
 
-    return RunTrace(
-        seed=config.seed,
-        t=np.array(rec_t, dtype=np.int64),
-        eta=np.array(rec_eta),
-        F=np.array(rec_f),
-        E=np.array(rec_e),
-        Y=np.array(rec_y),
-        region_violation=np.array(rec_flag, dtype=bool),
-        violation_count=violations,
-        has_reference=ref is not None,
-        iterates=np.array(iterates) if iterates is not None else None,
-    )
+    t_rec = np.array(rec_t, dtype=np.int64)
+    eta = np.array(rec_eta)
+    F = np.array(rec_f)
+    if ref is not None:
+        Y = np.array(rec_y)
+        E = F - ref.f_min
+    else:
+        Y = E = np.full((t_rec.size, S), math.nan)
+    flags = np.array(rec_flag, dtype=bool)
+    stacked = np.array(iterates) if iterates is not None else None
+    return [
+        RunTrace(
+            seed=seed,
+            t=t_rec.copy(),
+            eta=eta.copy(),
+            F=F[:, k].copy(),
+            E=E[:, k].copy(),
+            Y=Y[:, k].copy(),
+            region_violation=flags[:, k].copy(),
+            violation_count=int(violations[k]),
+            has_reference=ref is not None,
+            iterates=stacked[:, k].copy() if stacked is not None else None,
+        )
+        for k, seed in enumerate(seeds)
+    ]
 
 
 def moving_mean(values, window: int = 3) -> np.ndarray:
@@ -200,14 +256,15 @@ def moving_mean(values, window: int = 3) -> np.ndarray:
 def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
     """Repeat one configuration across seeds and aggregate.
 
-    Runs execute one after another, each exactly as sgd_run would run it
-    alone. The epoch series takes F at every record landing on a multiple
-    of the component count and applies a trailing moving mean of window 3.
+    All seeds advance together, and each seed's trace is bit-identical to
+    the one sgd_run gives for that seed alone. The epoch series takes F at
+    every record landing on a multiple of the component count and applies a
+    trailing moving mean of window 3.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    traces = [sgd_run(replace(config, seed=s)) for s in seeds]
+    traces = _run_seeds(config, seeds)
 
     t_grid = traces[0].t
     mean_f = np.mean([tr.F for tr in traces], axis=0)
@@ -299,6 +356,7 @@ def recurrence_check(objective, sched: ScheduleSpec, trace: RunTrace,
         raise ValueError("trace must be recorded with keep_iterates=True")
     L = objective.smoothness_bound(region_radius)
     n = objective.component_count
+    every = np.arange(n)
     w_star = reference.w_star
     f_min = reference.f_min
     noise = reference.noise_constant
@@ -317,11 +375,8 @@ def recurrence_check(objective, sched: ScheduleSpec, trace: RunTrace,
         diff = w - w_star
         y_now = float(diff @ diff)
         e_now = objective.value(w) - f_min
-        expected_next = 0.0
-        for i in range(n):
-            nxt = diff - step * objective.component_gradient(i, w)
-            expected_next += float(nxt @ nxt)
-        expected_next /= n
+        nxt = diff - step * objective.grad_rows(every, np.tile(w, (n, 1)))
+        expected_next = float(np.einsum("ij,ij->i", nxt, nxt).mean())
         bound = y_now - 2.0 * step * (1.0 - step * L) * e_now \
             + 2.0 * step * step * noise
         margin = bound - expected_next

@@ -140,6 +140,12 @@ class Objective:
     def _base_value_rows(self, W: np.ndarray) -> np.ndarray:
         return np.array([self._base_value(W[k]) for k in range(W.shape[0])])
 
+    def _base_grad_rows(self, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
+        out = np.empty_like(W)
+        for k in range(W.shape[0]):
+            out[k] = self._base_component_gradient(int(idx[k]), W[k])
+        return out
+
     def _base_smoothness(self, region_radius: float) -> float:
         raise NotImplementedError
 
@@ -169,6 +175,18 @@ class Objective:
         if kind == "norm2_squared":
             return w.copy()
         return regularizer_G_gradient(w)
+
+    def _reg_grad_rows(self, W: np.ndarray) -> np.ndarray:
+        kind = self.regularizer
+        if kind == "none":
+            return np.zeros_like(W)
+        if kind == "norm2":
+            nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+            # a zero row takes the subgradient 0, as in _reg_gradient
+            return np.divide(W, nrm, out=np.zeros_like(W), where=nrm != 0.0)
+        if kind == "norm2_squared":
+            return W.copy()
+        return regularizer_G_gradient(W)
 
     def _reg_value_rows(self, W: np.ndarray) -> np.ndarray:
         kind = self.regularizer
@@ -205,6 +223,19 @@ class Objective:
         if self.regularization_weight:
             g = g + self.regularization_weight * self._reg_gradient(w)
         return g
+
+    def grad_rows(self, idx, W) -> np.ndarray:
+        """Component gradients row by row: row k is grad f_{idx[k]}(W[k]).
+
+        Each row is computed from its own index and weights alone, with
+        elementwise products and per-row sums and never a product across
+        rows, so a row has the same bits whatever the other rows hold.
+        """
+        W = np.asarray(W, dtype=float)
+        G = self._base_grad_rows(np.asarray(idx), W)
+        if self.regularization_weight:
+            G = G + self.regularization_weight * self._reg_grad_rows(W)
+        return G
 
     def value(self, w) -> float:
         w = np.asarray(w, dtype=float)
@@ -273,6 +304,13 @@ class LogisticObjective(Objective):
         s = 0.5 * (1.0 + math.tanh(-0.5 * z))
         return (-self.y[i] * s) * self.X[i]
 
+    def _base_grad_rows(self, idx, W):
+        Xi = self.X[idx]
+        yi = self.y[idx]
+        z = yi * np.einsum("ij,ij->i", Xi, W)
+        s = 0.5 * (1.0 + np.tanh(-0.5 * z))
+        return (-yi * s)[:, None] * Xi
+
     def _base_value(self, w):
         z = self.y * (self.X @ w)
         return float(np.mean(np.logaddexp(0.0, -z)))
@@ -307,6 +345,11 @@ class LeastSquaresObjective(Objective):
     def _base_component_gradient(self, i, w):
         r = float(self.X[i] @ w) - self.y[i]
         return (2.0 * r) * self.X[i]
+
+    def _base_grad_rows(self, idx, W):
+        Xi = self.X[idx]
+        r = np.einsum("ij,ij->i", Xi, W) - self.y[idx]
+        return (2.0 * r)[:, None] * Xi
 
     def _base_value(self, w):
         r = self.X @ w - self.y
@@ -345,6 +388,9 @@ class LinearObjective(Objective):
     def _base_component_gradient(self, i, w):
         return self.C[i].copy()
 
+    def _base_grad_rows(self, idx, W):
+        return self.C[idx]
+
     def _base_value(self, w):
         return float(self._mean_c @ w)
 
@@ -382,6 +428,9 @@ class QuadraticMeanObjective(Objective):
 
     def _base_component_gradient(self, i, w):
         return self.mu * (w - self.centers[i])
+
+    def _base_grad_rows(self, idx, W):
+        return self.mu * (W - self.centers[idx])
 
     def _base_value(self, w):
         diffs = w - self.centers

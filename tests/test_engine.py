@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvesgd as cg
 from curvesgd.engine import INDEX_BLOCK
@@ -198,16 +199,98 @@ def test_multi_seed_sweep_aggregates():
 
 def test_sweep_seed_matches_solo_sweep():
     # a seed's trace does not depend on which other seeds run beside it
-    b = cg.quadratic_mean_problem()
-    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
-                       iterations=300, record_stride=30, reference=b.reference)
-    together = cg.multi_seed_sweep(cfg, seeds=range(4))
-    for seed, trace in zip(range(4), together.traces):
-        alone = cg.multi_seed_sweep(cfg, seeds=(seed,)).traces[0]
-        assert trace.seed == alone.seed == seed
-        for name in ("t", "eta", "F", "E", "Y", "region_violation"):
-            assert np.array_equal(getattr(trace, name), getattr(alone, name))
-        assert trace.violation_count == alone.violation_count
+    for problem, seeds in (("quadratic_mean", 4), ("ridge", 32), ("exp_cosh", 32)):
+        b = cg.load_benchmark(problem)
+        cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
+                           iterations=300, record_stride=30,
+                           reference=b.reference, region_radius=b.region_radius)
+        together = cg.multi_seed_sweep(cfg, seeds=range(seeds))
+        for seed, trace in zip(range(seeds), together.traces):
+            alone = cg.multi_seed_sweep(cfg, seeds=(seed,)).traces[0]
+            assert trace.seed == alone.seed == seed
+            for name in ("t", "eta", "F", "E", "Y", "region_violation"):
+                assert np.array_equal(getattr(trace, name), getattr(alone, name))
+            assert trace.violation_count == alone.violation_count
+
+
+@pytest.fixture(scope="module")
+def benchmarks():
+    return {name: cg.load_benchmark(name)
+            for name in ("quadratic_mean", "ridge", "exp_cosh")}
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(("quadratic_mean", "ridge", "exp_cosh")),
+       seed=st.integers(0, 2 ** 63), strides=st.tuples(st.integers(1, 50),
+                                                       st.integers(1, 50)))
+def test_trace_does_not_depend_on_stride(benchmarks, name, seed, strides):
+    b = benchmarks[name]
+    traces = [
+        cg.multi_seed_sweep(
+            cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=seed,
+                         iterations=120, record_stride=stride,
+                         reference=b.reference, region_radius=b.region_radius),
+            seeds=(seed, seed + 1)).traces
+        for stride in strides
+    ]
+    for one, other in zip(*traces):
+        shared, at_one, at_other = np.intersect1d(one.t, other.t,
+                                                  return_indices=True)
+        assert shared.size >= 2  # t = 0 and the last iteration at least
+        assert np.array_equal(one.F[at_one], other.F[at_other])
+        assert np.array_equal(one.Y[at_one], other.Y[at_other])
+
+
+def _seeds_by_first_draw(n, index, steps, count):
+    """Seeds in increasing order with the step at which each first draws
+    `index` (None when it does not within `steps`)."""
+    found = []
+    for seed in range(count):
+        draws = np.random.default_rng(seed).integers(0, n, size=INDEX_BLOCK)
+        hits = np.flatnonzero(draws[:steps] == index)
+        found.append((seed, int(hits[0]) if hits.size else None))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "overflow"])
+@pytest.mark.parametrize("only_one", [True, False])
+def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
+    # one poisoned component: drawing it throws w to inf (least squares) or
+    # past the exp-cosh range (overflow at the next step); the other
+    # components contract, so only seeds that draw it diverge
+    n, steps = 20, 30
+    if kind == "non-finite":
+        X = np.full((n, 1), 0.5)
+        X[0] = 1e300
+        y = np.ones(n)
+        y[0] = 1e10
+        obj = cg.LeastSquaresObjective(cg.Dataset(X, y))
+    else:
+        C = np.zeros((n, 1))
+        C[0] = -1e4
+        obj = cg.LinearObjective(C, "exp_cosh_G", 1.0)
+    draws = _seeds_by_first_draw(n, 0, steps, 200)
+    safe = [s for s, hit in draws if hit is None]
+    hit = sorted((h, s) for s, h in draws if h is not None)
+    if only_one:
+        culprit = hit[0][1]
+        seeds = (safe[0], culprit, safe[1])
+    else:
+        # two seeds diverge; the one listed first diverges later, so the
+        # sweep names the other: the earliest iteration wins
+        culprit, late = hit[0][1], hit[-1][1]
+        assert hit[0][0] < hit[-1][0]
+        seeds = (late, culprit, safe[0])
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
+                       seed=culprit, iterations=steps, record_stride=steps)
+    with np.errstate(all="ignore"):
+        with pytest.raises(cg.EngineError) as solo:
+            cg.sgd_run(cfg)
+        with pytest.raises(cg.EngineError) as swept:
+            cg.multi_seed_sweep(cfg, seeds)
+    assert str(swept.value) == str(solo.value)
+    assert "(seed %d)" % culprit in str(swept.value)
+    assert (kind == "overflow") == ("overflow" in str(swept.value))
 
 
 def test_tail_average_exact_window():

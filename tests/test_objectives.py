@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvesgd as cg
-from curvesgd.objectives import ConvergenceError
+from curvesgd.objectives import REGULARIZERS, ConvergenceError
 
 
 def two_point_least_squares():
@@ -208,3 +209,70 @@ def test_callable_objective_wraps_functions():
     w = np.array([0.5])
     assert obj.value(w) == pytest.approx(0.0625)
     assert obj.gradient(w)[0] == pytest.approx(0.5)
+
+
+OBJECTIVE_KINDS = ("logistic", "least_squares", "linear", "quadratic_mean",
+                   "callable")
+
+
+def make_objective(kind, rng, n, d, regularizer, lam):
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    if kind == "logistic":
+        labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return cg.LogisticObjective(cg.Dataset(X, labels), regularizer, lam)
+    if kind == "least_squares":
+        return cg.LeastSquaresObjective(cg.Dataset(X, rng.uniform(-1.0, 1.0, n)),
+                                        regularizer, lam)
+    if kind == "linear":
+        return cg.LinearObjective(X, regularizer, lam)
+    if kind == "quadratic_mean":
+        return cg.QuadraticMeanObjective(2.0, X, regularizer, lam)
+    # no batched hook of its own: grad_rows falls back to the base-class loop
+    return cg.CallableObjective(
+        [lambda w, c=c: float(np.sum((w - c) ** 4)) for c in X],
+        [lambda w, c=c: 4.0 * (w - c) ** 3 for c in X],
+        d, regularizer, lam)
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(OBJECTIVE_KINDS),
+       regularizer=st.sampled_from(REGULARIZERS),
+       lam=st.floats(0.0, 2.0),
+       n=st.integers(1, 6), d=st.integers(1, 5), rows=st.integers(1, 8),
+       data_seed=st.integers(0, 2 ** 32 - 1), zero_row=st.booleans())
+def test_grad_rows_match_component_gradients(kind, regularizer, lam, n, d, rows,
+                                             data_seed, zero_row):
+    rng = np.random.default_rng(data_seed)
+    obj = make_objective(kind, rng, n, d, regularizer, lam)
+    idx = rng.integers(0, n, size=rows)
+    W = rng.uniform(-1.0, 1.0, size=(rows, d))
+    if zero_row:
+        W[0] = 0.0  # the kink of norm2, where the subgradient 0 is taken
+    G = obj.grad_rows(idx, W)
+    assert G.shape == (rows, d)
+    unregularized = cg.composite_objective(obj, "none", 0.0)
+    for k in range(rows):
+        expected = obj.component_gradient(int(idx[k]), W[k])
+        base = unregularized.component_gradient(int(idx[k]), W[k])
+        # dot products may round differently in the two paths, and a sum
+        # that cancels keeps no relative accuracy, so rtol applies to the
+        # size of the terms summed
+        scale = np.abs(base) + np.abs(expected - base)
+        assert np.all(np.abs(G[k] - expected) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 5, 10, 17, 33])
+def test_grad_rows_do_not_depend_on_other_rows(d):
+    # the seed-lockstep engine relies on this: a seed's row has the same
+    # bits in a 32-seed batch as when it is computed alone
+    rng = np.random.default_rng(d)
+    for kind in OBJECTIVE_KINDS:
+        for regularizer in REGULARIZERS:
+            obj = make_objective(kind, rng, 7, d, regularizer, 0.3)
+            idx = rng.integers(0, 7, size=32)
+            W = rng.uniform(-1.0, 1.0, size=(32, d))
+            W[3] = 0.0
+            G = obj.grad_rows(idx, W)
+            for k in range(32):
+                alone = obj.grad_rows(idx[k : k + 1], W[k].copy()[None])
+                assert np.array_equal(G[k], alone[0]), (kind, regularizer, k)
