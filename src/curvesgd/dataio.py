@@ -49,8 +49,8 @@ RUNFILE_KEYS = (
 )
 
 
-def _float_cell(x: float) -> str:
-    return "%.17g" % x
+def _float_cells(values) -> list:
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -368,26 +368,22 @@ def results_rows(sweep, run_id: str):
     n = sweep.component_count
     rows = []
     for trace in sweep.traces:
-        smoothed = moving_mean(trace.F, 3)
-        for k in range(trace.t.size):
-            t = int(trace.t[k])
-            if trace.has_reference:
-                e_cell = _float_cell(trace.E[k])
-                y_cell = _float_cell(trace.Y[k])
-            else:
-                e_cell = ""
-                y_cell = ""
-            rows.append((
-                run_id,
-                str(trace.seed),
-                _float_cell(t / n),
-                str(t),
-                _float_cell(trace.eta[k]),
-                _float_cell(trace.F[k]),
-                e_cell,
-                y_cell,
-                _float_cell(smoothed[k]),
-            ))
+        size = trace.t.size
+        if trace.has_reference:
+            e_cells, y_cells = _float_cells(trace.E), _float_cells(trace.Y)
+        else:
+            e_cells = y_cells = [""] * size
+        rows.extend(zip(
+            [run_id] * size,
+            [str(trace.seed)] * size,
+            _float_cells(trace.t / n),
+            [str(t) for t in trace.t.tolist()],
+            _float_cells(trace.eta),
+            _float_cells(trace.F),
+            e_cells,
+            y_cells,
+            _float_cells(moving_mean(trace.F, 3)),
+        ))
     return rows
 
 

@@ -120,7 +120,7 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     total = config.iterations
     grad_rows = obj.grad_rows
 
-    rec_t, rec_eta, rec_f, rec_y, rec_flag = [], [], [], [], []
+    rec_t, rec_f, rec_y, rec_flag = [], [], [], []
     iterates = [] if config.keep_iterates else None
     violations = np.zeros(S, dtype=np.int64)
     violated_since_record = np.zeros(S, dtype=bool)
@@ -139,8 +139,15 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
 
     def record(t_now: int):
         rec_t.append(t_now)
-        rec_eta.append(step_size(sched, t_now))
-        rec_f.append([checked_value(k, t_now, W[k]) for k in range(S)])
+        try:
+            values = obj.value_many(W)
+        except OverflowError:
+            values = math.nan
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(W))):
+            # redo the rows one at a time, so that the error is the one
+            # that seed's own run raises
+            values = [checked_value(k, t_now, W[k]) for k in range(S)]
+        rec_f.append(values)
         if ref is not None:
             rec_y.append([float(diff @ diff) for diff in W - ref.w_star])
         rec_flag.append(violated_since_record.copy())
@@ -216,7 +223,7 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
             record(t_next)
 
     t_rec = np.array(rec_t, dtype=np.int64)
-    eta = np.array(rec_eta)
+    eta = step_size(sched, t_rec.astype(float))
     F = np.array(rec_f)
     if ref is not None:
         Y = np.array(rec_y)
@@ -244,13 +251,15 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
 
 def moving_mean(values, window: int = 3) -> np.ndarray:
     """Trailing moving mean; the first window-1 entries average the
-    available prefix."""
+    available prefix. Each window is summed left to right from 0.0, as
+    numpy's mean does up to 7 entries, and divided by its length."""
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for k in range(values.size):
-        lo = max(0, k - window + 1)
-        out[k] = values[lo : k + 1].mean()
-    return out
+    size = values.size
+    padded = np.concatenate([np.zeros(window - 1), values])
+    total = padded[:size] + 0.0
+    for j in range(1, window):
+        total += padded[j : j + size]
+    return total / np.minimum(np.arange(1.0, size + 1.0), window)
 
 
 def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
@@ -360,6 +369,7 @@ def recurrence_check(objective, sched: ScheduleSpec, trace: RunTrace,
     w_star = reference.w_star
     f_min = reference.f_min
     noise = reference.noise_constant
+    gaps = objective.value_many(trace.iterates) - f_min
     worst = math.inf
     violations = 0
     first_t = -1
@@ -374,7 +384,7 @@ def recurrence_check(objective, sched: ScheduleSpec, trace: RunTrace,
         w = trace.iterates[k]
         diff = w - w_star
         y_now = float(diff @ diff)
-        e_now = objective.value(w) - f_min
+        e_now = gaps[k]
         nxt = diff - step * objective.grad_rows(every, np.tile(w, (n, 1)))
         expected_next = float(np.einsum("ij,ij->i", nxt, nxt).mean())
         bound = y_now - 2.0 * step * (1.0 - step * L) * e_now \

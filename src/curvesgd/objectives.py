@@ -72,10 +72,7 @@ def regularizer_G_value(w):
     A 2-d input is treated as a batch of weight vectors (one per row) and
     yields one value per row.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 2:
-        return np.sum(_g_terms(w), axis=1)
-    return float(np.sum(_g_terms(w)))
+    return np.sum(_g_terms(np.asarray(w, dtype=float)), axis=-1)
 
 
 def regularizer_G_gradient(w) -> np.ndarray:
@@ -83,6 +80,18 @@ def regularizer_G_gradient(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     _check_exp_range(w)
     return np.expm1(w) - np.expm1(-w) - 2.0 * w
+
+
+def _softplus(m):
+    """log(1 + e^m) without overflow."""
+    return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+
+
+def _sigmoid_neg(z):
+    """1 / (1 + e^z) to full relative accuracy for every z: with
+    e = exp(-|z|) it is e / (1 + e) for z > 0 and 1 / (1 + e) otherwise,
+    the numerator being exp(-max(z, 0))."""
+    return np.exp(-np.maximum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 @dataclass(frozen=True)
@@ -126,10 +135,6 @@ class Objective:
     def _base_component_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _base_value(self, w: np.ndarray) -> float:
-        n = self.component_count
-        return sum(self._base_component_value(i, w) for i in range(n)) / n
-
     def _base_gradient(self, w: np.ndarray) -> np.ndarray:
         n = self.component_count
         g = np.zeros(self.dimension)
@@ -138,7 +143,9 @@ class Objective:
         return g / n
 
     def _base_value_rows(self, W: np.ndarray) -> np.ndarray:
-        return np.array([self._base_value(W[k]) for k in range(W.shape[0])])
+        n = self.component_count
+        return np.array([sum(self._base_component_value(i, w) for i in range(n)) / n
+                         for w in W])
 
     def _base_grad_rows(self, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
         out = np.empty_like(W)
@@ -153,16 +160,6 @@ class Objective:
         return None
 
     # ----- regularizer terms ----------------------------------------------
-    def _reg_value(self, w: np.ndarray) -> float:
-        kind = self.regularizer
-        if kind == "none":
-            return 0.0
-        if kind == "norm2":
-            return float(np.linalg.norm(w))
-        if kind == "norm2_squared":
-            return 0.5 * float(w @ w)
-        return regularizer_G_value(w)
-
     def _reg_gradient(self, w: np.ndarray) -> np.ndarray:
         kind = self.regularizer
         if kind == "none":
@@ -214,7 +211,7 @@ class Objective:
         w = np.asarray(w, dtype=float)
         v = self._base_component_value(i, w)
         if self.regularization_weight:
-            v += self.regularization_weight * self._reg_value(w)
+            v += self.regularization_weight * float(self._reg_value_rows(w[None])[0])
         return v
 
     def component_gradient(self, i: int, w) -> np.ndarray:
@@ -238,11 +235,8 @@ class Objective:
         return G
 
     def value(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        v = self._base_value(w)
-        if self.regularization_weight:
-            v += self.regularization_weight * self._reg_value(w)
-        return v
+        """F(w), computed as the one-row case of value_many."""
+        return float(self.value_many(np.asarray(w, dtype=float)[None])[0])
 
     def gradient(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -251,12 +245,19 @@ class Objective:
             g = g + self.regularization_weight * self._reg_gradient(w)
         return g
 
-    def value_many(self, W, chunk: int = 4096) -> np.ndarray:
-        """F evaluated on each row of W, in chunks to bound memory."""
+    def value_many(self, W, chunk: int = 1 << 16) -> np.ndarray:
+        """F row by row: entry k is F(W[k]).
+
+        Like grad_rows, each row is computed from its own weights alone, so
+        a row has the same bits whatever the other rows hold. Rows are taken
+        in blocks of about ``chunk`` (row, component) terms, which bounds
+        memory and keeps the temporaries in cache.
+        """
         W = np.asarray(W, dtype=float)
         out = np.empty(W.shape[0])
-        for lo in range(0, W.shape[0], chunk):
-            block = W[lo : lo + chunk]
+        rows = max(1, chunk // self.component_count)
+        for lo in range(0, W.shape[0], rows):
+            block = W[lo : lo + rows]
             vals = self._base_value_rows(block)
             if self.regularization_weight:
                 vals = vals + self.regularization_weight * self._reg_value_rows(block)
@@ -294,35 +295,28 @@ class LogisticObjective(Objective):
         self.X = dataset.X
         self.y = dataset.y
         self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
+        # y_i x_i, and -y_i x_i transposed for the margins -y_i x_i'w
+        self._yX = self.y[:, None] * self.X
+        self._neg_yX_T = (-self._yX).T.copy()
 
     def _base_component_value(self, i, w):
-        z = self.y[i] * float(self.X[i] @ w)
-        return float(np.logaddexp(0.0, -z))
+        return float(_softplus(-float(self._yX[i] @ w)))
 
     def _base_component_gradient(self, i, w):
-        z = self.y[i] * float(self.X[i] @ w)
-        s = 0.5 * (1.0 + math.tanh(-0.5 * z))
-        return (-self.y[i] * s) * self.X[i]
+        z = float(self._yX[i] @ w)
+        return -_sigmoid_neg(z) * self._yX[i]
 
     def _base_grad_rows(self, idx, W):
-        Xi = self.X[idx]
-        yi = self.y[idx]
-        z = yi * np.einsum("ij,ij->i", Xi, W)
-        s = 0.5 * (1.0 + np.tanh(-0.5 * z))
-        return (-yi * s)[:, None] * Xi
-
-    def _base_value(self, w):
-        z = self.y * (self.X @ w)
-        return float(np.mean(np.logaddexp(0.0, -z)))
+        yXi = self._yX[idx]
+        z = np.einsum("ij,ij->i", yXi, W)
+        return -_sigmoid_neg(z)[:, None] * yXi
 
     def _base_gradient(self, w):
-        z = self.y * (self.X @ w)
-        s = 0.5 * (1.0 + np.tanh(-0.5 * z))
-        return -((self.y * s) @ self.X) / self.component_count
+        s = _sigmoid_neg(self._yX @ w)
+        return -(s @ self._yX) / self.component_count
 
     def _base_value_rows(self, W):
-        z = (W @ self.X.T) * self.y
-        return np.mean(np.logaddexp(0.0, -z), axis=1)
+        return np.mean(_softplus(np.einsum("kj,ji->ki", W, self._neg_yX_T)), axis=1)
 
     def _base_smoothness(self, region_radius):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
@@ -336,6 +330,7 @@ class LeastSquaresObjective(Objective):
         super().__init__(dataset.size, dataset.dimension, regularizer, lam)
         self.X = dataset.X
         self.y = dataset.y
+        self._XT = self.X.T.copy()
         self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
 
     def _base_component_value(self, i, w):
@@ -351,17 +346,13 @@ class LeastSquaresObjective(Objective):
         r = np.einsum("ij,ij->i", Xi, W) - self.y[idx]
         return (2.0 * r)[:, None] * Xi
 
-    def _base_value(self, w):
-        r = self.X @ w - self.y
-        return float(r @ r) / self.component_count
-
     def _base_gradient(self, w):
         r = self.X @ w - self.y
         return (2.0 / self.component_count) * (r @ self.X)
 
     def _base_value_rows(self, W):
-        R = W @ self.X.T - self.y
-        return np.einsum("ij,ij->i", R, R) / self.component_count
+        R = np.einsum("kj,ji->ki", W, self._XT) - self.y
+        return np.einsum("ki,ki->k", R, R) / self.component_count
 
     def _base_smoothness(self, region_radius):
         return 2.0 * self._max_row_sq
@@ -391,14 +382,11 @@ class LinearObjective(Objective):
     def _base_grad_rows(self, idx, W):
         return self.C[idx]
 
-    def _base_value(self, w):
-        return float(self._mean_c @ w)
-
     def _base_gradient(self, w):
         return self._mean_c.copy()
 
     def _base_value_rows(self, W):
-        return W @ self._mean_c
+        return np.einsum("kj,j->k", W, self._mean_c)
 
     def _base_smoothness(self, region_radius):
         return 0.0
@@ -432,17 +420,12 @@ class QuadraticMeanObjective(Objective):
     def _base_grad_rows(self, idx, W):
         return self.mu * (W - self.centers[idx])
 
-    def _base_value(self, w):
-        diffs = w - self.centers
-        return 0.5 * self.mu * float(np.einsum("ij,ij->i", diffs, diffs).mean())
-
     def _base_gradient(self, w):
         return self.mu * (w - self._mean_center)
 
     def _base_value_rows(self, W):
-        sq = np.einsum("ij,ij->i", W, W)
-        csq = np.einsum("ij,ij->i", self.centers, self.centers)
-        return 0.5 * self.mu * (sq - 2.0 * (W @ self._mean_center) + np.mean(csq))
+        D = W[:, None, :] - self.centers
+        return (0.5 * self.mu) * np.mean(np.einsum("kij,kij->ki", D, D), axis=1)
 
     def _base_smoothness(self, region_radius):
         return self.mu

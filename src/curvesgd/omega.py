@@ -330,22 +330,26 @@ def estimate_delta(gap: GapFunctions, sample_region, grid=None,
     high = np.atleast_1d(np.asarray(high, dtype=float))
     if low.shape != high.shape or np.any(low >= high):
         raise ValueError("sample_region must be a (low, high) box with low < high")
-    rng = np.random.default_rng(seed)
-    W = rng.uniform(low, high, size=(n_samples, low.size))
+    # the draws and bits of rng.uniform(low, high, size), without its
+    # slower broadcasting path
+    W = low + (high - low) * np.random.default_rng(seed).random((n_samples, low.size))
     av = np.asarray(gap.a(W), dtype=float)
     bv = np.asarray(gap.b(W), dtype=float)
     if grid is None:
         pos = av[av > 0.0]
         if pos.size == 0:
             raise ValueError("no sample produced a positive gap value")
-        grid = np.geomspace(np.quantile(pos, 0.001), np.quantile(pos, 0.999), 48)
+        grid = np.geomspace(*np.quantile(pos, [0.001, 0.999]), 48)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be positive and strictly increasing")
     rho = np.full(grid.size, math.nan)
     counts = np.zeros(grid.size, dtype=int)
+    dev, mask = np.empty_like(av), np.empty(av.shape, dtype=bool)
     for k, eps in enumerate(grid):
-        mask = np.abs(av - eps) <= band_rel * eps
+        # |av - eps| <= band_rel * eps, in buffers reused across bands
+        np.abs(np.subtract(av, eps, out=dev), out=dev)
+        np.less_equal(dev, band_rel * eps, out=mask)
         counts[k] = int(np.count_nonzero(mask))
         if counts[k]:
             rho[k] = float(bv[mask].max())

@@ -1,6 +1,7 @@
 """Engine tests: deterministic recurrences, recording, sweeps, checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import curvesgd as cg
 from curvesgd.engine import INDEX_BLOCK
+from curvesgd.schedule import step_size
 
 
 def contraction_problem():
@@ -291,6 +293,67 @@ def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
     assert str(swept.value) == str(solo.value)
     assert "(seed %d)" % culprit in str(swept.value)
     assert (kind == "overflow") == ("overflow" in str(swept.value))
+
+
+def test_sweep_divergence_at_a_record_names_the_seed():
+    # component 0 multiplies w by -8 per draw and component 1 contracts it,
+    # so every seed diverges, at an iteration set by its own draws; at
+    # stride 1 F overflows at a record while w is still finite, and the
+    # batched record must give way to the per-seed checks
+    obj = cg.LeastSquaresObjective(cg.Dataset([[3.0], [0.5]], [1.0, 1.0]))
+
+    def failure(seed, stride, seeds=None):
+        cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                           seed=seed, iterations=2000, record_stride=stride)
+        with pytest.raises(cg.EngineError) as err, np.errstate(all="ignore"):
+            if seeds is None:
+                cg.sgd_run(cfg)
+            else:
+                cg.multi_seed_sweep(cfg, seeds)
+        return str(err.value)
+
+    def iteration(message):
+        return int(re.search(r"iteration (\d+)", message).group(1))
+
+    seeds = (0, 5, 2)
+    solo = {s: failure(s, 1) for s in seeds}
+    first, second = sorted(iteration(m) for m in solo.values())[:2]
+    assert first < second
+    culprit = min(seeds, key=lambda s: iteration(solo[s]))
+    assert culprit != seeds[0]
+    # w itself turns non-finite only later, so the record caught F
+    assert iteration(failure(culprit, 10 ** 6)) > first
+    assert failure(culprit, 1, seeds) == solo[culprit]
+
+
+def test_recorded_eta_is_the_step_taken():
+    # the run evaluates the schedule on blocks of iterations; a record
+    # reports the same bits, including where array and scalar pow differ
+    for name in ("exp_cosh", "quadratic_mean"):
+        b = cg.load_benchmark(name)
+        cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=1,
+                           iterations=3000, record_stride=7,
+                           reference=b.reference, region_radius=b.region_radius)
+        trace = cg.sgd_run(cfg)
+        steps = step_size(b.schedule, np.arange(3001, dtype=float))
+        assert np.array_equal(trace.eta, steps[trace.t]), name
+
+
+def _moving_mean_loop(values, window):
+    out = np.empty_like(values)
+    for k in range(values.size):
+        out[k] = values[max(0, k - window + 1) : k + 1].mean()
+    return out
+
+
+@settings(deadline=None)
+@given(window=st.integers(1, 5),
+       values=st.lists(st.floats(1e-8, 1e8) | st.floats(-1e8, -1e-8),
+                       max_size=600))
+def test_moving_mean_matches_the_window_loop(window, values):
+    values = np.array(values, dtype=float)
+    out = cg.moving_mean(values, window)
+    assert np.array_equal(out, _moving_mean_loop(values, window))
 
 
 def test_tail_average_exact_window():

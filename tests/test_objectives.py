@@ -276,3 +276,62 @@ def test_grad_rows_do_not_depend_on_other_rows(d):
             for k in range(32):
                 alone = obj.grad_rows(idx[k : k + 1], W[k].copy()[None])
                 assert np.array_equal(G[k], alone[0]), (kind, regularizer, k)
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(OBJECTIVE_KINDS),
+       regularizer=st.sampled_from(REGULARIZERS),
+       d=st.sampled_from([1, 5, 10, 17, 33]),
+       n=st.integers(1, 7), rows=st.integers(1, 40),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_value_many_rows_do_not_depend_on_other_rows(kind, regularizer, d, n,
+                                                     rows, data_seed):
+    # the batched record path relies on this: a seed's F has the same bits
+    # in a many-seed record as when that seed runs alone
+    rng = np.random.default_rng(data_seed)
+    obj = make_objective(kind, rng, n, d, regularizer, 0.3)
+    W = rng.uniform(-1.0, 1.0, size=(rows, d))
+    W[0] = 0.0
+    F = obj.value_many(W)
+    assert F.shape == (rows,)
+    for k in range(rows):
+        assert np.array_equal(F[k], obj.value_many(W[k].copy()[None])[0]), k
+    # so the block size cannot matter either
+    assert np.array_equal(obj.value_many(W, chunk=3 * n), F)
+
+
+def test_value_is_the_one_row_case_of_value_many():
+    rng = np.random.default_rng(11)
+    for kind in OBJECTIVE_KINDS:
+        for regularizer in REGULARIZERS:
+            obj = make_objective(kind, rng, 6, 4, regularizer, 0.3)
+            for w in rng.uniform(-1.0, 1.0, size=(5, 4)):
+                assert obj.value(w) == obj.value_many(w[None])[0], (kind, regularizer)
+
+
+@pytest.mark.parametrize("d", [1, 5, 17])
+def test_value_many_matches_component_mean(d):
+    rng = np.random.default_rng(100 + d)
+    for kind in OBJECTIVE_KINDS:
+        for regularizer in REGULARIZERS:
+            obj = make_objective(kind, rng, 7, d, regularizer, 0.3)
+            W = rng.uniform(-1.0, 1.0, size=(6, d))
+            F = obj.value_many(W)
+            for k in range(W.shape[0]):
+                mean = np.mean([obj.component_value(i, W[k]) for i in range(7)])
+                assert F[k] == pytest.approx(mean, rel=1e-13), (kind, regularizer)
+
+
+@pytest.mark.parametrize("z", [-40.0, -37.0, -30.0, 30.0, 37.0, 40.0])
+def test_logistic_is_accurate_at_large_margins(z):
+    # one component with x = 1 and label +1, so the margin y x'w is w
+    obj = cg.LogisticObjective(cg.Dataset(np.array([[1.0]]), np.array([1.0])))
+    w = np.array([z])
+    sigmoid = 1.0 / (1.0 + math.exp(z))
+    for g in (obj.component_gradient(0, w), obj.gradient(w),
+              obj.grad_rows(np.array([0]), w[None])[0]):
+        assert g[0] == pytest.approx(-sigmoid, rel=1e-14, abs=0.0)
+    # log(1 + e^-z), written so that neither form loses digits
+    loss = math.log1p(math.exp(-z)) if z > 0 else -z + math.log1p(math.exp(z))
+    assert obj.value(w) == pytest.approx(loss, rel=1e-14, abs=0.0)
+    assert obj.component_value(0, w) == pytest.approx(loss, rel=1e-14, abs=0.0)
