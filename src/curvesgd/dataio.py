@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import urllib.request
 from dataclasses import dataclass
@@ -73,9 +74,9 @@ def parse_libsvm(source) -> Dataset:
     """Parse sparse `<label> <idx>:<val> ...` text into a dense Dataset.
 
     Indices are 1-based and must be strictly increasing within a line; the
-    dimension is the largest index seen anywhere. Labels 1 and +1 map to
-    +1, labels 2 and -1 map to -1 (the usual two-class convention for
-    datasets coded with {1,2}).
+    dimension is the largest index seen anywhere. Values must be finite.
+    Labels 1 and +1 map to +1, labels 2 and -1 map to -1 (the usual
+    two-class convention for datasets coded with {1,2}).
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -109,6 +110,10 @@ def parse_libsvm(source) -> Dataset:
             if index < 1:
                 raise ValueError(
                     "line %d: feature index %d must be >= 1" % (line_no, index)
+                )
+            if not math.isfinite(value):
+                raise ValueError(
+                    "line %d: feature value %r is not finite" % (line_no, tail)
                 )
             if index <= previous:
                 raise ValueError(

@@ -91,6 +91,9 @@ def sgd_run(config: RunConfig) -> RunTrace:
     return _run_seeds(config, (config.seed,))[0]
 
 
+# the run detects overflow and non-finite values itself and raises
+# EngineError, so numpy's own warnings about them would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     """Run one configuration for every seed in lockstep.
 

@@ -19,6 +19,10 @@ REGULARIZERS = ("none", "norm2", "norm2_squared", "exp_cosh_G")
 # np.exp overflows past ~709; stay clear of it so the overflow policy is ours.
 EXP_SAFE_LIMIT = 700.0
 
+# (row, component) terms per block of a batched value or gradient: bounds
+# memory and keeps the temporaries in cache
+_BLOCK_TERMS = 1 << 16
+
 
 class ConvergenceError(RuntimeError):
     """The reference solver did not reach its gradient tolerance."""
@@ -41,6 +45,8 @@ class Dataset:
             raise ValueError("empty dataset")
         if y.shape != (X.shape[0],):
             raise ValueError("y must have one entry per row of X")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise ValueError("X and y must be finite")
         self.X = X
         self.y = y
         self.planted_weights = planted_weights
@@ -114,8 +120,10 @@ class Objective:
 
     Each component is base_i(w) + lam * reg(w): the regularizer is applied
     per component, so a stochastic gradient always carries the regularizer
-    gradient. Subclasses supply the base terms. Instances are immutable
-    after construction and safe to share across threads.
+    gradient. A loss supplies two row-local hooks, ``_base_values`` and
+    ``_base_grad_rows``, plus ``_base_smoothness``; every value and gradient
+    of the public surface is built from them. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "none", lam: float = 0.0):
@@ -129,29 +137,15 @@ class Objective:
         self.regularization_weight = float(lam)
 
     # ----- subclass hooks -------------------------------------------------
-    def _base_component_value(self, i: int, w: np.ndarray) -> float:
+    def _base_values(self, W: np.ndarray) -> np.ndarray:
+        """(rows, n) matrix whose entry [k, i] is base_i(W[k]), row k
+        computed from W[k] alone."""
         raise NotImplementedError
-
-    def _base_component_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _base_gradient(self, w: np.ndarray) -> np.ndarray:
-        n = self.component_count
-        g = np.zeros(self.dimension)
-        for i in range(n):
-            g += self._base_component_gradient(i, w)
-        return g / n
-
-    def _base_value_rows(self, W: np.ndarray) -> np.ndarray:
-        n = self.component_count
-        return np.array([sum(self._base_component_value(i, w) for i in range(n)) / n
-                         for w in W])
 
     def _base_grad_rows(self, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
-        out = np.empty_like(W)
-        for k in range(W.shape[0]):
-            out[k] = self._base_component_gradient(int(idx[k]), W[k])
-        return out
+        """(rows, d) matrix whose row k is grad base_{idx[k]}(W[k]), computed
+        from idx[k] and W[k] alone."""
+        raise NotImplementedError
 
     def _base_smoothness(self, region_radius: float) -> float:
         raise NotImplementedError
@@ -160,26 +154,13 @@ class Objective:
         return None
 
     # ----- regularizer terms ----------------------------------------------
-    def _reg_gradient(self, w: np.ndarray) -> np.ndarray:
-        kind = self.regularizer
-        if kind == "none":
-            return np.zeros_like(w)
-        if kind == "norm2":
-            nrm = float(np.linalg.norm(w))
-            if nrm == 0.0:
-                return np.zeros_like(w)  # 0 is a valid subgradient at the kink
-            return w / nrm
-        if kind == "norm2_squared":
-            return w.copy()
-        return regularizer_G_gradient(w)
-
     def _reg_grad_rows(self, W: np.ndarray) -> np.ndarray:
         kind = self.regularizer
         if kind == "none":
             return np.zeros_like(W)
         if kind == "norm2":
             nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-            # a zero row takes the subgradient 0, as in _reg_gradient
+            # a zero row takes the subgradient 0, valid at the kink
             return np.divide(W, nrm, out=np.zeros_like(W), where=nrm != 0.0)
         if kind == "norm2_squared":
             return W.copy()
@@ -207,19 +188,20 @@ class Objective:
         return lam * (math.exp(region_radius) + math.exp(-region_radius) - 2.0)
 
     # ----- public surface ---------------------------------------------------
-    def component_value(self, i: int, w) -> float:
-        w = np.asarray(w, dtype=float)
-        v = self._base_component_value(i, w)
-        if self.regularization_weight:
-            v += self.regularization_weight * float(self._reg_value_rows(w[None])[0])
-        return v
-
-    def component_gradient(self, i: int, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        g = self._base_component_gradient(i, w)
-        if self.regularization_weight:
-            g = g + self.regularization_weight * self._reg_gradient(w)
-        return g
+    def _rows(self, W, idx=None):
+        """W as a float (rows, dimension) array, and idx, when given, as an
+        array with one entry per row; anything else is a ValueError."""
+        W = np.asarray(W, dtype=float)
+        if idx is not None:
+            idx = np.asarray(idx)
+            if idx.ndim != 1 or W.shape != (idx.size, self.dimension):
+                raise ValueError(
+                    "weights of shape %s with indices of shape %s; expected "
+                    "(rows, %d) and (rows,)" % (W.shape, idx.shape, self.dimension))
+        elif W.ndim != 2 or W.shape[1] != self.dimension:
+            raise ValueError("weights of shape %s; expected (rows, %d)"
+                             % (W.shape, self.dimension))
+        return W, idx
 
     def grad_rows(self, idx, W) -> np.ndarray:
         """Component gradients row by row: row k is grad f_{idx[k]}(W[k]).
@@ -228,41 +210,70 @@ class Objective:
         elementwise products and per-row sums and never a product across
         rows, so a row has the same bits whatever the other rows hold.
         """
-        W = np.asarray(W, dtype=float)
-        G = self._base_grad_rows(np.asarray(idx), W)
+        W, idx = self._rows(W, idx)
+        G = self._base_grad_rows(idx, W)
         if self.regularization_weight:
             G = G + self.regularization_weight * self._reg_grad_rows(W)
         return G
 
-    def value(self, w) -> float:
-        """F(w), computed as the one-row case of value_many."""
-        return float(self.value_many(np.asarray(w, dtype=float)[None])[0])
+    def value_rows(self, idx, W) -> np.ndarray:
+        """Component values row by row: entry k is f_{idx[k]}(W[k]).
 
-    def gradient(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        g = self._base_gradient(w)
-        if self.regularization_weight:
-            g = g + self.regularization_weight * self._reg_gradient(w)
-        return g
+        Row-local like grad_rows, and taken in blocks like value_many. Each
+        block evaluates every component at its rows, so a call costs as
+        much as value_many on the same rows.
+        """
+        W, idx = self._rows(W, idx)
+        return self._block_values(W, idx, _BLOCK_TERMS)
 
-    def value_many(self, W, chunk: int = 1 << 16) -> np.ndarray:
-        """F row by row: entry k is F(W[k]).
+    def value_many(self, W, chunk: int = _BLOCK_TERMS) -> np.ndarray:
+        """F row by row: entry k is F(W[k]), the mean of the n component
+        values at W[k].
 
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
         in blocks of about ``chunk`` (row, component) terms, which bounds
         memory and keeps the temporaries in cache.
         """
-        W = np.asarray(W, dtype=float)
+        W, _ = self._rows(W)
+        return self._block_values(W, None, chunk)
+
+    def _block_values(self, W, idx, chunk):
+        # one (rows, n) block of base values at a time, reduced to the
+        # component idx[k] of each row, or to the row mean when idx is None
         out = np.empty(W.shape[0])
         rows = max(1, chunk // self.component_count)
         for lo in range(0, W.shape[0], rows):
             block = W[lo : lo + rows]
-            vals = self._base_value_rows(block)
+            base = self._base_values(block)
+            if idx is None:
+                vals = base.sum(axis=1) / self.component_count
+            else:
+                vals = base[np.arange(block.shape[0]), idx[lo : lo + rows]]
             if self.regularization_weight:
                 vals = vals + self.regularization_weight * self._reg_value_rows(block)
             out[lo : lo + block.shape[0]] = vals
         return out
+
+    def value(self, w) -> float:
+        """F(w), computed as the one-row case of value_many."""
+        return float(self.value_many(np.asarray(w, dtype=float)[None])[0])
+
+    def gradient(self, w) -> np.ndarray:
+        """grad F(w): the mean of the component gradients at w, summed over
+        blocks of components like the rows of value_many."""
+        W, _ = self._rows(np.asarray(w, dtype=float)[None])
+        n, d = self.component_count, self.dimension
+        rows = max(1, _BLOCK_TERMS // d)
+        total = np.zeros(d)
+        for lo in range(0, n, rows):
+            idx = np.arange(lo, min(lo + rows, n))
+            total += self._base_grad_rows(idx, W.repeat(idx.size, axis=0)).sum(axis=0)
+        g = total / n
+        if self.regularization_weight:
+            # every component carries the same regularizer gradient
+            g = g + self.regularization_weight * self._reg_grad_rows(W)[0]
+        return g
 
     @property
     def known_mu(self):
@@ -299,24 +310,13 @@ class LogisticObjective(Objective):
         self._yX = self.y[:, None] * self.X
         self._neg_yX_T = (-self._yX).T.copy()
 
-    def _base_component_value(self, i, w):
-        return float(_softplus(-float(self._yX[i] @ w)))
-
-    def _base_component_gradient(self, i, w):
-        z = float(self._yX[i] @ w)
-        return -_sigmoid_neg(z) * self._yX[i]
+    def _base_values(self, W):
+        return _softplus(np.einsum("kj,ji->ki", W, self._neg_yX_T))
 
     def _base_grad_rows(self, idx, W):
         yXi = self._yX[idx]
         z = np.einsum("ij,ij->i", yXi, W)
         return -_sigmoid_neg(z)[:, None] * yXi
-
-    def _base_gradient(self, w):
-        s = _sigmoid_neg(self._yX @ w)
-        return -(s @ self._yX) / self.component_count
-
-    def _base_value_rows(self, W):
-        return np.mean(_softplus(np.einsum("kj,ji->ki", W, self._neg_yX_T)), axis=1)
 
     def _base_smoothness(self, region_radius):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
@@ -333,26 +333,14 @@ class LeastSquaresObjective(Objective):
         self._XT = self.X.T.copy()
         self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
 
-    def _base_component_value(self, i, w):
-        r = float(self.X[i] @ w) - self.y[i]
-        return r * r
-
-    def _base_component_gradient(self, i, w):
-        r = float(self.X[i] @ w) - self.y[i]
-        return (2.0 * r) * self.X[i]
+    def _base_values(self, W):
+        R = np.einsum("kj,ji->ki", W, self._XT) - self.y
+        return R * R
 
     def _base_grad_rows(self, idx, W):
         Xi = self.X[idx]
         r = np.einsum("ij,ij->i", Xi, W) - self.y[idx]
         return (2.0 * r)[:, None] * Xi
-
-    def _base_gradient(self, w):
-        r = self.X @ w - self.y
-        return (2.0 / self.component_count) * (r @ self.X)
-
-    def _base_value_rows(self, W):
-        R = np.einsum("kj,ji->ki", W, self._XT) - self.y
-        return np.einsum("ki,ki->k", R, R) / self.component_count
 
     def _base_smoothness(self, region_radius):
         return 2.0 * self._max_row_sq
@@ -371,22 +359,13 @@ class LinearObjective(Objective):
             raise ValueError("C must be a 2-d array of component gradients")
         super().__init__(C.shape[0], C.shape[1], regularizer, lam)
         self.C = C
-        self._mean_c = C.mean(axis=0)
+        self._CT = C.T.copy()
 
-    def _base_component_value(self, i, w):
-        return float(self.C[i] @ w)
-
-    def _base_component_gradient(self, i, w):
-        return self.C[i].copy()
+    def _base_values(self, W):
+        return np.einsum("kj,ji->ki", W, self._CT)
 
     def _base_grad_rows(self, idx, W):
         return self.C[idx]
-
-    def _base_gradient(self, w):
-        return self._mean_c.copy()
-
-    def _base_value_rows(self, W):
-        return np.einsum("kj,j->k", W, self._mean_c)
 
     def _base_smoothness(self, region_radius):
         return 0.0
@@ -408,24 +387,13 @@ class QuadraticMeanObjective(Objective):
         super().__init__(centers.shape[0], centers.shape[1], regularizer, lam)
         self.mu = float(mu)
         self.centers = centers
-        self._mean_center = centers.mean(axis=0)
 
-    def _base_component_value(self, i, w):
-        diff = w - self.centers[i]
-        return 0.5 * self.mu * float(diff @ diff)
-
-    def _base_component_gradient(self, i, w):
-        return self.mu * (w - self.centers[i])
+    def _base_values(self, W):
+        D = W[:, None, :] - self.centers
+        return (0.5 * self.mu) * np.einsum("kij,kij->ki", D, D)
 
     def _base_grad_rows(self, idx, W):
         return self.mu * (W - self.centers[idx])
-
-    def _base_gradient(self, w):
-        return self.mu * (w - self._mean_center)
-
-    def _base_value_rows(self, W):
-        D = W[:, None, :] - self.centers
-        return (0.5 * self.mu) * np.mean(np.einsum("kij,kij->ki", D, D), axis=1)
 
     def _base_smoothness(self, region_radius):
         return self.mu
@@ -438,6 +406,7 @@ class CallableObjective(Objective):
     """Components given directly as (value, gradient) callables.
 
     Handy for one-off test objectives such as F(w) = w^4 in one dimension.
+    The callables take one weight vector, so the row hooks loop over rows.
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,
@@ -450,11 +419,14 @@ class CallableObjective(Objective):
         self._grads = list(grad_fns)
         self._hessian_bound = hessian_bound
 
-    def _base_component_value(self, i, w):
-        return float(self._values[i](w))
+    def _base_values(self, W):
+        return np.array([[float(f(w)) for f in self._values] for w in W])
 
-    def _base_component_gradient(self, i, w):
-        return np.asarray(self._grads[i](w), dtype=float)
+    def _base_grad_rows(self, idx, W):
+        out = np.empty(W.shape)
+        for k in range(W.shape[0]):
+            out[k] = self._grads[int(idx[k])](W[k])
+        return out
 
     def _base_smoothness(self, region_radius):
         if self._hessian_bound is None:
@@ -542,11 +514,8 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10,
             "separable logistic" % (max_iterations, grad_norm)
         )
     n = objective.component_count
-    noise = 0.0
-    for i in range(n):
-        gi = objective.component_gradient(i, w)
-        noise += float(gi @ gi)
-    noise /= n
+    G = objective.grad_rows(np.arange(n), np.tile(w, (n, 1)))
+    noise = float(np.mean(np.einsum("ij,ij->i", G, G)))
     return ReferenceSolution(
         w_star=w,
         f_min=fw,

@@ -95,23 +95,22 @@ def check_co_coercivity(pairs: int = 10_000, radius: float = 3.0,
     """||g(w) - g(w')||^2 <= L <g(w) - g(w'), w - w'> per smooth component."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
+    objectives = _smooth_component_objectives()
     violations = 0
     worst = math.inf
-    for label, obj in _smooth_component_objectives():
+    for label, obj in objectives:
         L = obj.smoothness_bound(radius)
         d = obj.dimension
         W = rng.uniform(-radius, radius, size=(pairs, d))
         Wp = rng.uniform(-radius, radius, size=(pairs, d))
         comps = rng.integers(0, obj.component_count, size=pairs)
-        for k in range(pairs):
-            i = int(comps[k])
-            dg = obj.component_gradient(i, W[k]) - obj.component_gradient(i, Wp[k])
-            margin = L * float(dg @ (W[k] - Wp[k])) - float(dg @ dg)
-            worst = min(worst, margin)
-            if margin < -slack:
-                violations += 1
+        dg = obj.grad_rows(comps, W) - obj.grad_rows(comps, Wp)
+        margin = (L * np.einsum("ij,ij->i", dg, W - Wp)
+                  - np.einsum("ij,ij->i", dg, dg))
+        worst = min(worst, float(margin.min(initial=math.inf)))
+        violations += int(np.count_nonzero(margin < -slack))
     detail = "%d pairs x %d objectives, worst margin %.3g" % (
-        pairs, len(_smooth_component_objectives()), worst,
+        pairs, len(objectives), worst,
     )
     return _timed("co_coercivity", violations == 0, detail, started)
 
@@ -131,14 +130,10 @@ def check_convexity(pairs: int = 10_000, radius: float = 3.0,
         W = rng.uniform(-radius, radius, size=(pairs, d))
         Wp = rng.uniform(-radius, radius, size=(pairs, d))
         comps = rng.integers(0, obj.component_count, size=pairs)
-        for k in range(pairs):
-            i = int(comps[k])
-            lhs = obj.component_value(i, W[k]) - obj.component_value(i, Wp[k])
-            rhs = float(obj.component_gradient(i, Wp[k]) @ (W[k] - Wp[k]))
-            margin = lhs - rhs
-            worst = min(worst, margin)
-            if margin < -slack:
-                violations += 1
+        margin = (obj.value_rows(comps, W) - obj.value_rows(comps, Wp)
+                  - np.einsum("ij,ij->i", obj.grad_rows(comps, Wp), W - Wp))
+        worst = min(worst, float(margin.min(initial=math.inf)))
+        violations += int(np.count_nonzero(margin < -slack))
     detail = "%d pairs x %d objectives, worst margin %.3g" % (
         pairs, len(objectives), worst,
     )

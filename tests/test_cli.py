@@ -123,6 +123,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_dataset_exits_two(tmp_path, capsys):
+    data = tmp_path / "bad.svm"
+    data.write_text("+1 1:0.5 2:1\n-1 1:nan 2:inf\n")
+    text = BASE_RUNFILE.replace("synth:linear,n=20,d=3,seed=4", str(data))
+    assert main(["run", write_runfile(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "error: line 2: feature value 'nan' is not finite" in err
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
@@ -166,6 +176,7 @@ def test_estimate_curvature_solves_reference_once(tmp_path, monkeypatch, capsys)
     assert len(calls) == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_diverging_run_exits_one(tmp_path, capsys):
     text = BASE_RUNFILE.replace("norm2_squared", "exp_cosh_G")
     path = write_runfile(tmp_path, text.replace("const:0.01", "const:5.0"))

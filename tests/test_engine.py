@@ -79,7 +79,7 @@ def test_index_stream_matches_block_rng():
                           rng.integers(0, n, size=INDEX_BLOCK)])[:total]
     w = np.zeros(1)
     for i in idx:
-        w = w - eta0 * obj.component_gradient(int(i), w)
+        w = w - eta0 * obj.grad_rows([i], w[None])[0]
     assert trace.F[-1] == obj.value(w)
 
 
@@ -117,6 +117,7 @@ def test_region_violations_counted_not_projected():
     assert trace.F[-1] == pytest.approx(obj.value(np.array([5.0])), rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_raises_engine_error():
     obj, _ = contraction_problem()
     cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(3.0),
@@ -125,6 +126,7 @@ def test_divergence_raises_engine_error():
         cg.sgd_run(cfg)
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_reported_at_the_step_it_happens():
     # w <- -8 w + 3 grows until it overflows to inf and then turns NaN,
     # long before the first record at t = 1000
@@ -133,16 +135,17 @@ def test_divergence_reported_at_the_step_it_happens():
     first_bad = 0
     with np.errstate(all="ignore"):
         while np.all(np.isfinite(w)):
-            w = w - 0.5 * obj.component_gradient(0, w)
+            w = w - 0.5 * obj.grad_rows([0], w[None])[0]
             first_bad += 1
     assert first_bad < 1000
     cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
                        seed=4, iterations=2000, record_stride=1000)
-    with pytest.raises(cg.EngineError) as err, np.errstate(all="ignore"):
+    with pytest.raises(cg.EngineError) as err:
         cg.sgd_run(cfg)
     assert "iteration %d (seed 4)" % first_bad in str(err.value)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflow_in_a_step_raises_engine_error():
     # a drift of -10 throws w far past the exp-cosh safe range
     obj = cg.LinearObjective(np.array([[-10.0]]), "exp_cosh_G", 1.0)
@@ -254,6 +257,7 @@ def _seeds_by_first_draw(n, index, steps, count):
     return found
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["non-finite", "overflow"])
 @pytest.mark.parametrize("only_one", [True, False])
 def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
@@ -285,16 +289,16 @@ def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
         seeds = (late, culprit, safe[0])
     cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
                        seed=culprit, iterations=steps, record_stride=steps)
-    with np.errstate(all="ignore"):
-        with pytest.raises(cg.EngineError) as solo:
-            cg.sgd_run(cfg)
-        with pytest.raises(cg.EngineError) as swept:
-            cg.multi_seed_sweep(cfg, seeds)
+    with pytest.raises(cg.EngineError) as solo:
+        cg.sgd_run(cfg)
+    with pytest.raises(cg.EngineError) as swept:
+        cg.multi_seed_sweep(cfg, seeds)
     assert str(swept.value) == str(solo.value)
     assert "(seed %d)" % culprit in str(swept.value)
     assert (kind == "overflow") == ("overflow" in str(swept.value))
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_divergence_at_a_record_names_the_seed():
     # component 0 multiplies w by -8 per draw and component 1 contracts it,
     # so every seed diverges, at an iteration set by its own draws; at
@@ -305,7 +309,7 @@ def test_sweep_divergence_at_a_record_names_the_seed():
     def failure(seed, stride, seeds=None):
         cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
                            seed=seed, iterations=2000, record_stride=stride)
-        with pytest.raises(cg.EngineError) as err, np.errstate(all="ignore"):
+        with pytest.raises(cg.EngineError) as err:
             if seeds is None:
                 cg.sgd_run(cfg)
             else:

@@ -72,6 +72,19 @@ def test_parse_rejects_malformed_pairs():
         cg.parse_libsvm("1 novalue")
 
 
+def test_parse_rejects_non_finite_values():
+    for text, line in (("1 1:1\n-1 1:nan 2:1\n", 2), ("-1 2:inf\n", 1),
+                       ("1 1:-Infinity\n", 1)):
+        with pytest.raises(ValueError) as err:
+            cg.parse_libsvm(text)
+        assert "line %d" % line in str(err.value)
+        assert "not finite" in str(err.value)
+    # the dense constructor holds the same contract
+    for X, y in (([[math.nan]], [1.0]), ([[1.0]], [math.inf])):
+        with pytest.raises(ValueError):
+            cg.Dataset(X, y)
+
+
 def test_parse_empty_input():
     for text in ("", "   \n\n"):
         with pytest.raises(ValueError) as err:

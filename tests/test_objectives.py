@@ -18,11 +18,12 @@ def two_point_least_squares():
 
 def test_logistic_component_values():
     obj = cg.LogisticObjective(cg.Dataset(np.array([[1.0]]), np.array([1.0])))
-    assert obj.component_value(0, np.zeros(1)) == pytest.approx(math.log(2.0), abs=1e-15)
+    # rows w = 0 and w = 1, both of component 0
+    f = obj.value_rows([0, 0], np.array([[0.0], [1.0]]))
+    assert f[0] == pytest.approx(math.log(2.0), abs=1e-15)
     # a'w = 1 with label +1: log(1 + e^-1)
-    assert obj.component_value(0, np.ones(1)) == pytest.approx(
-        math.log(1.0 + math.exp(-1.0)), abs=1e-15)
-    g = obj.component_gradient(0, np.ones(1))
+    assert f[1] == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-15)
+    g = obj.grad_rows([0], np.ones((1, 1)))[0]
     sig = 1.0 / (1.0 + math.exp(1.0))
     assert g[0] == pytest.approx(-sig, abs=1e-15)
 
@@ -39,19 +40,37 @@ def test_logistic_objective_matches_hand_values():
 
 def test_least_squares_component_example():
     obj = cg.LeastSquaresObjective(cg.Dataset(np.array([[1.0, -2.0]]), np.array([1.0])))
-    w = np.array([1.0, 1.0])
+    W = np.array([[1.0, 1.0]])
     # residual 1 - 2 - 1 = -2
-    assert obj.component_value(0, w) == 4.0
-    assert np.array_equal(obj.component_gradient(0, w), np.array([-4.0, 8.0]))
+    assert obj.value_rows([0], W)[0] == 4.0
+    assert np.array_equal(obj.grad_rows([0], W)[0], np.array([-4.0, 8.0]))
 
 
 def test_mislabeled_shapes_raise():
+    # d = 2 objectives fed one-column or flat weights, or one index too few,
+    # must refuse rather than broadcast
     data = cg.Dataset(np.array([[1.0, -2.0]]), np.array([1.0]))
-    for obj in (cg.LeastSquaresObjective(data), cg.LogisticObjective(data)):
+    objectives = (cg.LeastSquaresObjective(data), cg.LogisticObjective(data),
+                  cg.LinearObjective(data.X), cg.QuadraticMeanObjective(1.0, data.X))
+    for obj in objectives:
+        for W in (np.array([[1.0]]), np.array([1.0, -2.0]), np.ones((1, 1, 2))):
+            with pytest.raises(ValueError):
+                obj.grad_rows([0], W)
+            with pytest.raises(ValueError):
+                obj.value_rows([0], W)
+            with pytest.raises(ValueError):
+                obj.value_many(W)
         with pytest.raises(ValueError):
-            obj.component_value(0, np.array([1.0]))
+            obj.grad_rows([0], np.ones((2, 2)))
         with pytest.raises(ValueError):
-            obj.component_gradient(0, np.array([1.0]))
+            obj.value_rows([0, 0], np.ones((1, 2)))
+        for w in (np.array([1.0]), np.ones((1, 2))):
+            with pytest.raises(ValueError):
+                obj.value(w)
+            with pytest.raises(ValueError):
+                obj.gradient(w)
+        with pytest.raises(ValueError):
+            cg.solve_reference(obj, w0=np.array([1.0]))
 
 
 def test_noise_constant_at_minimizer():
@@ -122,9 +141,10 @@ def test_gradients_match_finite_differences():
 def test_component_mean_equals_full_objective():
     obj = two_point_least_squares()
     w = np.array([0.7])
-    vals = [obj.component_value(i, w) for i in range(obj.component_count)]
-    assert np.mean(vals) == pytest.approx(obj.value(w), rel=1e-15)
-    grads = np.stack([obj.component_gradient(i, w) for i in range(obj.component_count)])
+    every = np.arange(obj.component_count)
+    W = np.tile(w, (every.size, 1))
+    assert np.mean(obj.value_rows(every, W)) == pytest.approx(obj.value(w), rel=1e-15)
+    grads = obj.grad_rows(every, W)
     assert np.allclose(grads.mean(axis=0), obj.gradient(w), rtol=1e-15)
 
 
@@ -215,23 +235,91 @@ OBJECTIVE_KINDS = ("logistic", "least_squares", "linear", "quadratic_mean",
                    "callable")
 
 
-def make_objective(kind, rng, n, d, regularizer, lam):
+def make_data(kind, rng, n, d):
     X = rng.uniform(-1.0, 1.0, size=(n, d))
     if kind == "logistic":
-        labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return cg.LogisticObjective(cg.Dataset(X, labels), regularizer, lam)
+        return X, np.where(rng.random(n) < 0.5, -1.0, 1.0)
     if kind == "least_squares":
-        return cg.LeastSquaresObjective(cg.Dataset(X, rng.uniform(-1.0, 1.0, n)),
-                                        regularizer, lam)
+        return X, rng.uniform(-1.0, 1.0, n)
+    return X, None
+
+
+def build_objective(kind, X, y, regularizer, lam):
+    if kind == "logistic":
+        return cg.LogisticObjective(cg.Dataset(X, y), regularizer, lam)
+    if kind == "least_squares":
+        return cg.LeastSquaresObjective(cg.Dataset(X, y), regularizer, lam)
     if kind == "linear":
         return cg.LinearObjective(X, regularizer, lam)
     if kind == "quadratic_mean":
         return cg.QuadraticMeanObjective(2.0, X, regularizer, lam)
-    # no batched hook of its own: grad_rows falls back to the base-class loop
+    # no vectorised form: its row hooks loop over the callables
     return cg.CallableObjective(
         [lambda w, c=c: float(np.sum((w - c) ** 4)) for c in X],
         [lambda w, c=c: 4.0 * (w - c) ** 3 for c in X],
-        d, regularizer, lam)
+        X.shape[1], regularizer, lam)
+
+
+def make_objective(kind, rng, n, d, regularizer, lam):
+    return build_objective(kind, *make_data(kind, rng, n, d), regularizer, lam)
+
+
+def textbook_base(kind, x, y, w):
+    """f(w) and grad f(w) of one unregularized component with data row x
+    (and label y), by the textbook formula in float scalars. Each comes
+    with a scale, the same formula on absolute values, which bounds the
+    terms whose rounding the result carries."""
+    xw = [a * b for a, b in zip(x, w)]
+    xw_abs = math.fsum(abs(t) for t in xw)
+    if kind == "logistic":
+        # f = log(1 + e^-z) at the margin z = y x'w; grad = -y x / (1 + e^z)
+        z = y * math.fsum(xw)
+        f = math.log1p(math.exp(-z))
+        s = 1.0 / (1.0 + math.exp(z))
+        return (f, f + xw_abs, [-y * a * s for a in x],
+                [abs(a) * (s + xw_abs) for a in x])
+    if kind == "least_squares":
+        # f = (x'w - y)^2, grad = 2 (x'w - y) x
+        r = math.fsum(xw + [-y])
+        r_abs = xw_abs + abs(y)
+        return r * r, r_abs * r_abs, [2.0 * r * a for a in x], \
+            [2.0 * r_abs * abs(a) for a in x]
+    if kind == "linear":
+        # f = c'w, grad = c
+        return math.fsum(xw), xw_abs, list(x), [abs(a) for a in x]
+    if kind == "quadratic_mean":
+        # f = (mu/2) ||w - m||^2 with mu = 2, grad = mu (w - m)
+        diff = [b - a for a, b in zip(x, w)]
+        size = [abs(a) + abs(b) for a, b in zip(x, w)]
+        return (math.fsum(t * t for t in diff), math.fsum(t * t for t in size),
+                [2.0 * t for t in diff], [2.0 * t for t in size])
+    # callable: f = sum (w - c)^4, grad = 4 (w - c)^3
+    diff = [b - a for a, b in zip(x, w)]
+    size = [abs(a) + abs(b) for a, b in zip(x, w)]
+    return (math.fsum(t ** 4 for t in diff), math.fsum(t ** 4 for t in size),
+            [4.0 * t ** 3 for t in diff], [4.0 * t ** 3 for t in size])
+
+
+def textbook_regularizer(regularizer, w):
+    """reg(w) and grad reg(w) with scales, as textbook_base gives them."""
+    d = len(w)
+    if regularizer == "none":
+        return 0.0, 0.0, [0.0] * d, [0.0] * d
+    if regularizer == "norm2":
+        # ||w||, with the subgradient 0 at the kink w = 0
+        norm = math.sqrt(math.fsum(v * v for v in w))
+        g = [v / norm if norm else 0.0 for v in w]
+        return norm, norm, g, [abs(v) for v in g]
+    if regularizer == "norm2_squared":
+        half = 0.5 * math.fsum(v * v for v in w)
+        return half, half, list(w), [abs(v) for v in w]
+    # G(w) = sum e^w + e^-w - 2 - w^2, grad = e^w - e^-w - 2 w
+    up = [math.exp(v) for v in w]
+    down = [math.exp(-v) for v in w]
+    return (math.fsum(u + e - 2.0 - v * v for u, e, v in zip(up, down, w)),
+            math.fsum(u + e + 2.0 + v * v for u, e, v in zip(up, down, w)),
+            [u - e - 2.0 * v for u, e, v in zip(up, down, w)],
+            [u + e + 2.0 * abs(v) for u, e, v in zip(up, down, w)])
 
 
 @settings(deadline=None)
@@ -243,22 +331,27 @@ def make_objective(kind, rng, n, d, regularizer, lam):
 def test_grad_rows_match_component_gradients(kind, regularizer, lam, n, d, rows,
                                              data_seed, zero_row):
     rng = np.random.default_rng(data_seed)
-    obj = make_objective(kind, rng, n, d, regularizer, lam)
+    X, y = make_data(kind, rng, n, d)
+    obj = build_objective(kind, X, y, regularizer, lam)
     idx = rng.integers(0, n, size=rows)
     W = rng.uniform(-1.0, 1.0, size=(rows, d))
     if zero_row:
         W[0] = 0.0  # the kink of norm2, where the subgradient 0 is taken
     G = obj.grad_rows(idx, W)
-    assert G.shape == (rows, d)
-    unregularized = cg.composite_objective(obj, "none", 0.0)
+    F = obj.value_rows(idx, W)
+    assert G.shape == (rows, d) and F.shape == (rows,)
     for k in range(rows):
-        expected = obj.component_gradient(int(idx[k]), W[k])
-        base = unregularized.component_gradient(int(idx[k]), W[k])
-        # dot products may round differently in the two paths, and a sum
-        # that cancels keeps no relative accuracy, so rtol applies to the
-        # size of the terms summed
-        scale = np.abs(base) + np.abs(expected - base)
-        assert np.all(np.abs(G[k] - expected) <= 1e-12 * scale)
+        i = int(idx[k])
+        w = W[k].tolist()
+        f, f_scale, g, g_scale = textbook_base(
+            kind, X[i].tolist(), None if y is None else float(y[i]), w)
+        r, r_scale, h, h_scale = textbook_regularizer(regularizer, w)
+        # rtol applies to the size of the terms summed, since a sum that
+        # cancels keeps no relative accuracy
+        assert abs(F[k] - (f + lam * r)) <= 1e-12 * (f_scale + lam * r_scale)
+        for j in range(d):
+            assert abs(G[k, j] - (g[j] + lam * h[j])) \
+                <= 1e-12 * (g_scale[j] + lam * h_scale[j])
 
 
 @pytest.mark.parametrize("d", [1, 5, 10, 17, 33])
@@ -292,10 +385,13 @@ def test_value_many_rows_do_not_depend_on_other_rows(kind, regularizer, d, n,
     obj = make_objective(kind, rng, n, d, regularizer, 0.3)
     W = rng.uniform(-1.0, 1.0, size=(rows, d))
     W[0] = 0.0
+    idx = rng.integers(0, n, size=rows)
     F = obj.value_many(W)
-    assert F.shape == (rows,)
+    V = obj.value_rows(idx, W)
+    assert F.shape == V.shape == (rows,)
     for k in range(rows):
         assert np.array_equal(F[k], obj.value_many(W[k].copy()[None])[0]), k
+        assert np.array_equal(V[k], obj.value_rows(idx[k : k + 1], W[k].copy()[None])[0]), k
     # so the block size cannot matter either
     assert np.array_equal(obj.value_many(W, chunk=3 * n), F)
 
@@ -317,8 +413,9 @@ def test_value_many_matches_component_mean(d):
             obj = make_objective(kind, rng, 7, d, regularizer, 0.3)
             W = rng.uniform(-1.0, 1.0, size=(6, d))
             F = obj.value_many(W)
+            every = np.arange(7)
             for k in range(W.shape[0]):
-                mean = np.mean([obj.component_value(i, W[k]) for i in range(7)])
+                mean = np.mean(obj.value_rows(every, np.tile(W[k], (7, 1))))
                 assert F[k] == pytest.approx(mean, rel=1e-13), (kind, regularizer)
 
 
@@ -328,10 +425,9 @@ def test_logistic_is_accurate_at_large_margins(z):
     obj = cg.LogisticObjective(cg.Dataset(np.array([[1.0]]), np.array([1.0])))
     w = np.array([z])
     sigmoid = 1.0 / (1.0 + math.exp(z))
-    for g in (obj.component_gradient(0, w), obj.gradient(w),
-              obj.grad_rows(np.array([0]), w[None])[0]):
+    for g in (obj.gradient(w), obj.grad_rows(np.array([0]), w[None])[0]):
         assert g[0] == pytest.approx(-sigmoid, rel=1e-14, abs=0.0)
     # log(1 + e^-z), written so that neither form loses digits
     loss = math.log1p(math.exp(-z)) if z > 0 else -z + math.log1p(math.exp(z))
     assert obj.value(w) == pytest.approx(loss, rel=1e-14, abs=0.0)
-    assert obj.component_value(0, w) == pytest.approx(loss, rel=1e-14, abs=0.0)
+    assert obj.value_rows([0], w[None])[0] == pytest.approx(loss, rel=1e-14, abs=0.0)
