@@ -20,14 +20,7 @@ INDEX_BLOCK = 8192
 
 
 class EngineError(RuntimeError):
-    """A run aborted (non-finite iterate or objective value, or overflow)."""
-
-
-def _diverged(what: str, t: int, seed: int) -> EngineError:
-    return EngineError(
-        "%s at iteration %d (seed %d); the schedule is likely too "
-        "aggressive for this objective" % (what, t, seed)
-    )
+    """A run diverged: some seed's iterate became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,8 @@ def sgd_run(config: RunConfig) -> RunTrace:
     return _run_seeds(config, (config.seed,))[0]
 
 
-# the run detects overflow and non-finite values itself and raises
-# EngineError, so numpy's own warnings about them would only be noise
+# the run detects a non-finite iterate itself and raises EngineError, and a
+# recorded F may overflow to inf, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     """Run one configuration for every seed in lockstep.
@@ -100,10 +93,11 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     The iterates of all S seeds form one (S, d) array, and each step
     advances it with a single grad_rows call. Each seed draws its own index
     stream, and every row is computed from that seed's data alone, so a
-    seed's trace is the same whichever seeds run beside it. A divergence is
-    reported at the earliest iteration at which any seed fails, naming the
-    first such seed in sweep order, with the error that seed's own run
-    raises.
+    seed's trace is the same whichever seeds run beside it. A run diverges
+    at the first iteration at which an iterate is non-finite; the error
+    names the first such seed in sweep order, which is the error that
+    seed's own run raises. Recorded values are kept as computed, so F may
+    be inf at a record while every iterate is still finite.
     """
     obj = config.objective
     n = obj.component_count
@@ -116,6 +110,8 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
         w0 = np.asarray(config.w0, dtype=float)
         if w0.shape != (d,):
             raise ValueError("w0 has shape %s, expected (%d,)" % (w0.shape, d))
+        if not np.all(np.isfinite(w0)):
+            raise ValueError("w0 must be finite")
     W = np.tile(w0, (S, 1))
     ref = config.reference
     radius = config.region_radius
@@ -131,49 +127,15 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     def is_record(t_now: int) -> bool:
         return t_now % stride == 0 or t_now == total
 
-    def checked_value(k: int, t_now: int, w: np.ndarray) -> float:
-        try:
-            f_val = obj.value(w)
-        except OverflowError as err:
-            raise _diverged("overflow (%s)" % err, t_now, seeds[k]) from err
-        if not math.isfinite(f_val) or not np.all(np.isfinite(w)):
-            raise _diverged("non-finite iterate", t_now, seeds[k])
-        return f_val
-
     def record(t_now: int):
         rec_t.append(t_now)
-        try:
-            values = obj.value_many(W)
-        except OverflowError:
-            values = math.nan
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(W))):
-            # redo the rows one at a time, so that the error is the one
-            # that seed's own run raises
-            values = [checked_value(k, t_now, W[k]) for k in range(S)]
-        rec_f.append(values)
+        rec_f.append(obj.value_many(W))
         if ref is not None:
             rec_y.append([float(diff @ diff) for diff in W - ref.w_star])
         rec_flag.append(violated_since_record.copy())
         violated_since_record[:] = False
         if iterates is not None:
             iterates.append(W.copy())
-
-    def raise_first_failure(t_now: int, idx: np.ndarray, step: float):
-        # redo the failed step one row at a time, in sweep order, checking
-        # each row as that seed's own run checks it; rows are independent,
-        # so this reproduces the batched step bit for bit
-        for k in range(S):
-            try:
-                g = grad_rows(idx[k : k + 1], W[k : k + 1])[0]
-            except OverflowError as err:
-                raise _diverged("overflow (%s)" % err, t_now, seeds[k]) from err
-            w = W[k] - step * g
-            if not np.all(np.isfinite(w)):
-                raise _diverged("non-finite iterate", t_now, seeds[k])
-            if is_record(t_now):
-                checked_value(k, t_now, w)
-        raise EngineError("iteration %d failed as a batch but in no single "
-                          "row" % t_now)
 
     # one column per seed, each drawn from that seed's own generator
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -207,17 +169,18 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
             buf = index_block()
             pos = 0
         t_next = t + 1
-        try:
-            W_next = W - steps[k] * grad_rows(idx, W)
-        except OverflowError:
-            raise_first_failure(t_next, idx, steps[k])
+        W_next = W - steps[k] * grad_rows(idx, W)
         top = np.abs(W_next).max()
         # written so that a NaN iterate, for which every comparison is
         # false, lands in the same branch as a region violation
         if not top <= radius:
             row_top = np.abs(W_next).max(axis=1)
-            if not np.all(np.isfinite(row_top)):
-                raise_first_failure(t_next, idx, steps[k])
+            bad = np.flatnonzero(~np.isfinite(row_top))
+            if bad.size:
+                raise EngineError(
+                    "non-finite iterate at iteration %d (seed %d); the schedule "
+                    "is likely too aggressive for this objective"
+                    % (t_next, seeds[bad[0]]))
             over = row_top > radius
             violations += over
             violated_since_record |= over
@@ -353,8 +316,8 @@ class RecurrenceReport:
     first_violation_t: int = -1
 
 
-def recurrence_check(objective, sched: ScheduleSpec, trace: RunTrace,
-                     reference, tol: float = 1e-10,
+def recurrence_check(objective, trace: RunTrace, reference,
+                     tol: float = 1e-10,
                      region_radius: float = 3.0) -> RecurrenceReport:
     """Verify the one-step inequality at every recorded iterate.
 

@@ -16,9 +16,6 @@ import numpy as np
 
 REGULARIZERS = ("none", "norm2", "norm2_squared", "exp_cosh_G")
 
-# np.exp overflows past ~709; stay clear of it so the overflow policy is ours.
-EXP_SAFE_LIMIT = 700.0
-
 # (row, component) terms per block of a batched value or gradient: bounds
 # memory and keeps the temporaries in cache
 _BLOCK_TERMS = 1 << 16
@@ -59,15 +56,7 @@ class Dataset:
     def dimension(self) -> int:
         return self.X.shape[1]
 
-def _check_exp_range(w: np.ndarray):
-    if w.size and np.abs(w).max() > EXP_SAFE_LIMIT:
-        raise OverflowError(
-            "exp-cosh regularizer: |w_i| exceeds the safe exponent range (700)"
-        )
-
-
 def _g_terms(w: np.ndarray) -> np.ndarray:
-    _check_exp_range(w)
     # expm1(w) + expm1(-w) equals e^w + e^-w - 2 with full precision near 0
     return np.expm1(w) + np.expm1(-w) - w * w
 
@@ -75,8 +64,9 @@ def _g_terms(w: np.ndarray) -> np.ndarray:
 def regularizer_G_value(w):
     """G(w) = sum_i (e^{w_i} + e^{-w_i} - 2 - w_i^2); nonnegative.
 
-    A 2-d input is treated as a batch of weight vectors (one per row) and
-    yields one value per row.
+    Overflows to inf once some |w_i| passes about 709.78, where e^{|w_i|}
+    leaves the float range. A 2-d input is treated as a batch of weight
+    vectors (one per row) and yields one value per row.
     """
     return np.sum(_g_terms(np.asarray(w, dtype=float)), axis=-1)
 
@@ -84,7 +74,6 @@ def regularizer_G_value(w):
 def regularizer_G_gradient(w) -> np.ndarray:
     """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i."""
     w = np.asarray(w, dtype=float)
-    _check_exp_range(w)
     return np.expm1(w) - np.expm1(-w) - 2.0 * w
 
 
@@ -224,25 +213,24 @@ class Objective:
         much as value_many on the same rows.
         """
         W, idx = self._rows(W, idx)
-        return self._block_values(W, idx, _BLOCK_TERMS)
+        return self._block_values(W, idx)
 
-    def value_many(self, W, chunk: int = _BLOCK_TERMS) -> np.ndarray:
+    def value_many(self, W) -> np.ndarray:
         """F row by row: entry k is F(W[k]), the mean of the n component
         values at W[k].
 
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
-        in blocks of about ``chunk`` (row, component) terms, which bounds
-        memory and keeps the temporaries in cache.
+        in blocks of about _BLOCK_TERMS (row, component) terms.
         """
         W, _ = self._rows(W)
-        return self._block_values(W, None, chunk)
+        return self._block_values(W, None)
 
-    def _block_values(self, W, idx, chunk):
+    def _block_values(self, W, idx):
         # one (rows, n) block of base values at a time, reduced to the
         # component idx[k] of each row, or to the row mean when idx is None
         out = np.empty(W.shape[0])
-        rows = max(1, chunk // self.component_count)
+        rows = max(1, _BLOCK_TERMS // self.component_count)
         for lo in range(0, W.shape[0], rows):
             block = W[lo : lo + rows]
             base = self._base_values(block)
@@ -452,6 +440,9 @@ def composite_objective(base: Objective, regularizer: str, lam: float) -> Object
     return clone
 
 
+# a trial point may overflow F or its gradient to inf or NaN, which the
+# isfinite test and the norm comparison reject without numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def solve_reference(objective: Objective, tolerance: float = 1e-10,
                     max_iterations: int = 10 ** 6, w0=None) -> ReferenceSolution:
     """Minimize F by full-gradient descent with Armijo backtracking.
@@ -480,10 +471,7 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10,
         floor = 16.0 * np.finfo(float).eps * max(abs(fw), 1.0)
         for _ in range(200):
             cand = w - step * g
-            try:
-                fc = objective.value(cand)
-            except OverflowError:
-                fc = math.inf
+            fc = objective.value(cand)
             if armijo * step * gg >= floor:
                 ok = math.isfinite(fc) and fc <= fw - armijo * step * gg
             else:
@@ -491,10 +479,7 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10,
                 # of F, so value comparisons can no longer certify progress
                 # (and can trap the iterate on a lucky-low FP plateau);
                 # certify by the gradient norm instead
-                try:
-                    cand_norm = float(np.linalg.norm(objective.gradient(cand)))
-                except OverflowError:
-                    cand_norm = math.inf
+                cand_norm = float(np.linalg.norm(objective.gradient(cand)))
                 ok = math.isfinite(fc) and cand_norm < grad_norm
             if ok:
                 accepted = True

@@ -238,8 +238,8 @@ def check_recurrence(steps: int = 10_000, tol: float = 1e-10) -> CheckResult:
     )
     trace = sgd_run(config)
     report = recurrence_check(
-        bench.objective, bench.schedule, trace, bench.reference,
-        tol=tol, region_radius=bench.region_radius,
+        bench.objective, trace, bench.reference, tol=tol,
+        region_radius=bench.region_radius,
     )
     detail = "%d iterates checked, %d violations, worst margin %.3g" % (
         report.checked, report.violations, report.worst_margin,

@@ -183,4 +183,4 @@ def test_diverging_run_exits_one(tmp_path, capsys):
     rc = main(["run", path])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "overflow" in err and "seed 0" in err
+    assert "non-finite iterate" in err and "seed 0" in err

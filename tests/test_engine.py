@@ -95,10 +95,12 @@ def test_repeat_runs_identical():
 
 def test_w0_validation():
     obj, _ = contraction_problem()
-    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
-                       seed=0, iterations=1, w0=np.zeros(2))
-    with pytest.raises(ValueError):
-        cg.sgd_run(cfg)
+    # a wrong shape, and a non-finite start, which no step could report
+    for w0 in (np.zeros(2), np.array([math.nan])):
+        cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
+                           seed=0, iterations=1, w0=w0)
+        with pytest.raises(ValueError):
+            cg.sgd_run(cfg)
 
 
 def test_region_violations_counted_not_projected():
@@ -146,16 +148,36 @@ def test_divergence_reported_at_the_step_it_happens():
 
 
 @pytest.mark.filterwarnings("error")
+def test_overflowing_value_is_recorded_not_a_divergence():
+    # w <- -8 w + 3: F = (3w - 1)^2 overflows near t = 171, w only near 342
+    obj = cg.LeastSquaresObjective(cg.Dataset([[3.0]], [1.0]))
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                       seed=0, iterations=200, record_stride=50,
+                       reference=cg.solve_reference(obj), keep_iterates=True)
+    trace = cg.sgd_run(cfg)
+    assert trace.t[-1] == 200
+    assert trace.F[-1] == math.inf and trace.E[-1] == math.inf
+    assert np.all(np.isfinite(trace.F[:-1]))
+    assert np.all(np.isfinite(trace.iterates))
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflow_in_a_step_raises_engine_error():
-    # a drift of -10 throws w far past the exp-cosh safe range
+    # a drift of -10 throws w far past the exp-cosh range, where grad G
+    # overflows and the next iterate is non-finite
     obj = cg.LinearObjective(np.array([[-10.0]]), "exp_cosh_G", 1.0)
+    w = np.zeros(1)
+    first_bad = 0
+    with np.errstate(all="ignore"):
+        while np.all(np.isfinite(w)):
+            w = w - 5.0 * obj.grad_rows([0], w[None])[0]
+            first_bad += 1
+    assert first_bad < 50
     cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(5.0),
                        seed=2, iterations=100, record_stride=50)
     with pytest.raises(cg.EngineError) as err:
         cg.sgd_run(cfg)
-    assert "overflow" in str(err.value)
-    assert "seed 2" in str(err.value)
-    assert isinstance(err.value.__cause__, OverflowError)
+    assert "iteration %d (seed 2)" % first_bad in str(err.value)
 
 
 def test_power_law_schedule_starts_at_one():
@@ -262,7 +284,7 @@ def _seeds_by_first_draw(n, index, steps, count):
 @pytest.mark.parametrize("only_one", [True, False])
 def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
     # one poisoned component: drawing it throws w to inf (least squares) or
-    # past the exp-cosh range (overflow at the next step); the other
+    # past the exp-cosh range (grad G overflows at the next step); the other
     # components contract, so only seeds that draw it diverge
     n, steps = 20, 30
     if kind == "non-finite":
@@ -287,23 +309,27 @@ def test_sweep_divergence_names_the_diverging_seed(kind, only_one):
         culprit, late = hit[0][1], hit[-1][1]
         assert hit[0][0] < hit[-1][0]
         seeds = (late, culprit, safe[0])
-    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
-                       seed=culprit, iterations=steps, record_stride=steps)
-    with pytest.raises(cg.EngineError) as solo:
-        cg.sgd_run(cfg)
-    with pytest.raises(cg.EngineError) as swept:
-        cg.multi_seed_sweep(cfg, seeds)
-    assert str(swept.value) == str(solo.value)
-    assert "(seed %d)" % culprit in str(swept.value)
-    assert (kind == "overflow") == ("overflow" in str(swept.value))
+    messages = set()
+    for stride in (1, steps):
+        cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.1),
+                           seed=culprit, iterations=steps, record_stride=stride)
+        with pytest.raises(cg.EngineError) as solo:
+            cg.sgd_run(cfg)
+        with pytest.raises(cg.EngineError) as swept:
+            cg.multi_seed_sweep(cfg, seeds)
+        assert str(swept.value) == str(solo.value)
+        assert "(seed %d)" % culprit in str(swept.value)
+        messages.add(str(swept.value))
+    # neither the stride nor the neighbouring seeds move the report
+    assert len(messages) == 1
 
 
 @pytest.mark.filterwarnings("error")
 def test_sweep_divergence_at_a_record_names_the_seed():
     # component 0 multiplies w by -8 per draw and component 1 contracts it,
     # so every seed diverges, at an iteration set by its own draws; at
-    # stride 1 F overflows at a record while w is still finite, and the
-    # batched record must give way to the per-seed checks
+    # stride 1 F overflows at a record while w is still finite, which is
+    # recorded and is not a divergence
     obj = cg.LeastSquaresObjective(cg.Dataset([[3.0], [0.5]], [1.0, 1.0]))
 
     def failure(seed, stride, seeds=None):
@@ -325,8 +351,8 @@ def test_sweep_divergence_at_a_record_names_the_seed():
     assert first < second
     culprit = min(seeds, key=lambda s: iteration(solo[s]))
     assert culprit != seeds[0]
-    # w itself turns non-finite only later, so the record caught F
-    assert iteration(failure(culprit, 10 ** 6)) > first
+    # divergence is the iterate's alone, so the stride cannot move it
+    assert failure(culprit, 7) == failure(culprit, 10 ** 6) == solo[culprit]
     assert failure(culprit, 1, seeds) == solo[culprit]
 
 
@@ -392,7 +418,7 @@ def test_recurrence_check_clean_run():
                        iterations=200, record_stride=1, reference=b.reference,
                        keep_iterates=True)
     trace = cg.sgd_run(cfg)
-    report = cg.recurrence_check(b.objective, b.schedule, trace, b.reference)
+    report = cg.recurrence_check(b.objective, trace, b.reference)
     assert report.violations == 0
     # every stored iterate is visited, including both endpoints
     assert report.checked == 201
@@ -405,14 +431,14 @@ def test_recurrence_check_requires_iterates_and_stable_step():
                        iterations=50, record_stride=1, reference=b.reference)
     trace = cg.sgd_run(cfg)
     with pytest.raises(ValueError):
-        cg.recurrence_check(b.objective, b.schedule, trace, b.reference)
+        cg.recurrence_check(b.objective, trace, b.reference)
     hot = cg.ScheduleSpec.constant(1.0)  # exceeds 1/L for this benchmark
     cfg2 = cg.RunConfig(objective=b.objective, schedule=hot, seed=5,
                         iterations=10, record_stride=1, reference=b.reference,
                         keep_iterates=True)
     trace2 = cg.sgd_run(cfg2)
     with pytest.raises(ValueError):
-        cg.recurrence_check(b.objective, hot, trace2, b.reference)
+        cg.recurrence_check(b.objective, trace2, b.reference)
 
 
 def test_run_config_validation():

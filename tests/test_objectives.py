@@ -1,12 +1,14 @@
 """Unit tests for the finite-sum objectives and the reference solver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvesgd as cg
+from curvesgd import objectives
 from curvesgd.objectives import REGULARIZERS, ConvergenceError
 
 
@@ -111,10 +113,11 @@ def test_regularizer_G_tiny_arguments_keep_precision():
 
 
 def test_regularizer_G_overflow_guard():
-    with pytest.raises(OverflowError):
-        cg.regularizer_G_value(np.array([701.0]))
-    with pytest.raises(OverflowError):
-        cg.regularizer_G_gradient(np.array([-701.0]))
+    # past about 709.78, e^|w| leaves the float range and G overflows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cg.regularizer_G_value(np.array([710.0])) == math.inf
+        assert cg.regularizer_G_gradient(np.array([710.0]))[0] == math.inf
+        assert cg.regularizer_G_gradient(np.array([-710.0]))[0] == -math.inf
 
 
 def test_gradients_match_finite_differences():
@@ -393,7 +396,9 @@ def test_value_many_rows_do_not_depend_on_other_rows(kind, regularizer, d, n,
         assert np.array_equal(F[k], obj.value_many(W[k].copy()[None])[0]), k
         assert np.array_equal(V[k], obj.value_rows(idx[k : k + 1], W[k].copy()[None])[0]), k
     # so the block size cannot matter either
-    assert np.array_equal(obj.value_many(W, chunk=3 * n), F)
+    with mock.patch.object(objectives, "_BLOCK_TERMS", 3 * n):
+        assert np.array_equal(obj.value_many(W), F)
+        assert np.array_equal(obj.value_rows(idx, W), V)
 
 
 def test_value_is_the_one_row_case_of_value_many():
