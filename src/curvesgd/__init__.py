@@ -55,7 +55,6 @@ from .objectives import (
     Objective,
     QuadraticMeanObjective,
     ReferenceSolution,
-    composite_objective,
     regularizer_G_gradient,
     regularizer_G_value,
     solve_reference,

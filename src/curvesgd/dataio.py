@@ -51,7 +51,8 @@ RUNFILE_KEYS = (
 
 
 def _float_cells(values) -> list:
-    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+    """Cells of an array in row-major order."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -369,27 +370,23 @@ class ResultTable:
 
 
 def results_rows(sweep, run_id: str):
-    """Flatten a sweep into CSV rows, one per (seed, record)."""
-    n = sweep.component_count
-    rows = []
-    for trace in sweep.traces:
-        size = trace.t.size
-        if trace.has_reference:
-            e_cells, y_cells = _float_cells(trace.E), _float_cells(trace.Y)
-        else:
-            e_cells = y_cells = [""] * size
-        rows.extend(zip(
-            [run_id] * size,
-            [str(trace.seed)] * size,
-            _float_cells(trace.t / n),
-            [str(t) for t in trace.t.tolist()],
-            _float_cells(trace.eta),
-            _float_cells(trace.F),
-            e_cells,
-            y_cells,
-            _float_cells(moving_mean(trace.F, 3)),
-        ))
-    return rows
+    """Flatten a sweep into CSV rows, one per (seed, record), seed-major."""
+    S, R = sweep.F.shape
+    if sweep.has_reference:
+        e_cells, y_cells = _float_cells(sweep.E), _float_cells(sweep.Y)
+    else:
+        e_cells = y_cells = [""] * (S * R)
+    return list(zip(
+        [run_id] * (S * R),
+        [str(seed) for seed in sweep.seeds for _ in range(R)],
+        _float_cells(sweep.t / sweep.component_count) * S,
+        [str(t) for t in sweep.t.tolist()] * S,
+        _float_cells(sweep.eta) * S,
+        _float_cells(sweep.F),
+        e_cells,
+        y_cells,
+        _float_cells(moving_mean(sweep.F, 3)),
+    ))
 
 
 def write_results(sweep, path: str, run_id: str = None) -> ResultTable:

@@ -10,7 +10,7 @@ are counted and flagged, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,41 +64,83 @@ class RunTrace:
 
 @dataclass
 class SweepResult:
-    """Per-seed traces plus their pointwise mean and epoch-level series."""
+    """One configuration run for every seed, recorded seed-major.
 
-    traces: list
+    Row k of F, E, Y and region_violation, each (S, records), and of
+    iterates, (S, records, d) and kept only with keep_iterates, belongs to
+    seeds[k]; violation_count holds one count per seed, and t and eta are
+    the record grid every seed shares. The means are over seeds, and
+    traces[k] is the RunTrace of seeds[k], whose arrays are views of row k.
+    """
+
     seeds: tuple
     t: np.ndarray
-    mean_F: np.ndarray
-    mean_E: np.ndarray
-    mean_Y: np.ndarray
+    eta: np.ndarray
+    F: np.ndarray
+    E: np.ndarray
+    Y: np.ndarray
+    region_violation: np.ndarray
+    violation_count: np.ndarray
     component_count: int
     has_reference: bool
-    epoch_t: np.ndarray
-    mean_epoch_F: np.ndarray
-    smoothed_epoch_F: np.ndarray
+    iterates: np.ndarray = None
+    mean_F: np.ndarray = field(init=False)
+    mean_E: np.ndarray = field(init=False)
+    mean_Y: np.ndarray = field(init=False)
+    traces: list = field(init=False)
+
+    def __post_init__(self):
+        self.mean_F = self.F.mean(axis=0)
+        self.mean_E = self.E.mean(axis=0)
+        self.mean_Y = self.Y.mean(axis=0)
+        self.traces = [
+            RunTrace(seed, self.t, self.eta, self.F[k], self.E[k], self.Y[k],
+                     self.region_violation[k], int(self.violation_count[k]),
+                     self.has_reference,
+                     None if self.iterates is None else self.iterates[k])
+            for k, seed in enumerate(self.seeds)
+        ]
 
 
 def sgd_run(config: RunConfig) -> RunTrace:
     """Run SGD and record the trace. Bit-identical across repeat calls."""
-    return _run_seeds(config, (config.seed,))[0]
+    return multi_seed_sweep(config, (config.seed,)).traces[0]
+
+
+def moving_mean(values, window: int = 3) -> np.ndarray:
+    """Trailing moving mean along the last axis; the first window-1 entries
+    average the available prefix. Each window is summed left to right from
+    0.0, as numpy's mean does up to 7 entries, and divided by its length."""
+    values = np.asarray(values, dtype=float)
+    size = values.shape[-1]
+    padded = np.concatenate(
+        [np.zeros(values.shape[:-1] + (window - 1,)), values], axis=-1)
+    total = padded[..., :size] + 0.0
+    for j in range(1, window):
+        total += padded[..., j : j + size]
+    return total / np.minimum(np.arange(1.0, size + 1.0), window)
 
 
 # the run detects a non-finite iterate itself and raises EngineError, and a
 # recorded F may overflow to inf, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
-def _run_seeds(config: RunConfig, seeds: tuple) -> list:
-    """Run one configuration for every seed in lockstep.
+def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
+    """Run one configuration for every seed in lockstep; config.seed is
+    not read.
 
     The iterates of all S seeds form one (S, d) array, and each step
     advances it with a single grad_rows call. Each seed draws its own index
     stream, and every row is computed from that seed's data alone, so a
-    seed's trace is the same whichever seeds run beside it. A run diverges
-    at the first iteration at which an iterate is non-finite; the error
-    names the first such seed in sweep order, which is the error that
-    seed's own run raises. Recorded values are kept as computed, so F may
-    be inf at a record while every iterate is still finite.
+    seed's trace is the same whichever seeds run beside it, and the same as
+    sgd_run gives for that seed alone. A run diverges at the first
+    iteration at which an iterate is non-finite; the error names the first
+    such seed in sweep order, which is the error that seed's own run
+    raises. Recorded values are kept as computed, so F may be inf at a
+    record while every iterate is still finite.
     """
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     obj = config.objective
     n = obj.component_count
     d = obj.dimension
@@ -119,151 +161,68 @@ def _run_seeds(config: RunConfig, seeds: tuple) -> list:
     total = config.iterations
     grad_rows = obj.grad_rows
 
-    rec_t, rec_f, rec_y, rec_flag = [], [], [], []
-    iterates = [] if config.keep_iterates else None
+    # records fall at every multiple of the stride and at the last
+    # iteration, so iteration t lands in record column ceil(t / stride)
+    records = -(-total // stride) + 1
+    t_rec = np.minimum(np.arange(records, dtype=np.int64) * stride, total)
+    F = np.empty((S, records))
+    Y = np.full((S, records), math.nan)
+    flags = np.zeros((S, records), dtype=bool)
     violations = np.zeros(S, dtype=np.int64)
-    violated_since_record = np.zeros(S, dtype=bool)
+    iterates = np.empty((S, records, d)) if config.keep_iterates else None
 
-    def is_record(t_now: int) -> bool:
-        return t_now % stride == 0 or t_now == total
-
-    def record(t_now: int):
-        rec_t.append(t_now)
-        rec_f.append(obj.value_many(W))
+    def record(col: int):
+        F[:, col] = obj.value_many(W)
         if ref is not None:
-            rec_y.append([float(diff @ diff) for diff in W - ref.w_star])
-        rec_flag.append(violated_since_record.copy())
-        violated_since_record[:] = False
+            Y[:, col] = [float(diff @ diff) for diff in W - ref.w_star]
         if iterates is not None:
-            iterates.append(W.copy())
+            iterates[:, col] = W
 
     # one column per seed, each drawn from that seed's own generator
     rngs = [np.random.default_rng(s) for s in seeds]
 
-    def index_block() -> np.ndarray:
-        return np.stack([rng.integers(0, n, size=INDEX_BLOCK) for rng in rngs],
-                        axis=1)
-
-    buf = index_block()
-    pos = 0
-
-    # evaluating the schedule one block at a time keeps the per-iteration
-    # cost at an array lookup without materializing all `total` step sizes
-    def step_block(base: int) -> np.ndarray:
-        grid = np.arange(base, min(base + INDEX_BLOCK, total), dtype=float)
-        return np.asarray(step_size(sched, grid), dtype=float)
-
-    steps = np.empty(0)
-    block_base = 0
-
     record(0)
-    for t in range(total):
-        k = t - block_base
-        if k == steps.size:
-            block_base = t
-            steps = step_block(t)
-            k = 0
-        idx = buf[pos]
-        pos += 1
-        if pos == INDEX_BLOCK:
-            buf = index_block()
-            pos = 0
-        t_next = t + 1
-        W_next = W - steps[k] * grad_rows(idx, W)
-        top = np.abs(W_next).max()
-        # written so that a NaN iterate, for which every comparison is
-        # false, lands in the same branch as a region violation
-        if not top <= radius:
-            row_top = np.abs(W_next).max(axis=1)
-            bad = np.flatnonzero(~np.isfinite(row_top))
-            if bad.size:
-                raise EngineError(
-                    "non-finite iterate at iteration %d (seed %d); the schedule "
-                    "is likely too aggressive for this objective"
-                    % (t_next, seeds[bad[0]]))
-            over = row_top > radius
-            violations += over
-            violated_since_record |= over
-        W = W_next
-        if is_record(t_next):
-            record(t_next)
-
-    t_rec = np.array(rec_t, dtype=np.int64)
-    eta = step_size(sched, t_rec.astype(float))
-    F = np.array(rec_f)
-    if ref is not None:
-        Y = np.array(rec_y)
-        E = F - ref.f_min
-    else:
-        Y = E = np.full((t_rec.size, S), math.nan)
-    flags = np.array(rec_flag, dtype=bool)
-    stacked = np.array(iterates) if iterates is not None else None
-    return [
-        RunTrace(
-            seed=seed,
-            t=t_rec.copy(),
-            eta=eta.copy(),
-            F=F[:, k].copy(),
-            E=E[:, k].copy(),
-            Y=Y[:, k].copy(),
-            region_violation=flags[:, k].copy(),
-            violation_count=int(violations[k]),
-            has_reference=ref is not None,
-            iterates=stacked[:, k].copy() if stacked is not None else None,
-        )
-        for k, seed in enumerate(seeds)
-    ]
-
-
-def moving_mean(values, window: int = 3) -> np.ndarray:
-    """Trailing moving mean; the first window-1 entries average the
-    available prefix. Each window is summed left to right from 0.0, as
-    numpy's mean does up to 7 entries, and divided by its length."""
-    values = np.asarray(values, dtype=float)
-    size = values.size
-    padded = np.concatenate([np.zeros(window - 1), values])
-    total = padded[:size] + 0.0
-    for j in range(1, window):
-        total += padded[j : j + size]
-    return total / np.minimum(np.arange(1.0, size + 1.0), window)
-
-
-def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
-    """Repeat one configuration across seeds and aggregate.
-
-    All seeds advance together, and each seed's trace is bit-identical to
-    the one sgd_run gives for that seed alone. The epoch series takes F at
-    every record landing on a multiple of the component count and applies a
-    trailing moving mean of window 3.
-    """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    traces = _run_seeds(config, seeds)
-
-    t_grid = traces[0].t
-    mean_f = np.mean([tr.F for tr in traces], axis=0)
-    mean_e = np.mean([tr.E for tr in traces], axis=0)
-    mean_y = np.mean([tr.Y for tr in traces], axis=0)
-
-    n = config.objective.component_count
-    epoch_mask = (t_grid > 0) & (t_grid % n == 0)
-    epoch_t = t_grid[epoch_mask]
-    mean_epoch_f = mean_f[epoch_mask]
-    smoothed = moving_mean(mean_epoch_f) if epoch_t.size else mean_epoch_f.copy()
+    # indices are drawn, and the schedule evaluated, one block of
+    # iterations at a time: the index stream stays a function of the seed
+    # alone, and a step costs an array lookup without materializing all
+    # `total` step sizes
+    for base in range(0, total, INDEX_BLOCK):
+        block = np.stack([rng.integers(0, n, size=INDEX_BLOCK) for rng in rngs],
+                         axis=1)
+        grid = np.arange(base, min(base + INDEX_BLOCK, total), dtype=float)
+        steps = np.asarray(step_size(sched, grid), dtype=float)
+        for t_next, idx, step in zip(range(base + 1, total + 1), block, steps):
+            W_next = W - step * grad_rows(idx, W)
+            top = np.abs(W_next).max()
+            # written so that a NaN iterate, for which every comparison is
+            # false, lands in the same branch as a region violation
+            if not top <= radius:
+                row_top = np.abs(W_next).max(axis=1)
+                bad = np.flatnonzero(~np.isfinite(row_top))
+                if bad.size:
+                    raise EngineError(
+                        "non-finite iterate at iteration %d (seed %d); the "
+                        "schedule is likely too aggressive for this objective"
+                        % (t_next, seeds[bad[0]]))
+                over = row_top > radius
+                violations += over
+                flags[:, -(-t_next // stride)] |= over
+            W = W_next
+            if t_next % stride == 0 or t_next == total:
+                record(-(-t_next // stride))
 
     return SweepResult(
-        traces=traces,
         seeds=seeds,
-        t=t_grid,
-        mean_F=mean_f,
-        mean_E=mean_e,
-        mean_Y=mean_y,
+        t=t_rec,
+        eta=step_size(sched, t_rec.astype(float)),
+        F=F,
+        E=F - ref.f_min if ref is not None else Y,
+        Y=Y,
+        region_violation=flags,
+        violation_count=violations,
         component_count=n,
-        has_reference=traces[0].has_reference,
-        epoch_t=epoch_t,
-        mean_epoch_F=mean_epoch_f,
-        smoothed_epoch_F=smoothed,
+        has_reference=ref is not None,
+        iterates=iterates,
     )
 
 

@@ -8,7 +8,6 @@ solver.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -174,7 +173,10 @@ class Objective:
             return math.inf  # curvature of ||w|| is unbounded at the origin
         if kind == "norm2_squared":
             return lam
-        return lam * (math.exp(region_radius) + math.exp(-region_radius) - 2.0)
+        try:
+            return lam * (math.exp(region_radius) + math.exp(-region_radius) - 2.0)
+        except OverflowError:  # e^r leaves the float range past about 709.78
+            return math.inf
 
     # ----- public surface ---------------------------------------------------
     def _rows(self, W, idx=None):
@@ -422,22 +424,6 @@ class CallableObjective(Objective):
         if callable(self._hessian_bound):
             return float(self._hessian_bound(region_radius))
         return float(self._hessian_bound)
-
-
-def composite_objective(base: Objective, regularizer: str, lam: float) -> Objective:
-    """A copy of ``base`` with the given per-component regularizer attached.
-
-    The underlying data arrays are shared; objectives are immutable so this
-    is safe.
-    """
-    if regularizer not in REGULARIZERS:
-        raise ValueError("unknown regularizer %r" % (regularizer,))
-    if lam < 0:
-        raise ValueError("regularization weight must be nonnegative")
-    clone = copy.copy(base)
-    clone.regularizer = regularizer
-    clone.regularization_weight = float(lam)
-    return clone
 
 
 # a trial point may overflow F or its gradient to inf or NaN, which the

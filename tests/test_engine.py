@@ -208,18 +208,20 @@ def test_rate_slope_fit_exact_power_law():
 
 
 def test_multi_seed_sweep_aggregates():
+    # 12 seeds: from 8 up numpy sums a contiguous axis pairwise, so only a
+    # seed-major layout gives the means of the stacked traces bit for bit
     b = cg.quadratic_mean_problem()
     n = b.objective.component_count
+    seeds = tuple(range(12))
     cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
                        iterations=3 * n, record_stride=1, reference=b.reference)
-    sweep = cg.multi_seed_sweep(cfg, seeds=(0, 1, 2, 3))
-    assert sweep.seeds == (0, 1, 2, 3)
+    sweep = cg.multi_seed_sweep(cfg, seeds=seeds)
+    assert sweep.seeds == seeds
     assert sweep.component_count == n
-    stacked = np.stack([tr.F for tr in sweep.traces])
-    assert np.allclose(sweep.mean_F, stacked.mean(axis=0), rtol=1e-15)
-    # epoch grid: multiples of the component count, t = 0 excluded
-    assert np.array_equal(sweep.epoch_t, np.array([n, 2 * n, 3 * n]))
-    assert sweep.smoothed_epoch_F.shape == sweep.mean_epoch_F.shape
+    assert sweep.F.shape == (len(seeds), 3 * n + 1)
+    for name in ("F", "E", "Y"):
+        stacked = np.stack([getattr(tr, name) for tr in sweep.traces])
+        assert np.array_equal(getattr(sweep, "mean_" + name), stacked.mean(axis=0))
     with pytest.raises(ValueError):
         cg.multi_seed_sweep(cfg, seeds=())
 
@@ -384,6 +386,11 @@ def test_moving_mean_matches_the_window_loop(window, values):
     values = np.array(values, dtype=float)
     out = cg.moving_mean(values, window)
     assert np.array_equal(out, _moving_mean_loop(values, window))
+    # a matrix is averaged along its last axis, each row on its own
+    rows = np.stack([values, -3.0 * values[::-1]])
+    out = cg.moving_mean(rows, window)
+    for row, row_out in zip(rows, out):
+        assert np.array_equal(row_out, _moving_mean_loop(row, window))
 
 
 def test_tail_average_exact_window():

@@ -118,6 +118,9 @@ def test_regularizer_G_overflow_guard():
         assert cg.regularizer_G_value(np.array([710.0])) == math.inf
         assert cg.regularizer_G_gradient(np.array([710.0]))[0] == math.inf
         assert cg.regularizer_G_gradient(np.array([-710.0]))[0] == -math.inf
+    # and so does the smoothness bound of G on a box that wide
+    obj = cg.LinearObjective([[1.0]], "exp_cosh_G", 1.0)
+    assert obj.smoothness_bound(800.0) == math.inf
 
 
 def test_gradients_match_finite_differences():
@@ -213,14 +216,6 @@ def test_solve_reference_separable_logistic_chases_infimum():
     ref = cg.solve_reference(obj, max_iterations=300)
     assert ref.f_min <= 1e-9
     assert ref.gradient_norm_at_solution <= 1e-10
-
-
-def test_composite_objective_adds_regularizer():
-    base = two_point_least_squares()
-    comp = cg.composite_objective(base, "norm2_squared", 0.5)
-    w = np.array([2.0])
-    assert comp.value(w) == pytest.approx(base.value(w) + 0.5 * 0.5 * 4.0, rel=1e-14)
-    assert comp.component_count == base.component_count
 
 
 def test_callable_objective_wraps_functions():
