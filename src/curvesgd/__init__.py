@@ -78,7 +78,6 @@ from .schedule import (
     QuadratureError,
     ScheduleSpec,
     c_bar,
-    eta,
     exp_neg_M,
     format_schedule,
     ode_residual,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -151,6 +152,9 @@ def _cmd_schedule(args) -> int:
         return 2
     if not times:
         print("error: --t expects at least one time", file=sys.stderr)
+        return 2
+    if not all(map(math.isfinite, times)):
+        print("error: --t expects finite times", file=sys.stderr)
         return 2
 
     matched = spec.kind == "curvature_matched"

@@ -229,8 +229,8 @@ class RunFileConfig:
                 "unknown variant %r (choose from %s)"
                 % (self.variant, ", ".join(VARIANT_MAP))
             )
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError("lambda must be nonnegative and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.stride < 1:

@@ -117,8 +117,8 @@ class Objective:
     def __init__(self, n: int, d: int, regularizer: str = "none", lam: float = 0.0):
         if regularizer not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % (regularizer,))
-        if lam < 0:
-            raise ValueError("regularization weight must be nonnegative")
+        if not (0.0 <= lam < math.inf):
+            raise ValueError("regularization weight must be nonnegative and finite")
         self.component_count = int(n)
         self.dimension = int(d)
         self.regularizer = regularizer

@@ -2,20 +2,19 @@
 
 The central object is a one-parameter family of increasing concave gauges
 omega_{h,r,mu,tau} used to convert a function-value gap into a squared
-distance bound: omega(F(w) - F*) >= ||w - w*||^2. From a gauge we derive
+distance bound: omega(F(w) - F*) >= ||w - w*||^2. The gauge is
+
+    omega(x) = tau + (2/(mu h)) (x/r)^h          for x <= r,
+
+continued above r by its tangent line. r = inf means the power law applies
+everywhere, with r^h absorbed into mu (i.e. treated as 1). From a gauge we
+derive
 
 * v(eta): the contraction factor earned by step size eta, defined through
   the inverse of x -> omega(x)/omega'(x) - x,
 * c_alpha: the doubling constant sup_e inf_x omega(2x)/omega(x),
 * estimate_delta: an empirical majorant of the gap-to-distance profile of
   an objective, whose log-log slope estimates the curvature exponent h.
-
-Two parameterizations of the same family are supported. The default
-"h_scaled" form is (2/(mu h)) (x/r)^h below r with a tangent continuation
-above; the "offset" form is tau + (2/mu)(x/r)^h with its own tangent
-continuation. They coincide via h_scaled(h, r, mu) = offset(h, r, mu*h,
-tau=0). r = inf means the power law applies everywhere, with r^h absorbed
-into mu (i.e. treated as 1).
 """
 
 from __future__ import annotations
@@ -25,32 +24,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VARIANTS = ("h_scaled", "offset")
-
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Parameters (h, r, mu, tau) of one gauge, plus the variant flag."""
+    """Parameters (h, r, mu, tau) of one gauge."""
 
     h: float
     r: float = math.inf
     mu: float = 1.0
     tau: float = 0.0
-    variant: str = "h_scaled"
 
     def __post_init__(self):
         if not (0.0 < self.h <= 1.0):
             raise ValueError("h must lie in (0, 1]")
         if not (self.r > 0.0):
             raise ValueError("r must be positive (math.inf allowed)")
-        if not (self.mu > 0.0):
-            raise ValueError("mu must be positive")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
-        if self.variant not in VARIANTS:
-            raise ValueError("variant must be one of %s" % (VARIANTS,))
-        if self.variant == "h_scaled" and self.tau != 0.0:
-            raise ValueError("the h_scaled form has no offset; use variant='offset'")
+        if not (0.0 < self.mu < math.inf):
+            raise ValueError("mu must be positive and finite")
+        if not (0.0 <= self.tau < math.inf):
+            raise ValueError("tau must be nonnegative and finite")
 
     @property
     def beta(self) -> float:
@@ -60,33 +52,18 @@ class OmegaSpec:
         return 0.5 * self.mu * h ** (-h) * (1.0 - h) ** (-(1.0 - h)) * r_pow
 
 
-def _scaled_x(spec: OmegaSpec, x):
-    # (x/r)^h with the r = inf absorption convention
-    if math.isinf(spec.r):
-        return x
-    return x / spec.r
-
-
 def omega_eval(spec: OmegaSpec, x):
     """omega(x) for scalar or array x >= 0."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError("omega is defined for x >= 0")
-    z = _scaled_x(spec, xa)
-    if spec.variant == "h_scaled":
-        below = (2.0 / (spec.mu * spec.h)) * z ** spec.h
-        if math.isinf(spec.r):
-            out = below
-        else:
-            above = 2.0 / (spec.mu * spec.h) + (2.0 / spec.mu) * (z - 1.0)
-            out = np.where(xa <= spec.r, below, above)
+    scale = 2.0 / (spec.mu * spec.h)
+    if math.isinf(spec.r):
+        out = spec.tau + scale * xa ** spec.h
     else:
-        below = spec.tau + (2.0 / spec.mu) * z ** spec.h
-        if math.isinf(spec.r):
-            out = below
-        else:
-            above = spec.tau + 2.0 / spec.mu + (2.0 * spec.h / spec.mu) * (z - 1.0)
-            out = np.where(xa <= spec.r, below, above)
+        z = xa / spec.r
+        out = np.where(xa <= spec.r, spec.tau + scale * z ** spec.h,
+                       spec.tau + scale + (2.0 / spec.mu) * (z - 1.0))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -97,19 +74,11 @@ def omega_derivative(spec: OmegaSpec, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("omega' is defined for x > 0")
-    h = spec.h
     if math.isinf(spec.r):
-        if spec.variant == "h_scaled":
-            out = (2.0 / spec.mu) * xa ** (h - 1.0)
-        else:
-            out = (2.0 * h / spec.mu) * xa ** (h - 1.0)
+        out = (2.0 / spec.mu) * xa ** (spec.h - 1.0)
     else:
-        z = xa / spec.r
-        if spec.variant == "h_scaled":
-            slope = 2.0 / (spec.mu * spec.r)
-        else:
-            slope = 2.0 * h / (spec.mu * spec.r)
-        out = np.where(xa <= spec.r, slope * z ** (h - 1.0), slope)
+        slope = 2.0 / (spec.mu * spec.r)
+        out = np.where(xa <= spec.r, slope * (xa / spec.r) ** (spec.h - 1.0), slope)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -118,16 +87,14 @@ def omega_derivative(spec: OmegaSpec, x):
 def v_closed_form(spec: OmegaSpec, eta: float) -> float:
     """Closed form of the contraction map v.
 
-    h_scaled: v(eta) = beta h eta^{1-h}; offset with tau = 0: beta eta^{1-h}.
-    Limits: h = 1 gives the constant (mu/2) r (or mu/2 at r = inf). There is
-    no closed form for tau > 0.
+    v(eta) = beta h eta^{1-h}. Limits: h = 1 gives the constant (mu/2) r
+    (or mu/2 at r = inf). There is no closed form for tau > 0.
     """
     if not (0.0 < eta <= spec.r):
         raise ValueError("eta must lie in (0, r]")
     if spec.tau != 0.0:
         raise ValueError("no closed form for tau > 0; use v_numeric")
-    factor = spec.beta * spec.h if spec.variant == "h_scaled" else spec.beta
-    return factor * eta ** (1.0 - spec.h)
+    return spec.beta * spec.h * eta ** (1.0 - spec.h)
 
 
 def _step_gap(spec: OmegaSpec, x: float) -> float:
@@ -185,7 +152,7 @@ def v_numeric(spec: OmegaSpec, eta: float, max_halvings: int = 1200) -> float:
 def c_alpha(spec: OmegaSpec, alpha: float) -> float:
     """Doubling constant of the gauge at scale alpha, 0 < alpha <= r/2.
 
-    Closed form 1 + (2^h - 1) / ((mu tau / 2)(r/alpha)^h + 1); for tau = 0
+    Closed form 1 + (2^h - 1) / ((mu h tau / 2)(r/alpha)^h + 1); for tau = 0
     this is 2^h.
     """
     _validate_alpha(spec, alpha)
@@ -194,7 +161,7 @@ def c_alpha(spec: OmegaSpec, alpha: float) -> float:
         ratio_pow = alpha ** (-h)  # r^h absorbed, so (r/alpha)^h -> alpha^-h
     else:
         ratio_pow = (spec.r / alpha) ** h
-    return 1.0 + (2.0 ** h - 1.0) / (0.5 * spec.mu * spec.tau * ratio_pow + 1.0)
+    return 1.0 + (2.0 ** h - 1.0) / (0.5 * spec.mu * h * spec.tau * ratio_pow + 1.0)
 
 
 def c_alpha_brute(spec: OmegaSpec, alpha: float, grid_points: int = 4000) -> float:

@@ -41,14 +41,14 @@ class ScheduleSpec:
 
     @classmethod
     def constant(cls, eta: float) -> "ScheduleSpec":
-        if eta <= 0:
-            raise ValueError("constant step size must be positive")
+        if not (0.0 < eta < math.inf):
+            raise ValueError("constant step size must be positive and finite")
         return cls(kind="constant", eta0=float(eta))
 
     @classmethod
     def power_law(cls, scale: float, h: float) -> "ScheduleSpec":
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (0.0 < scale < math.inf):
+            raise ValueError("scale must be positive and finite")
         if not (0.0 <= h <= 1.0):
             raise ValueError("power_law exponent parameter h must lie in [0, 1]")
         return cls(kind="power_law", scale=float(scale), h=float(h))
@@ -58,9 +58,11 @@ class ScheduleSpec:
                           r: float = math.inf) -> "ScheduleSpec":
         if not (0.0 < h <= 1.0):
             raise ValueError("h must lie in (0, 1]")
-        if beta <= 0 or L <= 0:
-            raise ValueError("beta and L must be positive")
-        if r <= 0:
+        if not (0.0 < beta < math.inf):
+            raise ValueError("beta must be positive and finite")
+        if not (0.0 < L < math.inf):
+            raise ValueError("L must be positive and finite")
+        if not (r > 0.0):
             raise ValueError("r must be positive (math.inf allowed)")
         return cls(kind="curvature_matched", h=float(h), beta=float(beta),
                    L=float(L), r=float(r))
@@ -91,37 +93,25 @@ class ScheduleSpec:
                              % (kind, self.kind))
 
 
-def eta(spec: ScheduleSpec, t) -> float:
-    """Step size at (real) time t. power_law requires t >= 1."""
+def step_size(spec: ScheduleSpec, t):
+    """Step size used at iteration (or real time) t >= 0.
+
+    power_law schedules start at t = 1, so below 1 they are frozen at
+    their t = 1 value: iteration 0 takes the t = 1 step.
+    """
     ta = np.asarray(t, dtype=float)
+    if np.any(ta < 0):
+        raise ValueError("t must be nonnegative")
     if spec.kind == "constant":
-        if np.any(ta < 0):
-            raise ValueError("t must be nonnegative")
         out = np.broadcast_to(np.float64(spec.eta0), ta.shape).copy()
     elif spec.kind == "power_law":
-        if np.any(ta < 1):
-            raise ValueError("power_law schedules start at t = 1")
-        out = spec.scale * ta ** (-1.0 / (2.0 - spec.h))
+        out = spec.scale * np.maximum(ta, 1.0) ** (-1.0 / (2.0 - spec.h))
     else:
-        if np.any(ta < 0):
-            raise ValueError("t must be nonnegative")
         k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
         out = k * (ta + spec.delta) ** (-1.0 / (2.0 - spec.h))
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-def step_size(spec: ScheduleSpec, t):
-    """Step size used at iteration (or real time) t >= 0.
-
-    power_law schedules start at t = 1, so below 1 they are frozen at
-    their t = 1 value: iteration 0 takes the t = 1 step. Every other kind
-    is eta itself.
-    """
-    if spec.kind == "power_law":
-        return eta(spec, np.maximum(t, 1.0))
-    return eta(spec, t)
 
 
 def schedule_v(spec: ScheduleSpec):
@@ -133,109 +123,91 @@ def schedule_v(spec: ScheduleSpec):
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers (log-substituted composite trapezoid)
+# quadrature on a log grid: x = exp(s) - 1 with s evenly spaced on
+# [0, log1p(t)], halved from 2^6 to 2^21 intervals until two successive
+# trapezoid values agree to QUAD_TOL
 
-MAX_DOUBLINGS = 24
+QUAD_TOL = 1e-8
+QUAD_LEVELS = range(6, 22)
 
 
-def _log_trapezoid(f, t: float, abs_tol: float = 1e-8,
-                   max_doublings: int = MAX_DOUBLINGS) -> float:
-    """integral of f over [0, t] via x = exp(s) - 1, interval halving with
-    midpoint reuse, stopping when successive estimates differ by <= abs_tol."""
+def _trapezoid(values, ds: float) -> float:
+    return float((0.5 * (values[0] + values[-1]) + values[1:-1].sum()) * ds)
+
+
+def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rule) -> float:
+    """Refine rule(ds, n, g, jac) over log grids on [0, t], where n holds
+    the step sizes at the nodes, jac = dx/ds = exp(s) and g = n v(n) jac is
+    the integrand of M in s. Each halving evaluates only the new midpoints;
+    v = None takes the matched schedule's own map."""
     if t == 0.0:
         return 0.0
-    b = math.log1p(t)
+    if v is None:
+        v = schedule_v(spec)  # raises for non-matched kinds
+    smax = math.log1p(t)
 
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        x = np.expm1(s)
-        return f(x) * np.exp(s)
+    def nodes(s):
+        jac = np.exp(s)
+        n = step_size(spec, np.expm1(s))
+        return np.stack((n, n * np.asarray(v(n), dtype=float) * jac, jac))
 
-    total = 0.5 * b * float(g(0.0) + g(b))
-    n_sub = 1
-    for level in range(1, max_doublings + 1):
-        n_sub *= 2
-        step = b / n_sub
-        mids = step * np.arange(1, n_sub, 2)
-        total_new = 0.5 * total + step * float(np.sum(g(mids)))
-        if level >= 5 and abs(total_new - total) <= abs_tol:
-            return total_new
-        total = total_new
-    raise QuadratureError("trapezoid refinement did not converge "
-                          "(max %d doublings)" % max_doublings)
+    m = 2 ** QUAD_LEVELS[0]
+    grid = nodes(np.linspace(0.0, smax, m + 1))
+    prev = rule(smax / m, *grid)
+    for _ in QUAD_LEVELS[1:]:
+        m *= 2
+        finer = np.empty((3, m + 1))
+        finer[:, 0::2] = grid
+        # odd k of k * (smax / m), the nodes np.linspace(0, smax, m + 1) gives
+        finer[:, 1::2] = nodes(np.arange(1, m, 2) * (smax / m))
+        grid = finer
+        val = rule(smax / m, *grid)
+        if abs(val - prev) <= QUAD_TOL:
+            return val
+        prev = val
+    raise QuadratureError("log-grid trapezoid did not converge "
+                          "(max %d intervals)" % m)
 
 
-def M_of_t(spec: ScheduleSpec, t: float, v=None, method: str = "auto") -> float:
+def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> float:
     """M(t) = integral over [0, t] of n(x) v(n(x)) dx; M(0) = 0.
 
     v may be omitted for a matched schedule (its own power-law map is used).
     Closed forms exist for matched schedules with the built-in v and for
-    constant schedules; method='quadrature' forces the adaptive trapezoid
-    route, method='closed' errors when no closed form applies.
+    constant schedules; every other case, and quadrature=True, takes the
+    log-grid trapezoid.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError("unknown method %r" % (method,))
     intrinsic = v is None
-    if intrinsic:
-        vv = schedule_v(spec)  # raises for non-matched kinds
-    else:
-        vv = v
-    closed = None
-    if spec.kind == "curvature_matched" and intrinsic:
-        closed = (2.0 * spec.h / (2.0 - spec.h)) * (
-            math.log(t + spec.delta) - math.log(spec.delta)
-        )
-    elif spec.kind == "constant":
-        closed = t * spec.eta0 * float(vv(spec.eta0))
-    if method == "closed":
-        if closed is None:
-            raise ValueError("no closed form for this schedule and v")
-        return closed
-    if method == "auto" and closed is not None:
-        return closed
-
-    def integrand(x):
-        n_val = step_size(spec, x)
-        return n_val * np.asarray(vv(n_val), dtype=float)
-
-    return _log_trapezoid(integrand, t)
+    vv = schedule_v(spec) if intrinsic else v  # raises for non-matched kinds
+    if not quadrature:
+        if spec.kind == "curvature_matched" and intrinsic:
+            return (2.0 * spec.h / (2.0 - spec.h)) * (
+                math.log(t + spec.delta) - math.log(spec.delta))
+        if spec.kind == "constant":
+            return t * spec.eta0 * float(vv(spec.eta0))
+    return _log_grid_quadrature(spec, vv, t,
+                                lambda ds, n, g, jac: _trapezoid(g, ds))
 
 
-def C_of_t(spec: ScheduleSpec, t: float, v=None, abs_tol: float = 1e-8,
-           max_level: int = 21) -> float:
+def C_of_t(spec: ScheduleSpec, t: float, v=None) -> float:
     """C(t) = exp(-M(t)) * integral over [0, t] of exp(M(x)) n(x)^2 dx.
 
-    Always computed by quadrature (a cumulative trapezoid on a log-spaced
-    grid, refined until successive values agree to abs_tol), so it provides
-    an independent check of the closed-form envelope.
+    Always computed by quadrature (M by a cumulative trapezoid on the same
+    log grid), so it provides an independent check of the closed-form
+    envelope.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    vv = schedule_v(spec) if v is None else v
-    smax = math.log1p(t)
-    prev = None
-    for level in range(6, max_level + 1):
-        m = 2 ** level
-        s = np.linspace(0.0, smax, m + 1)
-        x = np.expm1(s)
-        weight = np.exp(s)
-        n_vals = step_size(spec, x)
-        g = n_vals * np.asarray(vv(n_vals), dtype=float) * weight
-        ds = smax / m
-        cum = np.empty(m + 1)
+
+    def rule(ds, n, g, jac):
+        cum = np.empty_like(g)
         cum[0] = 0.0
         np.cumsum(0.5 * (g[1:] + g[:-1]) * ds, out=cum[1:])
-        integrand = np.exp(cum - cum[-1]) * n_vals * n_vals * weight
-        val = float((0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum()) * ds)
-        if prev is not None and abs(val - prev) <= abs_tol:
-            return val
-        prev = val
-    raise QuadratureError("cumulative trapezoid did not converge "
-                          "(max level %d)" % max_level)
+        return _trapezoid(np.exp(cum - cum[-1]) * n * n * jac, ds)
+
+    return _log_grid_quadrature(spec, v, t, rule)
 
 
 def c_bar(spec: ScheduleSpec, t: float) -> float:
@@ -275,7 +247,7 @@ def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> 
     if t < 0:
         raise ValueError("t must be nonnegative")
     n_hat = sqrt_neg_c_bar_prime(spec, t)
-    step = eta(spec, t)
+    step = step_size(spec, t)
     if abs(n_hat - step) > eta_match_tol * step:
         raise ArithmeticError(
             "sqrt(-C_bar') = %.17g disagrees with eta_t = %.17g" % (n_hat, step)
@@ -297,7 +269,7 @@ def rate_bound_constants(spec: ScheduleSpec, noise_constant: float,
     distance y0 on an objective with the given noise constant:
     A = (2N+1) exp(n(0)) and B = (2N+1) exp(M(1)) n(0)^2 + y0."""
     spec._require("curvature_matched")
-    n0 = eta(spec, 0.0)
+    n0 = step_size(spec, 0.0)
     two_n1 = 2.0 * noise_constant + 1.0
     a = two_n1 * math.exp(n0)
     b = two_n1 * math.exp(M_of_t(spec, 1.0)) * n0 * n0 + y0

@@ -25,7 +25,7 @@ from .objectives import (
     regularizer_G_value,
 )
 from .omega import OmegaSpec, c_alpha, c_alpha_brute, v_closed_form, v_numeric
-from .schedule import M_of_t, C_of_t, ScheduleSpec, c_bar, eta, ode_residual
+from .schedule import M_of_t, C_of_t, ScheduleSpec, c_bar, ode_residual
 
 CHECK_NAMES = (
     "g_inequality",
@@ -170,10 +170,10 @@ def check_c_alpha(samples: int = 50, tol: float = 1e-4, seed: int = 3) -> CheckR
         mu = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         tau = 0.0 if k % 3 == 0 else float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
         alpha = float(rng.uniform(0.01, 0.5)) * r
-        if k % 5 == 0 and tau == 0.0:
-            spec = OmegaSpec(h=h, r=r, mu=mu)
-        else:
-            spec = OmegaSpec(h=h, r=r, mu=mu, tau=tau, variant="offset")
+        # every fifth tau = 0 draw keeps mu; the rest use mu / h, which puts
+        # the drawn mu on the 2/mu coefficient of (x/r)^h
+        spec = OmegaSpec(h=h, r=r, mu=mu if k % 5 == 0 and tau == 0.0 else mu / h,
+                         tau=tau)
         diff = abs(c_alpha(spec, alpha) - c_alpha_brute(spec, alpha))
         worst = max(worst, diff)
     detail = "%d samples, worst |closed - brute| = %.3g" % (samples, worst)
@@ -211,8 +211,8 @@ def check_envelope_dominance(m_tol: float = 1e-6,
             c_quad = C_of_t(spec, t)
             gap = c_quad - c_bar(spec, t)
             worst_gap = max(worst_gap, gap)
-            m_closed = M_of_t(spec, t, method="closed")
-            m_quad = M_of_t(spec, t, method="quadrature")
+            m_closed = M_of_t(spec, t)
+            m_quad = M_of_t(spec, t, quadrature=True)
             worst_m = max(worst_m, abs(m_closed - m_quad))
     passed = worst_gap <= 0.0 and worst_m <= m_tol
     detail = "max C - C_bar = %.3g, max |M_quad - M_closed| = %.3g" % (

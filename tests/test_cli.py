@@ -53,6 +53,43 @@ def test_schedule_rejects_bad_text(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("const:nan", "constant step size"),
+    ("const:inf", "constant step size"),
+    ("power:scale=inf,h=0.5", "scale"),
+    ("paper-opt:h=1,beta=nan,L=1", "beta"),
+    ("paper-opt:h=0.5,beta=1,L=1,r=nan", "r must be positive"),
+])
+def test_schedule_rejects_non_finite_values(capsys, text, field):
+    rc = main(["schedule", text, "--t", "0,1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_schedule_rejects_non_finite_times(capsys):
+    rc = main(["schedule", "paper-opt:h=0.5,beta=1,L=1", "--t", "0,nan"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "finite" in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("lambda = 0.5", "lambda = nan", "lambda"),
+    ("lambda = 0.5", "lambda = inf", "lambda"),
+    ("const:0.01", "const:nan", "constant step size"),
+    ("const:0.01", "paper-opt:h=0.5,beta=1,L=1,r=nan", "r must be positive"),
+])
+def test_run_rejects_non_finite_runfile_values(tmp_path, capsys, old, new, field):
+    path = write_runfile(tmp_path, BASE_RUNFILE.replace(old, new))
+    rc = main(["run", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_verify_quick_passes(capsys):
     rc = main(["verify", "--quick"])
     out = capsys.readouterr().out

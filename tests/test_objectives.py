@@ -180,6 +180,9 @@ def test_invalid_regularizer_rejected():
         cg.LeastSquaresObjective(data, "norm1", 0.1)
     with pytest.raises(ValueError):
         cg.LeastSquaresObjective(data, "norm2", -0.1)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cg.LeastSquaresObjective(data, "norm2_squared", lam)
 
 
 def test_solve_reference_quadratic_exact():

@@ -11,7 +11,7 @@ from curvesgd.omega import GapFunctions, estimate_delta
 
 
 def test_identity_case():
-    # h = 1, r = 1, mu = 2 makes the scaled variant the identity on [0, r],
+    # h = 1, r = 1, mu = 2 makes the gauge the identity on [0, r],
     # and the tangent continuation keeps it the identity beyond
     spec = cg.OmegaSpec(h=1.0, r=1.0, mu=2.0)
     for x in (0.0, 0.3, 1.0, 2.5, 10.0):
@@ -28,18 +28,43 @@ def test_value_at_breakpoint():
 
 
 def test_offset_variant_value():
-    spec = cg.OmegaSpec(h=0.5, r=4.0, mu=1.0, tau=0.3, variant="offset")
-    # tau + (2/mu) (x/r)^h at the breakpoint
+    spec = cg.OmegaSpec(h=0.5, r=4.0, mu=1.0 / 0.5, tau=0.3)
+    # tau + (2/(mu h)) (x/r)^h at the breakpoint
     assert cg.omega_eval(spec, 4.0) == pytest.approx(0.3 + 2.0, rel=1e-14)
 
 
-def test_scaled_equals_offset_with_rescaled_mu():
-    scaled = cg.OmegaSpec(h=0.4, r=2.0, mu=3.0)
-    offset = cg.OmegaSpec(h=0.4, r=2.0, mu=3.0 * 0.4, tau=0.0, variant="offset")
-    xs = np.linspace(0.05, 6.0, 40)
-    for x in xs:
-        assert cg.omega_eval(scaled, x) == pytest.approx(
-            cg.omega_eval(offset, x), rel=1e-13)
+# (h, r, mu, tau) -> omega at x = r/10, r/2, r, 3r and c_alpha at
+# alpha = r/20, r/2, recorded from the earlier two-form code's offset gauge
+# tau + (2/mu)(x/r)^h, which is the one form with mu / h in place of mu
+OFFSET_GOLDENS = [
+    ((0.5, 4.0, 1.0, 0.3),
+     [0.9324555320336758, 1.7142135623730952, 2.3, 4.3],
+     [1.2479102864954876, 1.3417231379361878]),
+    ((0.8, 4.0, 0.3, 0.7),
+     [1.7565954616407422, 4.528994516656783, 7.366666666666667, 18.033333333333335],
+     [1.3441398003008729, 1.6265567643267094]),
+    ((0.25, 0.6, 2.5, 1e-3),
+     [0.4508730601522793, 0.6737171322029717, 0.801, 1.201],
+     [1.1887082782262963, 1.1889262744155387]),
+]
+
+
+def test_one_form_reproduces_offset_goldens():
+    for (h, r, mu, tau), omegas, c_alphas in OFFSET_GOLDENS:
+        spec = cg.OmegaSpec(h=h, r=r, mu=mu / h, tau=tau)
+        for x, expected in zip((0.1 * r, 0.5 * r, r, 3.0 * r), omegas):
+            assert cg.omega_eval(spec, x) == pytest.approx(expected, rel=1e-13)
+        for alpha, expected in zip((0.05 * r, 0.5 * r), c_alphas):
+            assert cg.c_alpha(spec, alpha) == pytest.approx(expected, rel=1e-13)
+
+
+def test_spec_rejects_non_finite_mu_and_tau():
+    for kwargs in ({"mu": math.inf}, {"mu": math.nan}, {"mu": 0.0},
+                   {"tau": math.inf}, {"tau": math.nan}, {"tau": -0.1},
+                   {"r": math.nan}):
+        with pytest.raises(ValueError):
+            cg.OmegaSpec(**{"h": 0.5, "r": 2.0, **kwargs})
+    assert cg.OmegaSpec(h=0.5, r=math.inf, mu=2.0, tau=0.1).r == math.inf
 
 
 def test_c1_at_breakpoint():
@@ -52,8 +77,8 @@ def test_c1_at_breakpoint():
 
 
 def test_monotone_and_midpoint_concave():
-    for variant, tau in (("h_scaled", 0.0), ("offset", 0.2)):
-        spec = cg.OmegaSpec(h=0.6, r=2.0, mu=1.3, tau=tau, variant=variant)
+    for mu, tau in ((1.3, 0.0), (1.3 / 0.6, 0.2)):
+        spec = cg.OmegaSpec(h=0.6, r=2.0, mu=mu, tau=tau)
         xs = np.linspace(1e-4, 8.0, 200)
         vals = np.array([cg.omega_eval(spec, x) for x in xs])
         assert np.all(np.diff(vals) > 0)
@@ -126,7 +151,7 @@ def test_c_alpha_closed_forms():
         spec = cg.OmegaSpec(h=h, r=2.0, mu=1.5)
         assert cg.c_alpha(spec, 0.5) == pytest.approx(2.0 ** h, rel=1e-13)
     # positive tau pulls the constant below 2^h
-    spec = cg.OmegaSpec(h=0.5, r=2.0, mu=1.5, tau=0.4, variant="offset")
+    spec = cg.OmegaSpec(h=0.5, r=2.0, mu=1.5 / 0.5, tau=0.4)
     val = cg.c_alpha(spec, 0.5)
     assert 1.0 < val < 2.0 ** 0.5
     expected = 1.0 + (2.0 ** 0.5 - 1.0) / ((1.5 * 0.4 / 2.0) * (2.0 / 0.5) ** 0.5 + 1.0)
@@ -136,7 +161,7 @@ def test_c_alpha_closed_forms():
 def test_c_alpha_brute_agreement():
     cases = [
         cg.OmegaSpec(h=0.5, r=2.0, mu=1.0),
-        cg.OmegaSpec(h=0.8, r=4.0, mu=0.3, tau=0.7, variant="offset"),
+        cg.OmegaSpec(h=0.8, r=4.0, mu=0.3 / 0.8, tau=0.7),
     ]
     for spec in cases:
         alpha = spec.r / 4.0

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import curvesgd as cg
-from curvesgd.schedule import MAX_DOUBLINGS
 
 
 def matched(h, beta, L, r=math.inf):
@@ -19,7 +18,7 @@ def test_matched_linear_case_closed_form():
     mu, L = 2.0, 1.0
     spec = matched(1.0, mu / 2.0, L)
     for t in (0.0, 1.0, 10.0, 500.0):
-        assert cg.eta(spec, t) == pytest.approx(4.0 / (mu * t + 8.0 * L), rel=1e-13)
+        assert cg.step_size(spec, t) == pytest.approx(4.0 / (mu * t + 8.0 * L), rel=1e-13)
 
 
 def test_matched_sqrt_case_closed_form():
@@ -27,18 +26,18 @@ def test_matched_sqrt_case_closed_form():
     mu, L = 1.0, 1.0
     spec = matched(0.5, mu, L)
     for t in (0.0, 2.0, 77.0):
-        assert cg.eta(spec, t) == pytest.approx(
+        assert cg.step_size(spec, t) == pytest.approx(
             (4.0 / (3.0 * mu * t + 8.0 * L)) ** (2.0 / 3.0), rel=1e-13)
 
 
 def test_initial_step_equals_clipped_inverse_smoothness():
     # eta_0 = min(1/(2L), r) ** (1/(2-h))
     spec = matched(0.5, 2.0, 4.0)
-    assert cg.eta(spec, 0.0) == pytest.approx(0.125 ** (2.0 / 3.0), rel=1e-13)
+    assert cg.step_size(spec, 0.0) == pytest.approx(0.125 ** (2.0 / 3.0), rel=1e-13)
     clipped = matched(0.5, 2.0, 4.0, r=0.05)
-    assert cg.eta(clipped, 0.0) == pytest.approx(0.05 ** (2.0 / 3.0), rel=1e-13)
+    assert cg.step_size(clipped, 0.0) == pytest.approx(0.05 ** (2.0 / 3.0), rel=1e-13)
     linear = matched(1.0, 0.5, 1.0)
-    assert cg.eta(linear, 0.0) == pytest.approx(0.5, rel=1e-13)
+    assert cg.step_size(linear, 0.0) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_delta_shift():
@@ -53,14 +52,14 @@ def test_eta_monotone_nonincreasing():
     for spec in (matched(1.0, 0.5, 2.0), matched(0.25, 1.0, 1.0),
                  cg.ScheduleSpec.power_law(0.1, 0.5)):
         ts = np.arange(1.0, 2000.0)
-        vals = cg.eta(spec, ts)
+        vals = cg.step_size(spec, ts)
         assert np.all(np.diff(vals) <= 0)
 
 
 def test_no_overflow_far_out():
     spec = matched(0.5, 1.0, 2.0)
     for t in (1e6, 1e7):
-        assert math.isfinite(cg.eta(spec, t))
+        assert math.isfinite(cg.step_size(spec, t))
         assert math.isfinite(cg.M_of_t(spec, t))
         assert math.isfinite(cg.c_bar(spec, t))
         assert 0.0 <= cg.exp_neg_M(spec, t) <= 1.0
@@ -68,16 +67,16 @@ def test_no_overflow_far_out():
 
 def test_power_law_values_and_domain():
     spec = cg.ScheduleSpec.power_law(0.1, 0.5)
-    assert cg.eta(spec, 1.0) == pytest.approx(0.1, rel=1e-14)
-    assert cg.eta(spec, 16.0) == pytest.approx(0.1 * 16.0 ** (-2.0 / 3.0), rel=1e-13)
+    assert cg.step_size(spec, 1.0) == pytest.approx(0.1, rel=1e-14)
+    assert cg.step_size(spec, 16.0) == pytest.approx(0.1 * 16.0 ** (-2.0 / 3.0), rel=1e-13)
     with pytest.raises(ValueError):
-        cg.eta(spec, 0.5)
+        cg.step_size(spec, -0.5)
 
 
 def test_constant_schedule():
     spec = cg.ScheduleSpec.constant(0.03)
     ts = np.array([0.0, 1.0, 9.0])
-    assert np.array_equal(cg.eta(spec, ts), np.full(3, 0.03))
+    assert np.array_equal(cg.step_size(spec, ts), np.full(3, 0.03))
 
 
 def test_M_closed_form_and_quadrature_agree():
@@ -87,7 +86,7 @@ def test_M_closed_form_and_quadrature_agree():
     for t in (1.0, 10.0, 1e4):
         closed = (2.0 * h / (2.0 - h)) * math.log((t + delta) / delta)
         assert cg.M_of_t(spec, t) == pytest.approx(closed, rel=1e-12)
-        quad = cg.M_of_t(spec, t, method="quadrature")
+        quad = cg.M_of_t(spec, t, quadrature=True)
         assert abs(quad - closed) <= 1e-6
     assert cg.M_of_t(spec, 0.0) == 0.0
 
@@ -113,6 +112,8 @@ def test_C_constant_step_closed_form():
         # the quadrature promises an absolute tolerance of 1e-8
         assert cg.C_of_t(spec, t, v=v) == pytest.approx(expected, abs=2e-8)
     assert cg.C_of_t(spec, 0.0, v=v) == 0.0
+    # C(0) = 0 whatever v is, so a constant spec needs no v there
+    assert cg.C_of_t(spec, 0.0) == 0.0
 
 
 def test_c_bar_linear_case():
@@ -149,14 +150,14 @@ def test_sqrt_neg_c_bar_prime_recovers_eta():
     spec = matched(0.5, 2.0, 1.0)
     for t in (0.0, 1.0, 250.0):
         assert cg.sqrt_neg_c_bar_prime(spec, t) == pytest.approx(
-            cg.eta(spec, t), rel=1e-10)
+            cg.step_size(spec, t), rel=1e-10)
 
 
 def test_rate_bound_constants_formulas():
     spec = matched(1.0, 0.5, 1.0)
     N, y0 = 3.0, 2.0
     A, B = cg.rate_bound_constants(spec, N, y0)
-    eta0 = cg.eta(spec, 0.0)
+    eta0 = cg.step_size(spec, 0.0)
     assert A == pytest.approx((2.0 * N + 1.0) * math.exp(eta0), rel=1e-12)
     assert B == pytest.approx(
         (2.0 * N + 1.0) * math.exp(cg.M_of_t(spec, 1.0)) * eta0 * eta0 + y0,
@@ -188,6 +189,11 @@ def test_parse_schedule_rejects_malformed():
         "paper-opt:h=0.5,beta=-1,L=1",   # nonpositive beta
         "plain text",                    # no colon
         "power:scale=0.1,h=0.5,h=0.6",   # duplicate
+        "const:nan",                     # non-finite values
+        "const:inf",
+        "power:scale=inf,h=0.5",
+        "paper-opt:h=1,beta=nan,L=1",
+        "paper-opt:h=0.5,beta=1,L=1,r=nan",
     ]
     for text in bad:
         with pytest.raises(ValueError):
@@ -204,20 +210,54 @@ def test_schedule_constructor_validation():
     with pytest.raises(ValueError):
         cg.ScheduleSpec.curvature_matched(h=0.5, beta=1.0, L=1.0, r=-2.0)
 
-
-def test_quadrature_doubling_cap():
-    assert MAX_DOUBLINGS >= 20
+    # every value must be finite, except r = inf, which means no cap
+    nan, inf = math.nan, math.inf
+    for build in (lambda: cg.ScheduleSpec.constant(nan),
+                  lambda: cg.ScheduleSpec.constant(inf),
+                  lambda: cg.ScheduleSpec.power_law(inf, 0.5),
+                  lambda: cg.ScheduleSpec.power_law(nan, 0.5),
+                  lambda: cg.ScheduleSpec.power_law(0.1, nan),
+                  lambda: cg.ScheduleSpec.curvature_matched(h=nan, beta=1.0, L=1.0),
+                  lambda: cg.ScheduleSpec.curvature_matched(h=0.5, beta=inf, L=1.0),
+                  lambda: cg.ScheduleSpec.curvature_matched(h=0.5, beta=1.0, L=inf),
+                  lambda: cg.ScheduleSpec.curvature_matched(h=0.5, beta=1.0, L=1.0, r=nan)):
+        with pytest.raises(ValueError):
+            build()
+    assert cg.ScheduleSpec.curvature_matched(h=0.5, beta=1.0, L=1.0, r=inf).r == inf
 
 
 def test_step_size_freezes_power_law_below_one():
     spec = cg.ScheduleSpec.power_law(0.1, 0.5)
-    assert cg.step_size(spec, 0) == cg.step_size(spec, 0.5) == cg.eta(spec, 1.0)
+    assert cg.step_size(spec, 0) == cg.step_size(spec, 0.5) == cg.step_size(spec, 1.0)
     grid = np.array([0.0, 1.0, 4.0])
-    assert np.array_equal(cg.step_size(spec, grid), cg.eta(spec, np.array([1.0, 1.0, 4.0])))
-    # every other kind is eta itself, including at t = 0
-    for other in (cg.ScheduleSpec.constant(0.3), matched(0.5, 1.0, 2.0)):
-        assert cg.step_size(other, 0.0) == cg.eta(other, 0.0)
-        assert np.array_equal(cg.step_size(other, grid), cg.eta(other, grid))
+    assert np.array_equal(cg.step_size(spec, grid),
+                          cg.step_size(spec, np.array([1.0, 1.0, 4.0])))
+    # no other kind is frozen below t = 1
+    matched_spec = matched(0.5, 1.0, 2.0)
+    assert cg.step_size(matched_spec, 0.0) > cg.step_size(matched_spec, 0.5)
+    assert np.array_equal(cg.step_size(cg.ScheduleSpec.constant(0.3), grid),
+                          np.full(3, 0.3))
+
+
+def test_step_size_rejects_negative_time_for_every_kind():
+    for spec in (cg.ScheduleSpec.constant(0.3), cg.ScheduleSpec.power_law(0.1, 0.5),
+                 matched(0.5, 1.0, 2.0)):
+        with pytest.raises(ValueError):
+            cg.step_size(spec, -0.5)
+        with pytest.raises(ValueError):
+            cg.step_size(spec, np.array([1.0, -1.0]))
+
+
+def test_power_law_quadrature_clamps_below_one():
+    # n(x) = 0.1 for x <= 1 and 0.1 x^(-2/3) beyond; with v(e) = c e the
+    # integrand is c n^2, so M(t) = c 0.01 t up to 1 and
+    # c 0.01 (1 + 3 (1 - t^(-1/3))) after
+    spec = cg.ScheduleSpec.power_law(0.1, 0.5)
+    c = 0.7
+    for t in (0.25, 1.0, 8.0, 1e3):
+        expected = c * 0.01 * (t if t <= 1.0 else 1.0 + 3.0 * (1.0 - t ** (-1.0 / 3.0)))
+        got = cg.M_of_t(spec, t, v=lambda e: c * e, quadrature=True)
+        assert got == pytest.approx(expected, abs=2e-8)
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
