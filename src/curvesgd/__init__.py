@@ -30,7 +30,6 @@ from .dataio import (
     resolve_reference,
     synthesize_dataset,
     write_results,
-    write_runfile,
 )
 from .engine import (
     EngineError,

@@ -34,11 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a single-schedule runfile")
-    sweep_p = sub.add_parser(
-        "sweep", help="execute a runfile over all its schedules, with a plot script"
-    )
-    for p in (run_p, sweep_p):
+    for name, text in (
+            ("run", "execute a single-schedule runfile"),
+            ("sweep", "execute a runfile over all its schedules, with a plot script")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("runfile", help="path to a runfile")
         p.add_argument("--seed", type=int, default=None,
                        help="replace the runfile's seed list with one seed")
@@ -72,45 +71,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args):
+def _cmd_runfile(args) -> int:
+    """`run` (one schedule, no plot script) and `sweep` (any number of
+    schedules, always a plot script) of a runfile with its overrides."""
     config = read_runfile(args.runfile)
-    overrides = {}
+    overrides = {field: getattr(args, field) for field in ("epochs", "stride", "out")
+                 if getattr(args, field) is not None}
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.stride is not None:
-        overrides["stride"] = args.stride
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    if len(config.schedule_list()) != 1:
+    config = dataclasses.replace(config, **overrides)
+    sweep = args.command == "sweep"
+    if not sweep and len(config.schedule_list()) != 1:
         print("error: run expects exactly one schedule; use sweep",
               file=sys.stderr)
         return 2
     # outputs land next to the runfile, not wherever the shell happens to be
     base_dir = os.path.dirname(os.path.abspath(args.runfile))
-    written, _ = execute_runfile(config, base_dir=base_dir, emit_plot=False)
-    for path in written:
-        print(path)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    base_dir = os.path.dirname(os.path.abspath(args.runfile))
     written, plot_path = execute_runfile(config, base_dir=base_dir,
-                                         emit_plot=True)
-    for path in written:
+                                         emit_plot=sweep)
+    for path in written + ([plot_path] if sweep else []):
         print(path)
-    if plot_path is not None:
-        print(plot_path)
     return 0
 
 
@@ -175,8 +155,8 @@ def _cmd_schedule(args) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
+    "run": _cmd_runfile,
+    "sweep": _cmd_runfile,
     "verify": _cmd_verify,
     "estimate-curvature": _cmd_estimate,
     "schedule": _cmd_schedule,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import RunConfig, moving_mean, multi_seed_sweep
 from .objectives import (
+    REGULARIZERS,
     Dataset,
     LeastSquaresObjective,
     LogisticObjective,
@@ -29,25 +30,6 @@ RESULT_HEADER = ("run", "seed", "epoch", "t", "eta", "F", "E", "Y", "smoothed_F"
 
 # seconds a dataset download may stall before load_libsvm gives up
 URL_TIMEOUT = 60.0
-
-# runfile vocabulary -> internal regularizer names
-VARIANT_MAP = {
-    "plain": "none",
-    "norm2": "norm2",
-    "norm2_squared": "norm2_squared",
-    "exp_cosh_G": "exp_cosh_G",
-}
-
-RUNFILE_KEYS = (
-    "dataset",
-    "variant",
-    "lambda",
-    "schedule",
-    "seeds",
-    "epochs",
-    "stride",
-    "out",
-)
 
 
 def _float_cells(values) -> list:
@@ -212,22 +194,22 @@ def load_dataset(source: str) -> Dataset:
 
 @dataclass(frozen=True)
 class RunFileConfig:
-    """Parsed run configuration. Field names mirror the file keys."""
+    """Parsed run configuration, one field per runfile key (see RUNFILE_FIELDS)."""
 
     dataset: str
+    variant: str
+    lam: float
     schedule: str
     seeds: tuple
     epochs: int
+    stride: int
     out: str
-    variant: str = "plain"
-    lam: float = 0.0
-    stride: int = 1
 
     def __post_init__(self):
-        if self.variant not in VARIANT_MAP:
+        if self.variant not in REGULARIZERS:
             raise ValueError(
                 "unknown variant %r (choose from %s)"
-                % (self.variant, ", ".join(VARIANT_MAP))
+                % (self.variant, ", ".join(REGULARIZERS))
             )
         if not (0.0 <= self.lam < math.inf):
             raise ValueError("lambda must be nonnegative and finite")
@@ -248,9 +230,30 @@ class RunFileConfig:
         return entries
 
 
+def _parse_seeds(text: str) -> tuple:
+    seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seeds must be nonnegative")
+    return seeds
+
+
+# runfile key -> (RunFileConfig field, parser of the value text), in the
+# order format_runfile writes them; every key is required
+RUNFILE_FIELDS = {
+    "dataset": ("dataset", str),
+    "variant": ("variant", str),
+    "lambda": ("lam", float),
+    "schedule": ("schedule", str),
+    "seeds": ("seeds", _parse_seeds),
+    "epochs": ("epochs", int),
+    "stride": ("stride", int),
+    "out": ("out", str),
+}
+
+
 def parse_runfile(text: str) -> RunFileConfig:
     """Parse `key = value` lines; '#' comments and blank lines are skipped."""
-    fields = {}
+    lines = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -259,57 +262,39 @@ def parse_runfile(text: str) -> RunFileConfig:
         if not sep:
             raise ValueError("line %d: expected key = value" % line_no)
         key = key.strip()
-        value = value.strip()
-        if key not in RUNFILE_KEYS:
+        if key not in RUNFILE_FIELDS:
             raise ValueError("line %d: unknown runfile key %r" % (line_no, key))
-        if key in fields:
+        if key in lines:
             raise ValueError("line %d: duplicate key %r" % (line_no, key))
-        fields[key] = value
+        lines[key] = (line_no, value.strip())
 
-    for required in ("dataset", "schedule", "seeds", "epochs", "out"):
-        if required not in fields:
-            raise ValueError("runfile is missing required key %r" % (required,))
-
-    try:
-        seeds = tuple(int(s) for s in fields["seeds"].split(",") if s.strip())
-    except ValueError:
-        raise ValueError("seeds must be a comma-separated list of integers")
-
-    return RunFileConfig(
-        dataset=fields["dataset"],
-        schedule=fields["schedule"],
-        seeds=seeds,
-        epochs=int(fields["epochs"]),
-        out=fields["out"],
-        variant=fields.get("variant", "plain"),
-        lam=float(fields.get("lambda", "0")),
-        stride=int(fields.get("stride", "1")),
-    )
+    values = {}
+    for key, (field, parse) in RUNFILE_FIELDS.items():
+        if key not in lines:
+            raise ValueError("runfile is missing required key %r" % (key,))
+        line_no, value = lines[key]
+        try:
+            values[field] = parse(value)
+        except ValueError as err:
+            raise ValueError("line %d: bad %s value %r: %s"
+                             % (line_no, key, value, err))
+    return RunFileConfig(**values)
 
 
 def format_runfile(config: RunFileConfig) -> str:
     """Canonical text form; parse(format(parse(text))) == parse(text)."""
-    lines = [
-        "dataset = %s" % config.dataset,
-        "variant = %s" % config.variant,
-        "lambda = %r" % config.lam,
-        "schedule = %s" % config.schedule,
-        "seeds = %s" % ",".join(str(s) for s in config.seeds),
-        "epochs = %d" % config.epochs,
-        "stride = %d" % config.stride,
-        "out = %s" % config.out,
-    ]
+    lines = []
+    for key, (field, _) in RUNFILE_FIELDS.items():
+        value = getattr(config, field)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append("%s = %s" % (key, value))
     return "\n".join(lines) + "\n"
 
 
 def read_runfile(path: str) -> RunFileConfig:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_runfile(handle.read())
-
-
-def write_runfile(config: RunFileConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_runfile(config))
 
 
 def build_objective(config: RunFileConfig):
@@ -319,11 +304,10 @@ def build_objective(config: RunFileConfig):
     treated as regression (least squares).
     """
     data = load_dataset(config.dataset)
-    regularizer = VARIANT_MAP[config.variant]
     if np.all(np.isin(data.y, (-1.0, 1.0))):
-        objective = LogisticObjective(data, regularizer, config.lam)
+        objective = LogisticObjective(data, config.variant, config.lam)
     else:
-        objective = LeastSquaresObjective(data, regularizer, config.lam)
+        objective = LeastSquaresObjective(data, config.variant, config.lam)
     return objective, data
 
 
@@ -414,7 +398,14 @@ def read_results(path: str) -> ResultTable:
                 "unsupported results header %r (expected %r)"
                 % (header, RESULT_HEADER)
             )
-        rows = [tuple(row) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    "results file %r line %d: %d cells, expected %d"
+                    % (path, reader.line_num, len(row), len(header))
+                )
+            rows.append(tuple(row))
     return ResultTable(header=header, rows=rows)
 
 
@@ -469,14 +460,14 @@ def emit_plot_script(csv_paths, path: str, titles=None) -> str:
 # --------------------------------------------------------------------------
 
 def execute_runfile(config: RunFileConfig, base_dir: str = ".",
-                    emit_plot=None):
+                    emit_plot: bool = False):
     """Run every schedule in the runfile.
 
     A single-schedule runfile produces one CSV named by `out`. With several
-    schedules (semicolon-separated), each CSV gets an index suffix and a
-    gnuplot script named after `out` ties them together. Returns the list
-    of CSV paths and the plot-script path (None when no script is written);
-    emit_plot=None means "only for multi-schedule runs".
+    schedules (semicolon-separated), each CSV gets an index suffix. With
+    emit_plot, a gnuplot script named after `out` overlays the CSVs.
+    Returns the list of CSV paths and the plot-script path (None when no
+    script is written).
     """
     objective, _ = build_objective(config)
     reference = resolve_reference(objective)
@@ -488,12 +479,10 @@ def execute_runfile(config: RunFileConfig, base_dir: str = ".",
     ext = ext or ".csv"
 
     written = []
-    titles = []
     for k, text in enumerate(schedules, start=1):
-        sched = parse_schedule(text)
         run_config = RunConfig(
             objective=objective,
-            schedule=sched,
+            schedule=parse_schedule(text),
             seed=config.seeds[0],
             iterations=iterations,
             record_stride=config.stride,
@@ -506,12 +495,9 @@ def execute_runfile(config: RunFileConfig, base_dir: str = ".",
             csv_path = "%s_%d%s" % (stem, k, ext)
         write_results(sweep, csv_path)
         written.append(csv_path)
-        titles.append(text)
 
-    if emit_plot is None:
-        emit_plot = len(schedules) > 1
     plot_path = None
     if emit_plot:
         plot_path = stem + ".gp"
-        emit_plot_script(written, plot_path, titles=titles)
+        emit_plot_script(written, plot_path, titles=schedules)
     return written, plot_path

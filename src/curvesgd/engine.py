@@ -42,7 +42,7 @@ class RunConfig:
             raise ValueError("iterations must be at least 1")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if self.region_radius <= 0:
+        if not self.region_radius > 0:
             raise ValueError("region_radius must be positive")
 
 

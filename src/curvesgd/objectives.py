@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGULARIZERS = ("none", "norm2", "norm2_squared", "exp_cosh_G")
+REGULARIZERS = ("plain", "norm2", "norm2_squared", "exp_cosh_G")
 
 # (row, component) terms per block of a batched value or gradient: bounds
 # memory and keeps the temporaries in cache
@@ -114,7 +114,7 @@ class Objective:
     construction and safe to share across threads.
     """
 
-    def __init__(self, n: int, d: int, regularizer: str = "none", lam: float = 0.0):
+    def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
         if regularizer not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % (regularizer,))
         if not (0.0 <= lam < math.inf):
@@ -144,7 +144,7 @@ class Objective:
     # ----- regularizer terms ----------------------------------------------
     def _reg_grad_rows(self, W: np.ndarray) -> np.ndarray:
         kind = self.regularizer
-        if kind == "none":
+        if kind == "plain":
             return np.zeros_like(W)
         if kind == "norm2":
             nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
@@ -156,7 +156,7 @@ class Objective:
 
     def _reg_value_rows(self, W: np.ndarray) -> np.ndarray:
         kind = self.regularizer
-        if kind == "none":
+        if kind == "plain":
             return np.zeros(W.shape[0])
         if kind == "norm2":
             return np.linalg.norm(W, axis=1)
@@ -167,7 +167,7 @@ class Objective:
     def _reg_hessian_bound(self, region_radius: float) -> float:
         kind = self.regularizer
         lam = self.regularization_weight
-        if kind == "none" or lam == 0.0:
+        if kind == "plain" or lam == 0.0:
             return 0.0
         if kind == "norm2":
             return math.inf  # curvature of ||w|| is unbounded at the origin
@@ -279,7 +279,7 @@ class Objective:
         Valid on the box {w : ||w||_inf <= region_radius}. The exp-cosh
         regularizer is smooth only on bounded regions, hence the radius.
         """
-        if region_radius <= 0:
+        if not region_radius > 0:
             raise ValueError("region_radius must be positive")
         return self._base_smoothness(region_radius) + self._reg_hessian_bound(
             region_radius
@@ -289,7 +289,7 @@ class Objective:
 class LogisticObjective(Objective):
     """Binary logistic regression: f_i(w) = log(1 + exp(-y_i x_i' w))."""
 
-    def __init__(self, dataset: Dataset, regularizer: str = "none", lam: float = 0.0):
+    def __init__(self, dataset: Dataset, regularizer: str = "plain", lam: float = 0.0):
         if not np.all(np.isin(dataset.y, (-1.0, 1.0))):
             raise ValueError("logistic labels must be exactly +-1")
         super().__init__(dataset.size, dataset.dimension, regularizer, lam)
@@ -316,7 +316,7 @@ class LogisticObjective(Objective):
 class LeastSquaresObjective(Objective):
     """Squared-error components f_i(w) = (a_i' w - b_i)^2."""
 
-    def __init__(self, dataset: Dataset, regularizer: str = "none", lam: float = 0.0):
+    def __init__(self, dataset: Dataset, regularizer: str = "plain", lam: float = 0.0):
         super().__init__(dataset.size, dataset.dimension, regularizer, lam)
         self.X = dataset.X
         self.y = dataset.y
@@ -343,7 +343,7 @@ class LinearObjective(Objective):
     origin is the exact minimizer for the exp-cosh regularizer.
     """
 
-    def __init__(self, C, regularizer: str = "none", lam: float = 0.0):
+    def __init__(self, C, regularizer: str = "plain", lam: float = 0.0):
         C = np.asarray(C, dtype=float)
         if C.ndim != 2:
             raise ValueError("C must be a 2-d array of component gradients")
@@ -368,12 +368,12 @@ class QuadraticMeanObjective(Objective):
     centers sum to zero exactly, the origin is the exact minimizer.
     """
 
-    def __init__(self, mu: float, centers, regularizer: str = "none", lam: float = 0.0):
+    def __init__(self, mu: float, centers, regularizer: str = "plain", lam: float = 0.0):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2:
             raise ValueError("centers must be a 2-d array")
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not (0.0 < mu < math.inf):
+            raise ValueError("mu must be positive and finite")
         super().__init__(centers.shape[0], centers.shape[1], regularizer, lam)
         self.mu = float(mu)
         self.centers = centers
@@ -400,7 +400,7 @@ class CallableObjective(Objective):
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,
-                 regularizer: str = "none", lam: float = 0.0,
+                 regularizer: str = "plain", lam: float = 0.0,
                  hessian_bound=None):
         if len(value_fns) != len(grad_fns) or not value_fns:
             raise ValueError("need matching, nonempty value and gradient lists")

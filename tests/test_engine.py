@@ -456,6 +456,10 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
                      record_stride=0)
-    with pytest.raises(ValueError):
-        cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
-                     region_radius=0.0)
+    for radius in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
+                         region_radius=radius)
+    # an unbounded region stays legal
+    cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
+                 region_radius=math.inf)

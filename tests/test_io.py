@@ -174,10 +174,10 @@ runfiles = st.builds(
     cg.RunFileConfig,
     dataset=field_text,
     schedule=schedule_text,
-    seeds=st.lists(st.integers(-2 ** 63, 2 ** 64), min_size=1, max_size=5).map(tuple),
+    seeds=st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=5).map(tuple),
     epochs=st.integers(1, 10 ** 6),
     out=field_text,
-    variant=st.sampled_from(sorted(dataio.VARIANT_MAP)),
+    variant=st.sampled_from(dataio.REGULARIZERS),
     lam=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     stride=st.integers(1, 10 ** 6),
 )
@@ -202,6 +202,43 @@ def test_parse_runfile_requires_core_keys():
         cg.parse_runfile("dataset = synth:blobs,n=10,d=2,seed=0\n")
     msg = str(err.value)
     assert "schedule" in msg or "missing" in msg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "abc"),
+    ("stride", "2.5"),
+    ("lambda", "half"),
+    ("seeds", "0,x"),
+    ("seeds", "-1"),
+    ("seeds", "3,-2"),
+])
+def test_parse_runfile_bad_value_names_line_and_key(key, value):
+    lines = RUNFILE_TEXT.splitlines()
+    line_no = next(k for k, line in enumerate(lines, start=1)
+                   if line.startswith(key + " ="))
+    lines[line_no - 1] = "%s = %s" % (key, value)
+    with pytest.raises(ValueError) as err:
+        cg.parse_runfile("\n".join(lines))
+    assert str(err.value).startswith("line %d: bad %s value" % (line_no, key))
+
+
+def test_readme_runfile_requires_every_key():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        readme = handle.read()
+    # the example runfile under the README's "All eight keys" sentence
+    block = readme.split("All eight keys are required:", 1)[1]
+    text = block.split("```")[1].strip("\n")
+    cfg = cg.parse_runfile(text)
+    assert cg.parse_runfile(cg.format_runfile(cfg)) == cfg
+    keys = [line.split("=")[0].strip() for line in text.splitlines()]
+    assert keys == list(dataio.RUNFILE_FIELDS)
+    for key in keys:
+        without = "\n".join(line for line in text.splitlines()
+                            if line.split("=")[0].strip() != key)
+        with pytest.raises(ValueError) as err:
+            cg.parse_runfile(without)
+        assert repr(key) in str(err.value)
 
 
 def test_parse_runfile_rejects_bad_variant_and_schedule():
@@ -296,6 +333,15 @@ def test_read_results_rejects_foreign_header(tmp_path):
     assert "header" in str(err.value)
 
 
+def test_read_results_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.csv"
+    header = ",".join(dataio.RESULT_HEADER)
+    path.write_text(header + "\nx,1\n")
+    with pytest.raises(ValueError) as err:
+        cg.read_results(str(path))
+    assert "line 2" in str(err.value)
+
+
 def test_result_table_unknown_column():
     sweep = small_sweep()
     rows = dataio.results_rows(sweep, "demo")
@@ -352,7 +398,7 @@ def test_execute_runfile_multi_schedule_names_and_plot(tmp_path):
     text = RUNFILE_TEXT.replace("const:0.01",
                                 "const:0.01; const:0.005")
     cfg = cg.parse_runfile(text)
-    written, plot = cg.execute_runfile(cfg, base_dir=str(tmp_path))
+    written, plot = cg.execute_runfile(cfg, base_dir=str(tmp_path), emit_plot=True)
     names = [os.path.basename(p) for p in written]
     assert names == ["demo_1.csv", "demo_2.csv"]
     assert plot is not None and plot.endswith("demo.gp")

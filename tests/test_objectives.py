@@ -165,6 +165,12 @@ def test_smoothness_bounds():
     obj_g = cg.LeastSquaresObjective(data, "exp_cosh_G", 1.0)
     expected = 2.0 + (math.exp(0.1) + math.exp(-0.1) - 2.0)
     assert obj_g.smoothness_bound(region_radius=0.1) == pytest.approx(expected)
+    # the box must have a positive radius, infinite allowed but not NaN
+    assert math.isinf(obj_g.smoothness_bound(math.inf))
+    for obj in (two_point_least_squares(), obj_g):
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                obj.smoothness_bound(radius)
 
 
 def test_known_mu_tracks_strong_convexity():
@@ -183,6 +189,9 @@ def test_invalid_regularizer_rejected():
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError):
             cg.LeastSquaresObjective(data, "norm2_squared", lam)
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cg.QuadraticMeanObjective(mu, np.zeros((2, 1)))
 
 
 def test_solve_reference_quadratic_exact():
@@ -304,7 +313,7 @@ def textbook_base(kind, x, y, w):
 def textbook_regularizer(regularizer, w):
     """reg(w) and grad reg(w) with scales, as textbook_base gives them."""
     d = len(w)
-    if regularizer == "none":
+    if regularizer == "plain":
         return 0.0, 0.0, [0.0] * d, [0.0] * d
     if regularizer == "norm2":
         # ||w||, with the subgradient 0 at the kink w = 0
