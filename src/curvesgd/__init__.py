@@ -42,7 +42,6 @@ from .engine import (
     rate_slope_fit,
     recurrence_check,
     sgd_run,
-    tail_average,
 )
 from .objectives import (
     CallableObjective,
@@ -83,7 +82,6 @@ from .schedule import (
     parse_schedule,
     rate_bound,
     rate_bound_constants,
-    sqrt_neg_c_bar_prime,
     step_size,
 )
 from .verify import CheckResult, verify_all

@@ -110,6 +110,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative, got seed %d" % args.seed)
     config = read_runfile(args.runfile)
     objective, _ = build_objective(config)
     reference = resolve_reference(objective)

@@ -219,6 +219,7 @@ class RunFileConfig:
             raise ValueError("stride must be at least 1")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
+        _check_seeds(self.seeds)
         for entry in self.schedule_list():
             parse_schedule(entry)  # validate eagerly, errors carry the text
 
@@ -230,11 +231,16 @@ class RunFileConfig:
         return entries
 
 
-def _parse_seeds(text: str) -> tuple:
-    seeds = tuple(int(s) for s in text.split(",") if s.strip())
-    if any(seed < 0 for seed in seeds):
-        raise ValueError("seeds must be nonnegative")
+def _check_seeds(seeds: tuple) -> tuple:
+    """The seed rule of RunFileConfig, which the runfile parser applies
+    too, so that its error names the line."""
+    if seeds and min(seeds) < 0:
+        raise ValueError("seeds must be nonnegative, got seed %d" % min(seeds))
     return seeds
+
+
+def _parse_seeds(text: str) -> tuple:
+    return _check_seeds(tuple(int(s) for s in text.split(",") if s.strip()))
 
 
 # runfile key -> (RunFileConfig field, parser of the value text), in the

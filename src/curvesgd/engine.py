@@ -226,27 +226,6 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
     )
 
 
-def tail_average(sweep: SweepResult, t: int) -> float:
-    """Mean of the mean optimality gap over iterations t+1 .. 2t.
-
-    Requires every iteration in that window to be present in the record
-    grid (run with record_stride = 1 for exact tail averages).
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if not sweep.has_reference:
-        raise ValueError("tail averages need a reference solution")
-    index = {int(ti): k for k, ti in enumerate(sweep.t)}
-    total = 0.0
-    for i in range(t + 1, 2 * t + 1):
-        if i not in index:
-            raise ValueError(
-                "tail window [%d, %d] is not fully recorded" % (t + 1, 2 * t)
-            )
-        total += sweep.mean_E[index[i]]
-    return total / t
-
-
 def rate_slope_fit(ts, values, window) -> float:
     """Least-squares slope of log(values) against log(t) inside a window.
 
@@ -284,47 +263,38 @@ def recurrence_check(objective, trace: RunTrace, reference,
     distance is computed exactly as the mean over components of
     ||w_t - eta_t grad f_i(w_t) - w_star||^2 and compared against
     Y_t - 2 eta_t (1 - eta_t L) E_t + 2 eta_t^2 N + tol. Requires
-    eta_t <= 1/L throughout and a trace recorded with keep_iterates.
+    eta_t <= 1/L throughout and a trace recorded with keep_iterates. All
+    records are checked in one pass, which holds a (records, n, d) array
+    of component gradients.
     """
     if trace.iterates is None:
         raise ValueError("trace must be recorded with keep_iterates=True")
     L = objective.smoothness_bound(region_radius)
+    eta = np.asarray(trace.eta, dtype=float)
+    hot = np.flatnonzero(eta > 1.0 / L + 1e-15)
+    if hot.size:
+        raise ValueError(
+            "recurrence check requires eta_t <= 1/L, got eta=%g, 1/L=%g"
+            % (eta[hot[0]], 1.0 / L)
+        )
+    W = trace.iterates
+    records, d = W.shape
     n = objective.component_count
-    every = np.arange(n)
-    w_star = reference.w_star
-    f_min = reference.f_min
-    noise = reference.noise_constant
-    gaps = objective.value_many(trace.iterates) - f_min
-    worst = math.inf
-    violations = 0
-    first_t = -1
-    checked = 0
-    for k in range(trace.t.size):
-        step = float(trace.eta[k])
-        if step > 1.0 / L + 1e-15:
-            raise ValueError(
-                "recurrence check requires eta_t <= 1/L, got eta=%g, 1/L=%g"
-                % (step, 1.0 / L)
-            )
-        w = trace.iterates[k]
-        diff = w - w_star
-        y_now = float(diff @ diff)
-        e_now = gaps[k]
-        nxt = diff - step * objective.grad_rows(every, np.tile(w, (n, 1)))
-        expected_next = float(np.einsum("ij,ij->i", nxt, nxt).mean())
-        bound = y_now - 2.0 * step * (1.0 - step * L) * e_now \
-            + 2.0 * step * step * noise
-        margin = bound - expected_next
-        if margin < worst:
-            worst = margin
-        if margin < -tol:
-            violations += 1
-            if first_t < 0:
-                first_t = int(trace.t[k])
-        checked += 1
+    diff = W - reference.w_star
+    Y = np.einsum("ij,ij->i", diff, diff)
+    E = objective.value_many(W) - reference.f_min
+    # every component gradient at every recorded iterate, (records, n, d)
+    G = objective.grad_rows(np.tile(np.arange(n), records),
+                            W.repeat(n, axis=0)).reshape(records, n, d)
+    nxt = diff[:, None, :] - eta[:, None, None] * G
+    expected_next = np.einsum("kij,kij->ki", nxt, nxt).mean(axis=1)
+    bound = Y - 2.0 * eta * (1.0 - eta * L) * E \
+        + 2.0 * eta * eta * reference.noise_constant
+    margin = bound - expected_next
+    bad = np.flatnonzero(margin < -tol)
     return RecurrenceReport(
-        checked=checked,
-        violations=violations,
-        worst_margin=worst,
-        first_violation_t=first_t,
+        checked=records,
+        violations=int(bad.size),
+        worst_margin=float(margin.min()),
+        first_violation_t=int(trace.t[bad[0]]) if bad.size else -1,
     )

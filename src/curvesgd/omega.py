@@ -55,7 +55,7 @@ class OmegaSpec:
 def omega_eval(spec: OmegaSpec, x):
     """omega(x) for scalar or array x >= 0."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
+    if (xa < 0.0).any():
         raise ValueError("omega is defined for x >= 0")
     scale = 2.0 / (spec.mu * spec.h)
     if math.isinf(spec.r):
@@ -64,89 +64,74 @@ def omega_eval(spec: OmegaSpec, x):
         z = xa / spec.r
         out = np.where(xa <= spec.r, spec.tau + scale * z ** spec.h,
                        spec.tau + scale + (2.0 / spec.mu) * (z - 1.0))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def omega_derivative(spec: OmegaSpec, x):
     """omega'(x) for x > 0; continuous across the breakpoint at r."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
+    if (xa <= 0.0).any():
         raise ValueError("omega' is defined for x > 0")
     if math.isinf(spec.r):
         out = (2.0 / spec.mu) * xa ** (spec.h - 1.0)
     else:
         slope = 2.0 / (spec.mu * spec.r)
         out = np.where(xa <= spec.r, slope * (xa / spec.r) ** (spec.h - 1.0), slope)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
-def v_closed_form(spec: OmegaSpec, eta: float) -> float:
-    """Closed form of the contraction map v.
+def v_closed_form(spec: OmegaSpec, eta):
+    """Closed form of the contraction map v, for a scalar or an array of eta.
 
     v(eta) = beta h eta^{1-h}. Limits: h = 1 gives the constant (mu/2) r
     (or mu/2 at r = inf). There is no closed form for tau > 0.
     """
-    if not (0.0 < eta <= spec.r):
+    ea = np.asarray(eta, dtype=float)
+    if not np.all((0.0 < ea) & (ea <= spec.r)):
         raise ValueError("eta must lie in (0, r]")
     if spec.tau != 0.0:
         raise ValueError("no closed form for tau > 0; use v_numeric")
-    return spec.beta * spec.h * eta ** (1.0 - spec.h)
+    out = spec.beta * spec.h * ea ** (1.0 - spec.h)
+    return float(out) if np.ndim(eta) == 0 else out
 
 
-def _step_gap(spec: OmegaSpec, x: float) -> float:
-    return omega_eval(spec, x) / omega_derivative(spec, x) - x
+def v_numeric(spec: OmegaSpec, eta):
+    """Invert eta = omega(x)/omega'(x) - x by bisection and return 1/omega'(x),
+    for a scalar or an array of eta.
 
-
-def v_numeric(spec: OmegaSpec, eta: float, max_halvings: int = 1200) -> float:
-    """Invert eta = omega(x)/omega'(x) - x by bisection and return 1/omega'(x).
-
-    The map is nondecreasing in x and, for finite r, saturates for x >= r;
-    step sizes beyond the saturation value are rejected. At h = 1 the map is
-    constant, so the limit value of v is returned directly.
+    All eta are bisected at once on s = log x, by 64 halvings of [-700, 700]
+    (r = inf) or [-700, log r]. For finite r the map saturates at x = r, to
+    which eta up to 1e-9 past saturation is taken; eta beyond is rejected.
+    At h = 1 the map is constant, and v is its limit value.
     """
-    if eta <= 0.0:
+    # a 0-d eta runs as one entry of an array: numpy scalars take their
+    # own power routine, whose last bits can differ
+    ea = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not np.all(ea > 0.0):
         raise ValueError("eta must be positive")
-    if spec.h == 1.0:
-        x0 = 1.0 if math.isinf(spec.r) else 0.5 * spec.r
-        return 1.0 / omega_derivative(spec, x0)
-    if math.isinf(spec.r):
-        hi = 1.0
-        for _ in range(max_halvings):
-            if _step_gap(spec, hi) >= eta:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("could not bracket the step map from above")
-    else:
-        top = _step_gap(spec, spec.r)
-        if eta > top:
-            if eta <= top * (1.0 + 1e-9):
-                return 1.0 / omega_derivative(spec, spec.r)
-            raise ValueError(
-                "eta=%g exceeds the invertible range of the step map "
-                "(saturates at %g)" % (eta, top)
-            )
-        hi = spec.r
-    lo = hi
-    for _ in range(max_halvings):
-        if _step_gap(spec, lo) <= eta:
-            break
-        lo *= 0.5
-    else:
-        raise ValueError("could not bracket the step map from below")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if _step_gap(spec, mid) < eta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 1.0 / omega_derivative(spec, 0.5 * (lo + hi))
+    finite = not math.isinf(spec.r)
+    x = np.full(ea.shape, 0.5 * spec.r if finite else 1.0)
+    if spec.h < 1.0:
+        def step_gap(x):
+            return omega_eval(spec, x) / omega_derivative(spec, x) - x
+
+        bottom = step_gap(math.exp(-700.0))
+        top = step_gap(spec.r if finite else math.exp(700.0))
+        outside = (ea < bottom) | (ea > top * (1.0 + (1e-9 if finite else 0.0)))
+        if np.any(outside):
+            raise ValueError("eta=%g lies outside the range [%g, %g] of the "
+                             "step map" % (ea[outside][0], bottom, top))
+        # the brackets [lo, lo + 2 half] share their bounds, so one half-width
+        lo = np.full(ea.shape, -700.0)
+        half = 0.5 * ((math.log(spec.r) if finite else 700.0) + 700.0)
+        for _ in range(64):
+            mid = lo + half
+            lo = np.where(step_gap(np.exp(mid)) < ea, mid, lo)
+            half *= 0.5
+        # only a finite r lets eta pass top
+        x = np.where(ea > top, spec.r, np.exp(lo + half))
+    out = 1.0 / omega_derivative(spec, x)
+    return float(out[0]) if np.ndim(eta) == 0 else out
 
 
 def c_alpha(spec: OmegaSpec, alpha: float) -> float:

@@ -109,9 +109,7 @@ def step_size(spec: ScheduleSpec, t):
     else:
         k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
         out = k * (ta + spec.delta) ** (-1.0 / (2.0 - spec.h))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def schedule_v(spec: ScheduleSpec):
@@ -212,7 +210,6 @@ def C_of_t(spec: ScheduleSpec, t: float, v=None) -> float:
 
 def c_bar(spec: ScheduleSpec, t: float) -> float:
     """Closed-form envelope C_bar(t) = c (t + delta)^{-h/(2-h)}."""
-    spec._require("curvature_matched")
     if t < 0:
         raise ValueError("t must be nonnegative")
     p = spec.h / (2.0 - spec.h)
@@ -228,14 +225,6 @@ def exp_neg_M(spec: ScheduleSpec, t: float, v=None) -> float:
     return math.exp(-M_of_t(spec, t, v=v))
 
 
-def sqrt_neg_c_bar_prime(spec: ScheduleSpec, t: float) -> float:
-    """sqrt(-C_bar'(t)) from the analytic derivative of the envelope."""
-    spec._require("curvature_matched")
-    p = spec.h / (2.0 - spec.h)
-    c = spec.envelope_constant
-    return math.sqrt(c * p) * (t + spec.delta) ** (-1.0 / (2.0 - spec.h))
-
-
 def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> float:
     """Residual C_bar(t) - 2 sqrt(-C_bar') / v(sqrt(-C_bar')) at time t.
 
@@ -243,11 +232,12 @@ def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> 
     size to relative tolerance eta_match_tol; a mismatch means the envelope
     constant is inconsistent with the schedule and raises.
     """
-    spec._require("curvature_matched")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n_hat = sqrt_neg_c_bar_prime(spec, t)
-    step = step_size(spec, t)
+    step = step_size(spec, t)  # raises for t < 0
+    # sqrt(-C_bar'(t)) from the analytic derivative of the envelope, whose
+    # constant raises for a schedule that is not matched
+    p = spec.h / (2.0 - spec.h)
+    n_hat = math.sqrt(spec.envelope_constant * p) \
+        * (t + spec.delta) ** (-1.0 / (2.0 - spec.h))
     if abs(n_hat - step) > eta_match_tol * step:
         raise ArithmeticError(
             "sqrt(-C_bar') = %.17g disagrees with eta_t = %.17g" % (n_hat, step)
@@ -268,7 +258,6 @@ def rate_bound_constants(spec: ScheduleSpec, noise_constant: float,
     """Constants (A, B) of the envelope bound for a run started at squared
     distance y0 on an objective with the given noise constant:
     A = (2N+1) exp(n(0)) and B = (2N+1) exp(M(1)) n(0)^2 + y0."""
-    spec._require("curvature_matched")
     n0 = step_size(spec, 0.0)
     two_n1 = 2.0 * noise_constant + 1.0
     a = two_n1 * math.exp(n0)

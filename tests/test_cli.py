@@ -160,6 +160,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("dataset", ["synth:linear,n=20,d=3,seed=4",
+                                     "missing/data.svm"])
+@pytest.mark.parametrize("command", ["run", "sweep", "estimate-curvature"])
+def test_negative_seed_exits_two_naming_the_seed(tmp_path, capsys, command,
+                                                 dataset):
+    # the seed is refused before the dataset is read, so a missing
+    # dataset does not mask the error
+    text = BASE_RUNFILE.replace("synth:linear,n=20,d=3,seed=4", dataset)
+    assert main([command, write_runfile(tmp_path, text), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed -1" in err and "nonnegative" in err
+    assert not (tmp_path / "res.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_dataset_exits_two(tmp_path, capsys):
     data = tmp_path / "bad.svm"

@@ -1,5 +1,6 @@
 """Engine tests: deterministic recurrences, recording, sweeps, checks."""
 
+import dataclasses
 import math
 import re
 
@@ -393,21 +394,6 @@ def test_moving_mean_matches_the_window_loop(window, values):
         assert np.array_equal(row_out, _moving_mean_loop(row, window))
 
 
-def test_tail_average_exact_window():
-    obj, ref = contraction_problem()
-    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
-                       seed=0, iterations=10, record_stride=1, reference=ref)
-    sweep = cg.multi_seed_sweep(cfg, seeds=(0,))
-    expected = np.mean([0.5 * 0.25 ** t for t in (4, 5, 6)])
-    assert cg.tail_average(sweep, 3) == pytest.approx(expected, rel=1e-13)
-    coarse_cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
-                              seed=0, iterations=10, record_stride=5,
-                              reference=ref)
-    coarse = cg.multi_seed_sweep(coarse_cfg, seeds=(0,))
-    with pytest.raises(ValueError):
-        cg.tail_average(coarse, 3)
-
-
 def test_keep_iterates_stores_trajectory():
     obj, ref = contraction_problem()
     cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
@@ -430,6 +416,41 @@ def test_recurrence_check_clean_run():
     # every stored iterate is visited, including both endpoints
     assert report.checked == 201
     assert report.worst_margin >= 0.0
+
+
+def _recurrence_loop(objective, trace, reference, tol, L):
+    # the one-step check written out one recorded iterate at a time
+    n = objective.component_count
+    margins = []
+    for w, step in zip(trace.iterates, trace.eta):
+        diff = w - reference.w_star
+        e_now = objective.value(w) - reference.f_min
+        nxt = diff - step * objective.grad_rows(np.arange(n), np.tile(w, (n, 1)))
+        expected_next = np.einsum("ij,ij->i", nxt, nxt).mean()
+        bound = (diff @ diff - 2.0 * step * (1.0 - step * L) * e_now
+                 + 2.0 * step * step * reference.noise_constant)
+        margins.append(bound - expected_next)
+    margins = np.array(margins)
+    bad = np.flatnonzero(margins < -tol)
+    return (bad.size, int(trace.t[bad[0]]) if bad.size else -1,
+            float(margins.min()))
+
+
+def test_recurrence_check_reports_violations_like_the_loop():
+    # without the noise term the bound undercuts the exact expectation
+    b = cg.quadratic_mean_problem()
+    noiseless = dataclasses.replace(b.reference, noise_constant=0.0)
+    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=5,
+                       iterations=300, record_stride=1, reference=b.reference,
+                       w0=np.ones(b.objective.dimension), keep_iterates=True)
+    trace = cg.sgd_run(cfg)
+    report = cg.recurrence_check(b.objective, trace, noiseless, tol=1e-10)
+    assert report.checked == 301
+    assert report.violations > 0
+    violations, first_t, worst = _recurrence_loop(
+        b.objective, trace, noiseless, 1e-10, b.objective.smoothness_bound(3.0))
+    assert (report.violations, report.first_violation_t) == (violations, first_t)
+    assert report.worst_margin == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 def test_recurrence_check_requires_iterates_and_stable_step():

@@ -130,6 +130,28 @@ def test_v_closed_matches_numeric_inversion():
         assert numeric == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("spec", [cg.OmegaSpec(h=0.4, mu=2.0, tau=0.5),
+                                  cg.OmegaSpec(h=0.3, r=5.0, mu=2.0)])
+def test_v_numeric_array_matches_scalar_bits(spec):
+    etas = np.geomspace(1e-4, 1.5, 200)
+    together = cg.v_numeric(spec, etas)
+    assert together.shape == etas.shape
+    one_by_one = np.array([cg.v_numeric(spec, float(e)) for e in etas])
+    assert np.array_equal(together, one_by_one)
+
+
+def test_v_numeric_rejects_one_bad_eta_in_an_array():
+    spec = cg.OmegaSpec(h=0.5, r=2.0, mu=1.0)
+    top = spec.r * (1.0 - spec.h) / spec.h  # where the step map saturates
+    good = np.geomspace(1e-3, 0.9 * top, 5)
+    # within 1e-9 of saturation, eta is taken at x = r
+    assert cg.v_numeric(spec, top * (1.0 + 1e-10)) == pytest.approx(
+        1.0 / cg.omega_derivative(spec, spec.r), rel=1e-15)
+    for bad in (0.0, -1.0, top * 1.01):
+        with pytest.raises(ValueError):
+            cg.v_numeric(spec, np.append(good, bad))
+
+
 def test_v_rejects_bad_eta():
     spec = cg.OmegaSpec(h=0.5, r=2.0, mu=1.0)
     with pytest.raises(ValueError):

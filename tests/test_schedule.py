@@ -147,10 +147,17 @@ def test_ode_residual_small_on_grid():
 
 
 def test_sqrt_neg_c_bar_prime_recovers_eta():
+    # C_bar(t) = c (t + delta)^(-p) with p = h/(2-h), so
+    # sqrt(-C_bar'(t)) = sqrt(c p) (t + delta)^(-1/(2-h))
     spec = matched(0.5, 2.0, 1.0)
+    p = spec.h / (2.0 - spec.h)
     for t in (0.0, 1.0, 250.0):
-        assert cg.sqrt_neg_c_bar_prime(spec, t) == pytest.approx(
-            cg.step_size(spec, t), rel=1e-10)
+        n_hat = math.sqrt(spec.envelope_constant * p) \
+            * (t + spec.delta) ** (-1.0 / (2.0 - spec.h))
+        assert n_hat == pytest.approx(cg.step_size(spec, t), rel=1e-10)
+        # ode_residual raises ArithmeticError unless its own sqrt(-C_bar')
+        # matches eta_t to 1e-10
+        cg.ode_residual(spec, t)
 
 
 def test_rate_bound_constants_formulas():
