@@ -1,8 +1,8 @@
 """Small synthetic problems with known minimizers for verification runs.
 
-Each factory returns a Benchmark bundling the objective, an exact or
-high-precision reference solution, the step-size schedule matched to the
-objective's curvature profile, and the curvature description itself.
+Each factory builds an objective and the curvature gauge it satisfies;
+one builder adds the reference solution, which always comes from
+solve_reference, and the step-size schedule matched to the gauge.
 Constructions are deterministic: the ridge problem is seeded, the other
 two are closed-form.
 """
@@ -38,6 +38,15 @@ class Benchmark:
     region_radius: float = 3.0
 
 
+def _matched(name: str, objective: Objective, omega: OmegaSpec) -> Benchmark:
+    """Bundle an objective with its solved reference and the schedule
+    matched to its gauge."""
+    schedule = ScheduleSpec.curvature_matched(
+        h=omega.h, beta=omega.beta, L=objective.smoothness_bound())
+    return Benchmark(name, objective, solve_reference(objective), schedule,
+                     omega)
+
+
 def ridge_regression_problem() -> Benchmark:
     """Least squares plus 0.5*||w||^2; strongly convex with modulus 1.
 
@@ -52,22 +61,16 @@ def ridge_regression_problem() -> Benchmark:
     labels = rows @ planted + rng.standard_normal(n)
     data = Dataset(rows, labels, planted_weights=planted)
     obj = LeastSquaresObjective(data, "norm2_squared", 1.0)
-    ref = solve_reference(obj)
-    mu = obj.known_mu
-    L = obj.smoothness_bound()
-    beta = mu / 2.0
-    sched = ScheduleSpec.curvature_matched(h=1.0, beta=beta, L=L)
-    om = OmegaSpec(h=1.0, mu=mu)
-    return Benchmark("ridge", obj, ref, sched, om)
+    return _matched("ridge", obj, OmegaSpec(h=1.0, mu=obj.known_mu))
 
 
 def quadratic_mean_problem() -> Benchmark:
     """Mean of shifted quadratics (mu/2)*||w - m_i||^2 with mu = 10.
 
-    Centers come in exact plus/minus pairs, so the minimizer is the origin
-    and both the optimal value and the gradient noise at the optimum are
-    closed-form. Used by the exact one-step recurrence check, where an
-    optimizer-produced reference would blur the tolerance.
+    Centers come in exact plus/minus pairs, so the minimizer is the origin,
+    where the reference solver starts and certifies it in 0 iterations.
+    Used by the exact one-step recurrence check, where an iterated
+    reference would blur the tolerance.
     """
     mu, d = 10.0, 5
     base = np.full((d, d), 0.1)
@@ -75,21 +78,7 @@ def quadratic_mean_problem() -> Benchmark:
         base[k, k] += 0.2 * (k + 1)
     centers = np.concatenate([base, -base], axis=0)
     obj = QuadraticMeanObjective(mu, centers)
-    w_star = np.zeros(d)
-    f_min = obj.value(w_star)
-    noise = mu * mu * float(np.mean(np.sum(centers**2, axis=1)))
-    ref = ReferenceSolution(
-        w_star=w_star,
-        f_min=f_min,
-        noise_constant=noise,
-        gradient_norm_at_solution=0.0,
-        iterations=0,
-    )
-    L = obj.smoothness_bound()
-    beta = mu / 2.0
-    sched = ScheduleSpec.curvature_matched(h=1.0, beta=beta, L=L)
-    om = OmegaSpec(h=1.0, mu=mu)
-    return Benchmark("quadratic_mean", obj, ref, sched, om)
+    return _matched("quadratic_mean", obj, OmegaSpec(h=1.0, mu=mu))
 
 
 def exp_cosh_problem() -> Benchmark:
@@ -108,19 +97,8 @@ def exp_cosh_problem() -> Benchmark:
     lam, d, n = 4.0, 1, 10
     slopes = np.array([[10.0]] * (n // 2) + [[-10.0]] * (n // 2))
     obj = LinearObjective(slopes, "exp_cosh_G", lam)
-    w_star = np.zeros(d)
-    ref = ReferenceSolution(
-        w_star=w_star,
-        f_min=0.0,
-        noise_constant=float(np.mean(np.sum(slopes**2, axis=1))),
-        gradient_norm_at_solution=0.0,
-        iterations=0,
-    )
-    L = obj.smoothness_bound()
-    mu_sched = 4.0 * np.sqrt(lam / (12.0 * d))
-    om = OmegaSpec(h=0.5, mu=mu_sched)
-    sched = ScheduleSpec.curvature_matched(h=0.5, beta=om.beta, L=L)
-    return Benchmark("exp_cosh", obj, ref, sched, om)
+    om = OmegaSpec(h=0.5, mu=4.0 * np.sqrt(lam / (12.0 * d)))
+    return _matched("exp_cosh", obj, om)
 
 
 BENCHMARKS = {

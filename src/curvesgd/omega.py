@@ -54,7 +54,9 @@ class OmegaSpec:
 
 def omega_eval(spec: OmegaSpec, x):
     """omega(x) for scalar or array x >= 0."""
-    xa = np.asarray(x, dtype=float)
+    # a 0-d input runs as a one-entry array, here and below: numpy
+    # scalars take their own power routine, whose last bits can differ
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa < 0.0).any():
         raise ValueError("omega is defined for x >= 0")
     scale = 2.0 / (spec.mu * spec.h)
@@ -64,12 +66,12 @@ def omega_eval(spec: OmegaSpec, x):
         z = xa / spec.r
         out = np.where(xa <= spec.r, spec.tau + scale * z ** spec.h,
                        spec.tau + scale + (2.0 / spec.mu) * (z - 1.0))
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def omega_derivative(spec: OmegaSpec, x):
     """omega'(x) for x > 0; continuous across the breakpoint at r."""
-    xa = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa <= 0.0).any():
         raise ValueError("omega' is defined for x > 0")
     if math.isinf(spec.r):
@@ -77,7 +79,7 @@ def omega_derivative(spec: OmegaSpec, x):
     else:
         slope = 2.0 / (spec.mu * spec.r)
         out = np.where(xa <= spec.r, slope * (xa / spec.r) ** (spec.h - 1.0), slope)
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def v_closed_form(spec: OmegaSpec, eta):
@@ -86,13 +88,13 @@ def v_closed_form(spec: OmegaSpec, eta):
     v(eta) = beta h eta^{1-h}. Limits: h = 1 gives the constant (mu/2) r
     (or mu/2 at r = inf). There is no closed form for tau > 0.
     """
-    ea = np.asarray(eta, dtype=float)
+    ea = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all((0.0 < ea) & (ea <= spec.r)):
         raise ValueError("eta must lie in (0, r]")
     if spec.tau != 0.0:
         raise ValueError("no closed form for tau > 0; use v_numeric")
     out = spec.beta * spec.h * ea ** (1.0 - spec.h)
-    return float(out) if np.ndim(eta) == 0 else out
+    return float(out[0]) if np.ndim(eta) == 0 else out
 
 
 def v_numeric(spec: OmegaSpec, eta):
@@ -104,8 +106,6 @@ def v_numeric(spec: OmegaSpec, eta):
     which eta up to 1e-9 past saturation is taken; eta beyond is rejected.
     At h = 1 the map is constant, and v is its limit value.
     """
-    # a 0-d eta runs as one entry of an array: numpy scalars take their
-    # own power routine, whose last bits can differ
     ea = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all(ea > 0.0):
         raise ValueError("eta must be positive")
@@ -188,20 +188,6 @@ class GapFunctions:
 
     a: object
     b: object
-
-    @classmethod
-    def from_objective(cls, objective, reference):
-        w_star = reference.w_star
-        f_min = reference.f_min
-
-        def a(W):
-            return objective.value_many(W) - f_min
-
-        def b(W):
-            diff = W - w_star
-            return np.einsum("ij,ij->i", diff, diff)
-
-        return cls(a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -316,23 +302,25 @@ def estimate_delta(gap: GapFunctions, sample_region, grid=None,
     )
 
 
-def fit_curvature(objective, region_radius: float = 3.0, reference=None,
-                  grid=None, n_samples: int = 100_000, seed: int = 0) -> float:
+def fit_curvature(objective, reference, seed: int = 0) -> float:
     """Estimate the curvature exponent h of an objective, clamped to [0, 1].
 
-    The estimate is the log-log slope of the empirical delta majorant near
+    The gaps F(w) - F_min and ||w - w_star||^2 are measured against the
+    given reference, at 100,000 points drawn from the box [-3, 3]^d. The
+    estimate is the log-log slope of the empirical delta majorant near
     zero, so delta(eps) ~ eps^h by construction: a strongly convex quadratic
     yields h near 1, a quartic-bottomed objective h near 1/2. The slope is
     invariant under rescaling of the objective, up to sampling noise.
     """
-    from .objectives import solve_reference
+    w_star, f_min = reference.w_star, reference.f_min
 
-    if reference is None:
-        reference = solve_reference(objective)
-    gap = GapFunctions.from_objective(objective, reference)
-    d = objective.dimension
-    region = (-region_radius * np.ones(d), region_radius * np.ones(d))
-    est = estimate_delta(gap, region, grid=grid, n_samples=n_samples, seed=seed)
+    def b(W):
+        diff = W - w_star
+        return np.einsum("ij,ij->i", diff, diff)
+
+    gap = GapFunctions(a=lambda W: objective.value_many(W) - f_min, b=b)
+    box = 3.0 * np.ones(objective.dimension)
+    est = estimate_delta(gap, (-box, box), seed=seed)
     if math.isnan(est.fitted_h):
         raise ValueError("curvature fit failed: empty delta profile")
     return min(1.0, max(0.0, est.fitted_h))

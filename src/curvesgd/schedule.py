@@ -97,9 +97,10 @@ def step_size(spec: ScheduleSpec, t):
     """Step size used at iteration (or real time) t >= 0.
 
     power_law schedules start at t = 1, so below 1 they are frozen at
-    their t = 1 value: iteration 0 takes the t = 1 step.
+    their t = 1 value: iteration 0 takes the t = 1 step. A scalar t runs
+    as a one-entry array, so it gets the bits of the engine's step at t.
     """
-    ta = np.asarray(t, dtype=float)
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ta < 0):
         raise ValueError("t must be nonnegative")
     if spec.kind == "constant":
@@ -109,7 +110,7 @@ def step_size(spec: ScheduleSpec, t):
     else:
         k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
         out = k * (ta + spec.delta) ** (-1.0 / (2.0 - spec.h))
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def schedule_v(spec: ScheduleSpec):
@@ -217,11 +218,7 @@ def c_bar(spec: ScheduleSpec, t: float) -> float:
 
 
 def exp_neg_M(spec: ScheduleSpec, t: float, v=None) -> float:
-    """exp(-M(t)); closed form ((t + delta)/delta)^{-2h/(2-h)} for matched
-    schedules with their built-in v."""
-    if spec.kind == "curvature_matched" and v is None:
-        p = 2.0 * spec.h / (2.0 - spec.h)
-        return ((t + spec.delta) / spec.delta) ** (-p)
+    """exp(-M(t))."""
     return math.exp(-M_of_t(spec, t, v=v))
 
 

@@ -204,13 +204,27 @@ def test_solve_reference_quadratic_exact():
     assert ref.noise_constant == pytest.approx(4.0 * 5.0, rel=1e-9)
 
 
-def test_solve_reference_ridge_gradient_norm():
-    b = cg.ridge_regression_problem()
-    assert b.reference.gradient_norm_at_solution <= 1e-10
+@pytest.mark.parametrize("name", ["ridge", "quadratic_mean", "exp_cosh"])
+def test_solve_reference_certifies_benchmark(name):
+    b = cg.load_benchmark(name)
+    ref = b.reference
+    assert ref.gradient_norm_at_solution <= 1e-10
     again = cg.solve_reference(b.objective)
     # the solver is deterministic, down to the last bit
-    assert np.array_equal(again.w_star, b.reference.w_star)
-    assert again.f_min == b.reference.f_min
+    assert np.array_equal(again.w_star, ref.w_star)
+    assert again.f_min == ref.f_min
+    assert again.noise_constant == ref.noise_constant
+    if name == "ridge":
+        return
+    # the minimizer is the origin, where the solver starts
+    assert ref.iterations == 0
+    assert np.array_equal(ref.w_star, np.zeros(b.objective.dimension))
+    if name == "exp_cosh":
+        assert ref.noise_constant == 100.0
+    else:
+        obj = b.objective
+        expected = obj.mu ** 2 * np.mean(np.sum(obj.centers ** 2, axis=1))
+        assert ref.noise_constant == pytest.approx(expected, rel=1e-12)
 
 
 def test_solve_reference_reports_divergence():

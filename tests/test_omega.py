@@ -130,13 +130,36 @@ def test_v_closed_matches_numeric_inversion():
         assert numeric == pytest.approx(closed, rel=1e-9)
 
 
-@pytest.mark.parametrize("spec", [cg.OmegaSpec(h=0.4, mu=2.0, tau=0.5),
-                                  cg.OmegaSpec(h=0.3, r=5.0, mu=2.0)])
-def test_v_numeric_array_matches_scalar_bits(spec):
-    etas = np.geomspace(1e-4, 1.5, 200)
-    together = cg.v_numeric(spec, etas)
-    assert together.shape == etas.shape
-    one_by_one = np.array([cg.v_numeric(spec, float(e)) for e in etas])
+_GAUGE_A = cg.OmegaSpec(h=0.1, r=1.0, mu=0.1)
+_GAUGE_B = cg.OmegaSpec(h=0.4, r=3.0, mu=2.0, tau=0.5)
+_X = np.geomspace(1e-4, 10.0, 200)
+_T = np.arange(2001.0)
+
+
+@pytest.mark.parametrize("fn, spec, inputs", [
+    pytest.param(cg.v_numeric, cg.OmegaSpec(h=0.4, mu=2.0, tau=0.5),
+                 np.geomspace(1e-4, 1.5, 200), id="v_numeric-tau"),
+    pytest.param(cg.v_numeric, cg.OmegaSpec(h=0.3, r=5.0, mu=2.0),
+                 np.geomspace(1e-4, 1.5, 200), id="v_numeric-r"),
+    pytest.param(cg.v_closed_form, cg.OmegaSpec(h=0.3, r=5.0, mu=2.0),
+                 np.geomspace(1e-4, 5.0, 200), id="v_closed_form"),
+    pytest.param(cg.omega_eval, _GAUGE_A, _X, id="omega_eval-A"),
+    pytest.param(cg.omega_eval, _GAUGE_B, _X, id="omega_eval-B"),
+    pytest.param(cg.omega_derivative, _GAUGE_A, _X, id="omega_derivative-A"),
+    pytest.param(cg.omega_derivative, _GAUGE_B, _X, id="omega_derivative-B"),
+    pytest.param(cg.step_size, cg.parse_schedule("power:scale=0.1,h=0.3"),
+                 _T, id="step_size-power"),
+    pytest.param(cg.step_size, cg.parse_schedule("paper-opt:h=0.5,beta=1.0,L=2.0"),
+                 _T, id="step_size-matched"),
+    pytest.param(cg.step_size, cg.parse_schedule("paper-opt:h=0.7,beta=0.3,L=5.0,r=2"),
+                 _T, id="step_size-matched-r"),
+])
+def test_array_matches_scalar_bits(fn, spec, inputs):
+    # a scalar input gets the bits it gets inside an array, so step_size(t)
+    # is the step the engine took at t
+    together = fn(spec, inputs)
+    assert together.shape == inputs.shape
+    one_by_one = np.array([fn(spec, float(x)) for x in inputs])
     assert np.array_equal(together, one_by_one)
 
 
@@ -254,8 +277,8 @@ def test_fit_curvature_exp_cosh_regularizer():
 
 def test_fit_curvature_scale_invariant():
     centers = np.array([[1.0, -0.5], [-1.0, 0.5]])
-    h1 = cg.fit_curvature(cg.QuadraticMeanObjective(1.0, centers))
-    h2 = cg.fit_curvature(cg.QuadraticMeanObjective(10.0, centers))
+    objs = [cg.QuadraticMeanObjective(mu, centers) for mu in (1.0, 10.0)]
+    h1, h2 = (cg.fit_curvature(obj, cg.solve_reference(obj)) for obj in objs)
     assert abs(h1 - h2) <= 0.02
 
 
