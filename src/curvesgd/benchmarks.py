@@ -10,10 +10,12 @@ two are closed-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .objectives import (
+    REGION_RADIUS,
     Dataset,
     LeastSquaresObjective,
     LinearObjective,
@@ -35,7 +37,7 @@ class Benchmark:
     reference: ReferenceSolution
     schedule: ScheduleSpec
     omega: OmegaSpec
-    region_radius: float = 3.0
+    region_radius: ClassVar[float] = REGION_RADIUS
 
 
 def _matched(name: str, objective: Objective, omega: OmegaSpec) -> Benchmark:

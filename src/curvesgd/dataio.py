@@ -169,12 +169,16 @@ def _parse_synth_spec(text: str) -> Dataset:
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError("bad synthetic dataset field %r" % (part,))
-        if key in ("n", "d", "seed"):
-            kwargs[key] = int(value)
-        elif key == "separation":
-            kwargs[key] = float(value)
-        else:
+        parse = {"n": int, "d": int, "seed": int, "separation": float}.get(key)
+        if parse is None:
             raise ValueError("unknown synthetic dataset field %r" % (key,))
+        if key in kwargs:
+            raise ValueError("duplicate synthetic dataset field %r" % (key,))
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ValueError("bad synthetic dataset %s value %r"
+                             % (key, value)) from None
     for required in ("n", "d", "seed"):
         if required not in kwargs:
             raise ValueError("synthetic dataset spec is missing %r" % (required,))
@@ -379,11 +383,10 @@ def results_rows(sweep, run_id: str):
     ))
 
 
-def write_results(sweep, path: str, run_id: str = None) -> ResultTable:
-    """Write one sweep to CSV with the fixed header; ends with a newline."""
-    if run_id is None:
-        run_id = os.path.splitext(os.path.basename(path))[0]
-    rows = results_rows(sweep, run_id)
+def write_results(sweep, path: str) -> ResultTable:
+    """Write one sweep to CSV with the fixed header; ends with a newline.
+    The run column holds the file's stem."""
+    rows = results_rows(sweep, os.path.splitext(os.path.basename(path))[0])
     table = ResultTable(header=RESULT_HEADER, rows=rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

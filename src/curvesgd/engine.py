@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objectives import REGION_RADIUS
 from .schedule import ScheduleSpec, step_size
 
 INDEX_BLOCK = 8192
@@ -32,7 +33,7 @@ class RunConfig:
     seed: int
     iterations: int
     record_stride: int = 1
-    region_radius: float = 3.0
+    region_radius: float = REGION_RADIUS
     w0: np.ndarray = None
     reference: object = None
     keep_iterates: bool = False
@@ -174,7 +175,7 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
     def record(col: int):
         F[:, col] = obj.value_many(W)
         if ref is not None:
-            Y[:, col] = [float(diff @ diff) for diff in W - ref.w_star]
+            Y[:, col] = ref.squared_distance(W)
         if iterates is not None:
             iterates[:, col] = W
 
@@ -254,22 +255,21 @@ class RecurrenceReport:
     first_violation_t: int = -1
 
 
-def recurrence_check(objective, trace: RunTrace, reference,
-                     tol: float = 1e-10,
-                     region_radius: float = 3.0) -> RecurrenceReport:
+def recurrence_check(objective, trace: RunTrace, reference) -> RecurrenceReport:
     """Verify the one-step inequality at every recorded iterate.
 
     At each recorded w_t the conditional expectation of the next squared
     distance is computed exactly as the mean over components of
     ||w_t - eta_t grad f_i(w_t) - w_star||^2 and compared against
-    Y_t - 2 eta_t (1 - eta_t L) E_t + 2 eta_t^2 N + tol. Requires
+    Y_t - 2 eta_t (1 - eta_t L) E_t + 2 eta_t^2 N + 1e-10, with L the
+    objective's smoothness bound on the REGION_RADIUS box. Requires
     eta_t <= 1/L throughout and a trace recorded with keep_iterates. All
     records are checked in one pass, which holds a (records, n, d) array
     of component gradients.
     """
     if trace.iterates is None:
         raise ValueError("trace must be recorded with keep_iterates=True")
-    L = objective.smoothness_bound(region_radius)
+    L = objective.smoothness_bound()
     eta = np.asarray(trace.eta, dtype=float)
     hot = np.flatnonzero(eta > 1.0 / L + 1e-15)
     if hot.size:
@@ -281,7 +281,7 @@ def recurrence_check(objective, trace: RunTrace, reference,
     records, d = W.shape
     n = objective.component_count
     diff = W - reference.w_star
-    Y = np.einsum("ij,ij->i", diff, diff)
+    Y = reference.squared_distance(W)
     E = objective.value_many(W) - reference.f_min
     # every component gradient at every recorded iterate, (records, n, d)
     G = objective.grad_rows(np.tile(np.arange(n), records),
@@ -291,7 +291,7 @@ def recurrence_check(objective, trace: RunTrace, reference,
     bound = Y - 2.0 * eta * (1.0 - eta * L) * E \
         + 2.0 * eta * eta * reference.noise_constant
     margin = bound - expected_next
-    bad = np.flatnonzero(margin < -tol)
+    bad = np.flatnonzero(margin < -1e-10)
     return RecurrenceReport(
         checked=records,
         violations=int(bad.size),

@@ -15,6 +15,10 @@ import numpy as np
 
 REGULARIZERS = ("plain", "norm2", "norm2_squared", "exp_cosh_G")
 
+# the box ||w||_inf <= REGION_RADIUS shared by the default L (so the matched
+# schedules), the engine's region check and fit_curvature's samples
+REGION_RADIUS = 3.0
+
 # (row, component) terms per block of a batched value or gradient: bounds
 # memory and keeps the temporaries in cache
 _BLOCK_TERMS = 1 << 16
@@ -102,6 +106,11 @@ class ReferenceSolution:
     gradient_norm_at_solution: float
     iterations: int = 0
 
+    def squared_distance(self, W) -> np.ndarray:
+        """||W[k] - w_star||^2 for each row k, computed from W[k] alone."""
+        diff = W - self.w_star
+        return np.einsum("ij,ij->i", diff, diff)
+
 
 class Objective:
     """Finite-sum objective F(w) = (1/n) sum_i f_i(w).
@@ -135,7 +144,8 @@ class Objective:
         from idx[k] and W[k] alone."""
         raise NotImplementedError
 
-    def _base_smoothness(self, region_radius: float) -> float:
+    def _base_smoothness(self) -> float:
+        """Bound on the base component Hessian, valid everywhere."""
         raise NotImplementedError
 
     def _base_known_mu(self):
@@ -273,7 +283,7 @@ class Objective:
             mu += self.regularization_weight
         return mu if mu > 0 else None
 
-    def smoothness_bound(self, region_radius: float = 3.0) -> float:
+    def smoothness_bound(self, region_radius: float = REGION_RADIUS) -> float:
         """Upper bound on the per-component Hessian spectral norm.
 
         Valid on the box {w : ||w||_inf <= region_radius}. The exp-cosh
@@ -281,9 +291,7 @@ class Objective:
         """
         if not region_radius > 0:
             raise ValueError("region_radius must be positive")
-        return self._base_smoothness(region_radius) + self._reg_hessian_bound(
-            region_radius
-        )
+        return self._base_smoothness() + self._reg_hessian_bound(region_radius)
 
 
 class LogisticObjective(Objective):
@@ -308,7 +316,7 @@ class LogisticObjective(Objective):
         z = np.einsum("ij,ij->i", yXi, W)
         return -_sigmoid_neg(z)[:, None] * yXi
 
-    def _base_smoothness(self, region_radius):
+    def _base_smoothness(self):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
         return self._max_row_sq / 4.0
 
@@ -332,7 +340,7 @@ class LeastSquaresObjective(Objective):
         r = np.einsum("ij,ij->i", Xi, W) - self.y[idx]
         return (2.0 * r)[:, None] * Xi
 
-    def _base_smoothness(self, region_radius):
+    def _base_smoothness(self):
         return 2.0 * self._max_row_sq
 
 
@@ -357,7 +365,7 @@ class LinearObjective(Objective):
     def _base_grad_rows(self, idx, W):
         return self.C[idx]
 
-    def _base_smoothness(self, region_radius):
+    def _base_smoothness(self):
         return 0.0
 
 
@@ -385,7 +393,7 @@ class QuadraticMeanObjective(Objective):
     def _base_grad_rows(self, idx, W):
         return self.mu * (W - self.centers[idx])
 
-    def _base_smoothness(self, region_radius):
+    def _base_smoothness(self):
         return self.mu
 
     def _base_known_mu(self):
@@ -400,14 +408,12 @@ class CallableObjective(Objective):
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,
-                 regularizer: str = "plain", lam: float = 0.0,
-                 hessian_bound=None):
+                 regularizer: str = "plain", lam: float = 0.0):
         if len(value_fns) != len(grad_fns) or not value_fns:
             raise ValueError("need matching, nonempty value and gradient lists")
         super().__init__(len(value_fns), dimension, regularizer, lam)
         self._values = list(value_fns)
         self._grads = list(grad_fns)
-        self._hessian_bound = hessian_bound
 
     def _base_values(self, W):
         return np.array([[float(f(w)) for f in self._values] for w in W])
@@ -418,27 +424,22 @@ class CallableObjective(Objective):
             out[k] = self._grads[int(idx[k])](W[k])
         return out
 
-    def _base_smoothness(self, region_radius):
-        if self._hessian_bound is None:
-            raise ValueError("no smoothness bound was provided for this objective")
-        if callable(self._hessian_bound):
-            return float(self._hessian_bound(region_radius))
-        return float(self._hessian_bound)
+    def _base_smoothness(self):
+        raise ValueError("a callable objective has no smoothness bound")
 
 
 # a trial point may overflow F or its gradient to inf or NaN, which the
 # isfinite test and the norm comparison reject without numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def solve_reference(objective: Objective, tolerance: float = 1e-10,
-                    max_iterations: int = 10 ** 6, w0=None) -> ReferenceSolution:
-    """Minimize F by full-gradient descent with Armijo backtracking.
+def solve_reference(objective: Objective, max_iterations: int = 10 ** 6,
+                    w0=None) -> ReferenceSolution:
+    """Minimize F by full-gradient descent with Armijo backtracking, to a
+    gradient norm of at most 1e-10.
 
     Deterministic: repeated calls with the same inputs produce bit-identical
     output. The noise constant is the mean of ||grad f_i(w_star)||^2 over
     components.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     d = objective.dimension
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
     fw = objective.value(w)
@@ -449,7 +450,7 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10,
     for iterations in range(max_iterations + 1):
         g = objective.gradient(w)
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= tolerance:
+        if grad_norm <= 1e-10:
             break
         gg = grad_norm * grad_norm
         step = min(step * 2.0, 1e12)

@@ -20,9 +20,11 @@ derive
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .objectives import REGION_RADIUS
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,8 @@ def c_alpha(spec: OmegaSpec, alpha: float) -> float:
     return 1.0 + (2.0 ** h - 1.0) / (0.5 * spec.mu * h * spec.tau * ratio_pow + 1.0)
 
 
-def c_alpha_brute(spec: OmegaSpec, alpha: float, grid_points: int = 4000) -> float:
-    """Brute-force doubling constant on a log grid.
+def c_alpha_brute(spec: OmegaSpec, alpha: float) -> float:
+    """Brute-force doubling constant on a log grid of 4000 points.
 
     Evaluates sup over e >= alpha of inf over x in [alpha, e] of
     omega(2x)/omega(x), with alpha included in the grid exactly.
@@ -160,7 +162,7 @@ def c_alpha_brute(spec: OmegaSpec, alpha: float, grid_points: int = 4000) -> flo
         e_max = 1e4 * alpha
     else:
         e_max = max(10.0 * spec.r, 4.0 * alpha)
-    grid = np.geomspace(alpha, e_max, grid_points)
+    grid = np.geomspace(alpha, e_max, 4000)
     grid[0] = alpha
     ratios = omega_eval(spec, 2.0 * grid) / omega_eval(spec, grid)
     inner = np.minimum.accumulate(ratios)
@@ -204,7 +206,7 @@ class DeltaEstimate:
     rho_values: np.ndarray
     delta_values: np.ndarray
     fitted_h: float
-    band_counts: np.ndarray = field(default=None)
+    band_counts: np.ndarray
 
 
 def _upper_concave_majorant(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -235,7 +237,7 @@ def _upper_concave_majorant(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(vals)
 
 
-def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray, min_points: int = 8) -> float:
+def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray) -> float:
     good = np.isfinite(delta) & (delta > 0.0) & (eps > 0.0)
     if np.count_nonzero(good) < 2:
         return math.nan
@@ -245,7 +247,7 @@ def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray, min_points: int = 
     span = 10.0
     for _ in range(12):
         mask = e <= lo * span * (1.0 + 1e-12)
-        if np.count_nonzero(mask) >= min_points or np.all(mask):
+        if np.count_nonzero(mask) >= 8 or np.all(mask):
             break
         span *= 10.0
     slope = np.polyfit(np.log(e[mask]), np.log(d[mask]), 1)[0]
@@ -253,12 +255,11 @@ def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray, min_points: int = 
 
 
 def estimate_delta(gap: GapFunctions, sample_region, grid=None,
-                   n_samples: int = 100_000, band_rel: float = 0.02,
-                   seed: int = 0) -> DeltaEstimate:
+                   n_samples: int = 100_000, seed: int = 0) -> DeltaEstimate:
     """Empirical gap-to-distance majorant.
 
     Samples w uniformly over the box ``sample_region = (low, high)``, bins
-    the samples into relative bands |a(w) - eps| <= band_rel * eps around
+    the samples into relative bands |a(w) - eps| <= 0.02 eps around
     each grid value, records the per-band maximum of b(w), and returns the
     least concave nondecreasing majorant of those maxima. Empty bands are
     reported (NaN rho, zero count), not fatal.
@@ -285,9 +286,9 @@ def estimate_delta(gap: GapFunctions, sample_region, grid=None,
     counts = np.zeros(grid.size, dtype=int)
     dev, mask = np.empty_like(av), np.empty(av.shape, dtype=bool)
     for k, eps in enumerate(grid):
-        # |av - eps| <= band_rel * eps, in buffers reused across bands
+        # |av - eps| <= 0.02 eps, in buffers reused across bands
         np.abs(np.subtract(av, eps, out=dev), out=dev)
-        np.less_equal(dev, band_rel * eps, out=mask)
+        np.less_equal(dev, 0.02 * eps, out=mask)
         counts[k] = int(np.count_nonzero(mask))
         if counts[k]:
             rho[k] = float(bv[mask].max())
@@ -306,20 +307,15 @@ def fit_curvature(objective, reference, seed: int = 0) -> float:
     """Estimate the curvature exponent h of an objective, clamped to [0, 1].
 
     The gaps F(w) - F_min and ||w - w_star||^2 are measured against the
-    given reference, at 100,000 points drawn from the box [-3, 3]^d. The
+    given reference, at 100,000 points drawn from the REGION_RADIUS box. The
     estimate is the log-log slope of the empirical delta majorant near
     zero, so delta(eps) ~ eps^h by construction: a strongly convex quadratic
     yields h near 1, a quartic-bottomed objective h near 1/2. The slope is
     invariant under rescaling of the objective, up to sampling noise.
     """
-    w_star, f_min = reference.w_star, reference.f_min
-
-    def b(W):
-        diff = W - w_star
-        return np.einsum("ij,ij->i", diff, diff)
-
-    gap = GapFunctions(a=lambda W: objective.value_many(W) - f_min, b=b)
-    box = 3.0 * np.ones(objective.dimension)
+    gap = GapFunctions(a=lambda W: objective.value_many(W) - reference.f_min,
+                       b=reference.squared_distance)
+    box = REGION_RADIUS * np.ones(objective.dimension)
     est = estimate_delta(gap, (-box, box), seed=seed)
     if math.isnan(est.fitted_h):
         raise ValueError("curvature fit failed: empty delta profile")

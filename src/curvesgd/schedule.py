@@ -217,17 +217,17 @@ def c_bar(spec: ScheduleSpec, t: float) -> float:
     return spec.envelope_constant * (t + spec.delta) ** (-p)
 
 
-def exp_neg_M(spec: ScheduleSpec, t: float, v=None) -> float:
+def exp_neg_M(spec: ScheduleSpec, t: float) -> float:
     """exp(-M(t))."""
-    return math.exp(-M_of_t(spec, t, v=v))
+    return math.exp(-M_of_t(spec, t))
 
 
-def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> float:
+def ode_residual(spec: ScheduleSpec, t: float) -> float:
     """Residual C_bar(t) - 2 sqrt(-C_bar') / v(sqrt(-C_bar')) at time t.
 
     Also asserts that sqrt(-C_bar'(t)) reproduces the schedule's own step
-    size to relative tolerance eta_match_tol; a mismatch means the envelope
-    constant is inconsistent with the schedule and raises.
+    size to a relative 1e-10; a mismatch means the envelope constant is
+    inconsistent with the schedule and raises ArithmeticError.
     """
     step = step_size(spec, t)  # raises for t < 0
     # sqrt(-C_bar'(t)) from the analytic derivative of the envelope, whose
@@ -235,7 +235,7 @@ def ode_residual(spec: ScheduleSpec, t: float, eta_match_tol: float = 1e-10) -> 
     p = spec.h / (2.0 - spec.h)
     n_hat = math.sqrt(spec.envelope_constant * p) \
         * (t + spec.delta) ** (-1.0 / (2.0 - spec.h))
-    if abs(n_hat - step) > eta_match_tol * step:
+    if abs(n_hat - step) > 1e-10 * step:
         raise ArithmeticError(
             "sqrt(-C_bar') = %.17g disagrees with eta_t = %.17g" % (n_hat, step)
         )

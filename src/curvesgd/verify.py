@@ -2,8 +2,9 @@
 
 Every check is hermetic (synthetic data only, fixed seeds) and returns a
 CheckResult instead of raising, so the CLI can print one pass/fail line
-per check and exit nonzero if any failed. The same functions back the
-acceptance tests, which pin the sample sizes and tolerances.
+per check and exit nonzero if any failed. Each check fixes its seed and
+tolerance, stated in its docstring; the acceptance tests run the checks
+at their default sample sizes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .benchmarks import quadratic_mean_problem
 from .dataio import synthesize_dataset
 from .engine import RunConfig, recurrence_check, sgd_run
 from .objectives import (
+    REGION_RADIUS,
     LeastSquaresObjective,
     LinearObjective,
     LogisticObjective,
@@ -52,17 +54,20 @@ def _timed(name, passed, detail, started):
     return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
 
 
-def check_g_inequality(pairs_per_dim: int = 100_000, dims=(1, 2, 5, 10),
-                       radius: float = 3.0, slack: float = 1e-12,
-                       seed: int = 0) -> CheckResult:
-    """G(w) - G(w') - <grad G(w'), w - w'> >= ||w - w'||^4 / (36 d)."""
+def _pairs(rng, pairs: int, d: int):
+    """W, then W', each (pairs, d) and uniform on the REGION_RADIUS box."""
+    return rng.uniform(-REGION_RADIUS, REGION_RADIUS, size=(2, pairs, d))
+
+
+def check_g_inequality(pairs_per_dim: int = 100_000) -> CheckResult:
+    """G(w) - G(w') - <grad G(w'), w - w'> >= ||w - w'||^4 / (36 d) in
+    d = 1, 2, 5 and 10, up to a slack of 1e-12; seed 0."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = math.inf
     violations = 0
-    for d in dims:
-        W = rng.uniform(-radius, radius, size=(pairs_per_dim, d))
-        Wp = rng.uniform(-radius, radius, size=(pairs_per_dim, d))
+    for d in (1, 2, 5, 10):
+        W, Wp = _pairs(rng, pairs_per_dim, d)
         diff = W - Wp
         gap = (
             regularizer_G_value(W)
@@ -72,7 +77,7 @@ def check_g_inequality(pairs_per_dim: int = 100_000, dims=(1, 2, 5, 10),
         quartic = np.einsum("ij,ij->i", diff, diff) ** 2 / (36.0 * d)
         margin = gap - quartic
         worst = min(worst, float(margin.min()))
-        violations += int(np.count_nonzero(margin < -slack))
+        violations += int(np.count_nonzero(margin < -1e-12))
     detail = "%d pairs/dim, worst margin %.3g, %d violations" % (
         pairs_per_dim, worst, violations,
     )
@@ -91,58 +96,54 @@ def _smooth_component_objectives():
     ]
 
 
-def check_co_coercivity(pairs: int = 10_000, radius: float = 3.0,
-                        slack: float = 1e-10, seed: int = 1) -> CheckResult:
-    """||g(w) - g(w')||^2 <= L <g(w) - g(w'), w - w'> per smooth component."""
+def check_co_coercivity(pairs: int = 10_000) -> CheckResult:
+    """||g(w) - g(w')||^2 <= L <g(w) - g(w'), w - w'> per smooth component,
+    up to a slack of 1e-10; seed 1."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     objectives = _smooth_component_objectives()
     violations = 0
     worst = math.inf
     for label, obj in objectives:
-        L = obj.smoothness_bound(radius)
-        d = obj.dimension
-        W = rng.uniform(-radius, radius, size=(pairs, d))
-        Wp = rng.uniform(-radius, radius, size=(pairs, d))
+        L = obj.smoothness_bound()
+        W, Wp = _pairs(rng, pairs, obj.dimension)
         comps = rng.integers(0, obj.component_count, size=pairs)
         dg = obj.grad_rows(comps, W) - obj.grad_rows(comps, Wp)
         margin = (L * np.einsum("ij,ij->i", dg, W - Wp)
                   - np.einsum("ij,ij->i", dg, dg))
         worst = min(worst, float(margin.min(initial=math.inf)))
-        violations += int(np.count_nonzero(margin < -slack))
+        violations += int(np.count_nonzero(margin < -1e-10))
     detail = "%d pairs x %d objectives, worst margin %.3g" % (
         pairs, len(objectives), worst,
     )
     return _timed("co_coercivity", violations == 0, detail, started)
 
 
-def check_convexity(pairs: int = 10_000, radius: float = 3.0,
-                    slack: float = 1e-10, seed: int = 2) -> CheckResult:
-    """f_i(w) - f_i(w') >= <grad f_i(w'), w - w'> on random pairs."""
+def check_convexity(pairs: int = 10_000) -> CheckResult:
+    """f_i(w) - f_i(w') >= <grad f_i(w'), w - w'> on random pairs, up to a
+    slack of 1e-10; seed 2."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     objectives = _smooth_component_objectives()
     blobs = synthesize_dataset(40, 5, seed=21, kind="blobs")
     objectives.append(("logistic+norm", LogisticObjective(blobs, "norm2", 1e-3)))
     violations = 0
     worst = math.inf
     for label, obj in objectives:
-        d = obj.dimension
-        W = rng.uniform(-radius, radius, size=(pairs, d))
-        Wp = rng.uniform(-radius, radius, size=(pairs, d))
+        W, Wp = _pairs(rng, pairs, obj.dimension)
         comps = rng.integers(0, obj.component_count, size=pairs)
         margin = (obj.value_rows(comps, W) - obj.value_rows(comps, Wp)
                   - np.einsum("ij,ij->i", obj.grad_rows(comps, Wp), W - Wp))
         worst = min(worst, float(margin.min(initial=math.inf)))
-        violations += int(np.count_nonzero(margin < -slack))
+        violations += int(np.count_nonzero(margin < -1e-10))
     detail = "%d pairs x %d objectives, worst margin %.3g" % (
         pairs, len(objectives), worst,
     )
     return _timed("convexity", violations == 0, detail, started)
 
 
-def check_v_agreement(eta_points: int = 20, rel_tol: float = 1e-8) -> CheckResult:
-    """Closed-form v against bisection inversion of the step map."""
+def check_v_agreement(eta_points: int = 20) -> CheckResult:
+    """Closed-form v against bisection of the step map, to a relative 1e-8."""
     started = time.perf_counter()
     worst = 0.0
     for h, mu, r in itertools.product(np.arange(0.1, 0.95, 0.1),
@@ -156,13 +157,13 @@ def check_v_agreement(eta_points: int = 20, rel_tol: float = 1e-8) -> CheckResul
         b = v_numeric(spec, etas)
         worst = max(worst, float(np.max(np.abs(a - b) / np.abs(a))))
     detail = "worst relative error %.3g" % worst
-    return _timed("v_agreement", worst <= rel_tol, detail, started)
+    return _timed("v_agreement", worst <= 1e-8, detail, started)
 
 
-def check_c_alpha(samples: int = 50, tol: float = 1e-4, seed: int = 3) -> CheckResult:
-    """Closed-form doubling constant against the grid inf/sup."""
+def check_c_alpha(samples: int = 50) -> CheckResult:
+    """Closed-form doubling constant against the grid, to 1e-4; seed 3."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
     for k in range(samples):
         h = float(rng.uniform(0.05, 1.0))
@@ -177,12 +178,12 @@ def check_c_alpha(samples: int = 50, tol: float = 1e-4, seed: int = 3) -> CheckR
         diff = abs(c_alpha(spec, alpha) - c_alpha_brute(spec, alpha))
         worst = max(worst, diff)
     detail = "%d samples, worst |closed - brute| = %.3g" % (samples, worst)
-    return _timed("c_alpha", worst <= tol, detail, started)
+    return _timed("c_alpha", worst <= 1e-4, detail, started)
 
 
-def check_ode_residual(rel_tol: float = 1e-9,
-                       eta_tol: float = 1e-10) -> CheckResult:
-    """The closed-form envelope solves its step-size ODE."""
+def check_ode_residual() -> CheckResult:
+    """The closed-form envelope solves its step-size ODE to a relative
+    1e-9 (and ode_residual matches its steps to a relative 1e-10)."""
     started = time.perf_counter()
     worst = 0.0
     try:
@@ -190,18 +191,18 @@ def check_ode_residual(rel_tol: float = 1e-9,
             for beta, L in ((0.5, 1.0), (1.0, 2.0), (5.0, 10.0)):
                 spec = ScheduleSpec.curvature_matched(h=h, beta=beta, L=L)
                 for t in (1.0, 10.0, 1e3):
-                    res = ode_residual(spec, t, eta_match_tol=eta_tol)
+                    res = ode_residual(spec, t)
                     worst = max(worst, abs(res) / c_bar(spec, t))
     except ArithmeticError as err:
         return _timed("ode_residual", False, str(err), started)
     detail = "worst relative residual %.3g" % worst
-    return _timed("ode_residual", worst <= rel_tol, detail, started)
+    return _timed("ode_residual", worst <= 1e-9, detail, started)
 
 
-def check_envelope_dominance(m_tol: float = 1e-6,
-                             t_grid=(1.0, 10.0, 1e2, 1e3, 1e4)) -> CheckResult:
+def check_envelope_dominance(t_grid=(1.0, 10.0, 1e2, 1e3, 1e4)) -> CheckResult:
     """Quadrature C(t) never exceeds the closed-form envelope, and the
-    quadrature route for M agrees with the closed form."""
+    quadrature route for M agrees with the closed form to an absolute
+    1e-6."""
     started = time.perf_counter()
     worst_gap = -math.inf
     worst_m = 0.0
@@ -214,15 +215,15 @@ def check_envelope_dominance(m_tol: float = 1e-6,
             m_closed = M_of_t(spec, t)
             m_quad = M_of_t(spec, t, quadrature=True)
             worst_m = max(worst_m, abs(m_closed - m_quad))
-    passed = worst_gap <= 0.0 and worst_m <= m_tol
+    passed = worst_gap <= 0.0 and worst_m <= 1e-6
     detail = "max C - C_bar = %.3g, max |M_quad - M_closed| = %.3g" % (
         worst_gap, worst_m,
     )
     return _timed("envelope_dominance", passed, detail, started)
 
 
-def check_recurrence(steps: int = 10_000, tol: float = 1e-10) -> CheckResult:
-    """Exact one-step descent inequality along a real SGD trajectory."""
+def check_recurrence(steps: int = 10_000) -> CheckResult:
+    """Exact one-step descent inequality along an SGD run, to 1e-10; seed 5."""
     started = time.perf_counter()
     bench = quadratic_mean_problem()
     config = RunConfig(
@@ -231,16 +232,12 @@ def check_recurrence(steps: int = 10_000, tol: float = 1e-10) -> CheckResult:
         seed=5,
         iterations=steps,
         record_stride=1,
-        region_radius=bench.region_radius,
         w0=np.ones(bench.objective.dimension),
         reference=bench.reference,
         keep_iterates=True,
     )
     trace = sgd_run(config)
-    report = recurrence_check(
-        bench.objective, trace, bench.reference, tol=tol,
-        region_radius=bench.region_radius,
-    )
+    report = recurrence_check(bench.objective, trace, bench.reference)
     detail = "%d iterates checked, %d violations, worst margin %.3g" % (
         report.checked, report.violations, report.worst_margin,
     )

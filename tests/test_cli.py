@@ -1,11 +1,13 @@
 """Command-line interface tests, run in process against cli.main."""
 
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 import curvesgd as cg
+from curvesgd import verify
 from curvesgd.cli import main
 
 
@@ -95,6 +97,14 @@ def test_verify_quick_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("pass") >= 8
+
+
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
+def test_checks_take_only_their_quick_sizes(name):
+    # seeds and tolerances are fixed inside each check; a caller sets only
+    # the sample sizes that --quick shrinks
+    params = inspect.signature(getattr(verify, "check_" + name)).parameters
+    assert set(params) == set(verify.QUICK_SIZES.get(name, {}))
 
 
 def test_run_writes_results(tmp_path, capsys):

@@ -444,7 +444,7 @@ def test_recurrence_check_reports_violations_like_the_loop():
                        iterations=300, record_stride=1, reference=b.reference,
                        w0=np.ones(b.objective.dimension), keep_iterates=True)
     trace = cg.sgd_run(cfg)
-    report = cg.recurrence_check(b.objective, trace, noiseless, tol=1e-10)
+    report = cg.recurrence_check(b.objective, trace, noiseless)
     assert report.checked == 301
     assert report.violations > 0
     violations, first_t, worst = _recurrence_loop(

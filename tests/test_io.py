@@ -137,6 +137,18 @@ def test_load_dataset_synth_spec():
         dataio.load_dataset("synth:blobs,n=40")  # missing required fields
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("synth:blobs,n=20,d=3,seed=1,n=30", "duplicate synthetic dataset field 'n'"),
+    ("synth:blobs,n=abc,d=3,seed=1", "bad synthetic dataset n value 'abc'"),
+    ("synth:blobs,n=20,d=3,seed=1,separation=far",
+     "bad synthetic dataset separation value 'far'"),
+])
+def test_synth_spec_rejects_a_repeated_or_unparsable_field(spec, message):
+    with pytest.raises(ValueError) as err:
+        dataio.load_dataset(spec)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # runfiles
 

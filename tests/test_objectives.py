@@ -227,6 +227,15 @@ def test_solve_reference_certifies_benchmark(name):
         assert ref.noise_constant == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(cg.benchmarks.BENCHMARKS))
+def test_benchmark_schedule_and_run_share_the_one_box(name):
+    b = cg.load_benchmark(name)
+    config = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
+                          iterations=1)
+    assert b.region_radius == objectives.REGION_RADIUS == config.region_radius
+    assert b.schedule.L == b.objective.smoothness_bound(b.region_radius)
+
+
 def test_solve_reference_reports_divergence():
     # gradient never shrinks on an unbounded linear slope
     obj = cg.LinearObjective(np.array([[-10.0]]))
@@ -253,6 +262,8 @@ def test_callable_objective_wraps_functions():
     w = np.array([0.5])
     assert obj.value(w) == pytest.approx(0.0625)
     assert obj.gradient(w)[0] == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        obj.smoothness_bound()
 
 
 OBJECTIVE_KINDS = ("logistic", "least_squares", "linear", "quadratic_mean",
