@@ -12,8 +12,8 @@ import math
 import os
 import sys
 
-from .dataio import (build_objective, execute_runfile, read_runfile,
-                     resolve_reference)
+from .dataio import (build_objective, execute_runfile, parse_seed,
+                     read_runfile, resolve_reference)
 from .engine import EngineError
 from .omega import fit_curvature
 from .schedule import (
@@ -110,8 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative, got seed %d" % args.seed)
+    parse_seed(args.seed)
     config = read_runfile(args.runfile)
     objective, _ = build_objective(config)
     reference = resolve_reference(objective)

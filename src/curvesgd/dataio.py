@@ -24,7 +24,7 @@ from .objectives import (
     LogisticObjective,
     solve_reference,
 )
-from .schedule import parse_schedule
+from .schedule import comma_entries, parse_fields, parse_schedule
 
 RESULT_HEADER = ("run", "seed", "epoch", "t", "eta", "F", "E", "Y", "smoothed_F")
 
@@ -158,38 +158,39 @@ def synthesize_dataset(n: int, d: int, seed: int, kind: str,
     raise ValueError("unknown synthetic kind %r (blobs or linear)" % (kind,))
 
 
-def _parse_synth_spec(text: str) -> Dataset:
-    body = text[len("synth:"):]
-    parts = [p for p in body.split(",") if p]
-    if not parts:
-        raise ValueError("synthetic dataset spec needs a kind, e.g. synth:blobs,...")
-    kind = parts[0]
-    kwargs = {}
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError("bad synthetic dataset field %r" % (part,))
-        parse = {"n": int, "d": int, "seed": int, "separation": float}.get(key)
-        if parse is None:
-            raise ValueError("unknown synthetic dataset field %r" % (key,))
-        if key in kwargs:
-            raise ValueError("duplicate synthetic dataset field %r" % (key,))
-        try:
-            kwargs[key] = parse(value)
-        except ValueError:
-            raise ValueError("bad synthetic dataset %s value %r"
-                             % (key, value)) from None
-    for required in ("n", "d", "seed"):
-        if required not in kwargs:
-            raise ValueError("synthetic dataset spec is missing %r" % (required,))
-    return synthesize_dataset(kind=kind, **kwargs)
+def parse_seed(value) -> int:
+    """The one seed rule: a seed (an int or its text) is nonnegative."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("seed %d must be nonnegative" % seed)
+    return seed
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+# synth: spec field -> value parser; separation is optional
+SYNTH_FIELDS = {"n": int, "d": int, "seed": parse_seed, "separation": _finite}
 
 
 def load_dataset(source: str) -> Dataset:
-    """Resolve a dataset field: `synth:...` spec, URL, or local path."""
-    if source.startswith("synth:"):
-        return _parse_synth_spec(source)
-    return load_libsvm(source)
+    """Resolve a dataset field: a LIBSVM path or URL, or a
+    `synth:<kind>,n=..,d=..,seed=..[,separation=..]` spec, whose kind comes
+    first and is checked before any field is parsed."""
+    if not source.startswith("synth:"):
+        return load_libsvm(source)
+    kind, _, body = source[len("synth:"):].partition(",")
+    where = "synth spec %r" % (source,)
+    if kind.strip() not in ("blobs", "linear"):
+        raise ValueError("%s must name its kind first (blobs or linear), "
+                         "got %r" % (where, kind))
+    fields = parse_fields(comma_entries(body, where), SYNTH_FIELDS, where,
+                          optional=("separation",))
+    return synthesize_dataset(kind=kind.strip(), **fields)
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +224,11 @@ class RunFileConfig:
             raise ValueError("stride must be at least 1")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
-        _check_seeds(self.seeds)
+        for k, seed in enumerate(self.seeds):
+            if parse_seed(seed) in self.seeds[:k]:
+                raise ValueError("seeds must be distinct, got seed %d twice" % seed)
+        if not os.path.basename(self.out):
+            raise ValueError("out must name the output file, got %r" % self.out)
         for entry in self.schedule_list():
             parse_schedule(entry)  # validate eagerly, errors carry the text
 
@@ -235,16 +240,8 @@ class RunFileConfig:
         return entries
 
 
-def _check_seeds(seeds: tuple) -> tuple:
-    """The seed rule of RunFileConfig, which the runfile parser applies
-    too, so that its error names the line."""
-    if seeds and min(seeds) < 0:
-        raise ValueError("seeds must be nonnegative, got seed %d" % min(seeds))
-    return seeds
-
-
 def _parse_seeds(text: str) -> tuple:
-    return _check_seeds(tuple(int(s) for s in text.split(",") if s.strip()))
+    return tuple(parse_seed(s) for s in text.split(",") if s.strip())
 
 
 # runfile key -> (RunFileConfig field, parser of the value text), in the
@@ -262,8 +259,10 @@ RUNFILE_FIELDS = {
 
 
 def parse_runfile(text: str) -> RunFileConfig:
-    """Parse `key = value` lines; '#' comments and blank lines are skipped."""
-    lines = {}
+    """Parse `key = value` lines; '#' comments and blank lines are skipped.
+    The lines walk RUNFILE_FIELDS through parse_fields, each error after
+    `line N: `; range checks are RunFileConfig's."""
+    entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -271,24 +270,11 @@ def parse_runfile(text: str) -> RunFileConfig:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ValueError("line %d: expected key = value" % line_no)
-        key = key.strip()
-        if key not in RUNFILE_FIELDS:
-            raise ValueError("line %d: unknown runfile key %r" % (line_no, key))
-        if key in lines:
-            raise ValueError("line %d: duplicate key %r" % (line_no, key))
-        lines[key] = (line_no, value.strip())
-
-    values = {}
-    for key, (field, parse) in RUNFILE_FIELDS.items():
-        if key not in lines:
-            raise ValueError("runfile is missing required key %r" % (key,))
-        line_no, value = lines[key]
-        try:
-            values[field] = parse(value)
-        except ValueError as err:
-            raise ValueError("line %d: bad %s value %r: %s"
-                             % (line_no, key, value, err))
-    return RunFileConfig(**values)
+        entries.append(("line %d: " % line_no, key.strip(), value.strip()))
+    values = parse_fields(entries, {key: parse for key, (_, parse)
+                                    in RUNFILE_FIELDS.items()}, "runfile")
+    return RunFileConfig(**{RUNFILE_FIELDS[key][0]: value
+                            for key, value in values.items()})
 
 
 def format_runfile(config: RunFileConfig) -> str:

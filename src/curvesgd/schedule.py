@@ -265,68 +265,80 @@ def rate_bound_constants(spec: ScheduleSpec, noise_constant: float,
 # ---------------------------------------------------------------------------
 # text form
 
-_MATCHED_TAG = "paper-opt"
+def parse_fields(entries, table, context: str, optional=()) -> dict:
+    """The one key=value rule, shared by schedule text, `synth:` specs and
+    runfiles: walk (prefix, key, text) entries against table (key -> value
+    parser) and return key -> value. An unknown, repeated or unparsable key
+    raises ValueError naming it after its entry's prefix (`line N: `, say);
+    a key missing from entries, unless optional, is named after context."""
+    values = {}
+    for prefix, key, text in entries:
+        if key not in table:
+            raise ValueError("%sunknown key %r (expected %s)"
+                             % (prefix, key, ", ".join(table)))
+        if key in values:
+            raise ValueError("%sduplicate key %r" % (prefix, key))
+        try:
+            values[key] = table[key](text)
+        except ValueError as err:
+            raise ValueError("%sbad %s value %r: %s"
+                             % (prefix, key, text, err)) from None
+    for key in table:
+        if key not in values and key not in optional:
+            raise ValueError("%s is missing key %r" % (context, key))
+    return values
+
+
+def comma_entries(body: str, context: str) -> list:
+    """parse_fields entries of a `k=v,k=v` body, each prefixed by
+    `<context>: `; blank items are skipped."""
+    entries = []
+    for item in filter(None, map(str.strip, body.split(","))):
+        key, sep, text = item.partition("=")
+        if not sep:
+            raise ValueError("%s: expected key=value, got %r" % (context, item))
+        entries.append((context + ": ", key.strip(), text.strip()))
+    return entries
+
+
+# schedule kind -> (text tag, fields in text order, named as in the kind's
+# constructor); a const: body is the bare step, not eta=<step>
+SCHEDULE_TEXT = {
+    "constant": ("const", ("eta",)),
+    "power_law": ("power", ("scale", "h")),
+    "curvature_matched": ("paper-opt", ("h", "beta", "L", "r")),
+}
 
 
 def format_schedule(spec: ScheduleSpec) -> str:
     """Canonical text form; floats use repr so parsing is bit-exact."""
+    tag, fields = SCHEDULE_TEXT[spec.kind]
     if spec.kind == "constant":
-        return "const:%r" % (spec.eta0,)
-    if spec.kind == "power_law":
-        return "power:scale=%r,h=%r" % (spec.scale, spec.h)
-    r_text = "inf" if math.isinf(spec.r) else repr(spec.r)
-    return "%s:h=%r,beta=%r,L=%r,r=%s" % (_MATCHED_TAG, spec.h, spec.beta,
-                                          spec.L, r_text)
+        return "%s:%r" % (tag, spec.eta0)
+    return "%s:%s" % (tag, ",".join("%s=%r" % (field, getattr(spec, field))
+                                    for field in fields))
 
 
 def parse_schedule(text: str) -> ScheduleSpec:
-    """Parse the compact text form:
+    """Parse the compact text form `<tag>:<fields>` of SCHEDULE_TEXT:
 
     const:0.01
     power:scale=0.1,h=0.25
-    paper-opt:h=0.5,beta=1.0,L=2.0,r=inf
+    paper-opt:h=0.5,beta=1.0,L=2.0,r=inf   (r is optional, default inf)
+
+    Fields go through parse_fields after `schedule '<text>'`; the
+    constructor of the tag's kind checks their ranges.
     """
     text = text.strip()
-    if ":" not in text:
-        raise ValueError("schedule %r: expected kind:params" % (text,))
-    kind, _, body = text.partition(":")
-    kind = kind.strip()
-    if kind == "const":
-        return ScheduleSpec.constant(_parse_float(body, "const step"))
-    if kind == "power":
-        params = _parse_kv(body, ("scale", "h"))
-        return ScheduleSpec.power_law(params["scale"], params["h"])
-    if kind == _MATCHED_TAG:
-        params = _parse_kv(body, ("h", "beta", "L", "r"), optional=("r",))
-        return ScheduleSpec.curvature_matched(
-            params["h"], params["beta"], params["L"],
-            params.get("r", math.inf))
-    raise ValueError("schedule %r: unknown kind %r" % (text, kind))
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ValueError("could not parse %s from %r" % (what, text)) from None
-
-
-def _parse_kv(body: str, keys, optional=()) -> dict:
-    out = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError("expected key=value, got %r" % (part,))
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ValueError("unknown schedule parameter %r" % (key,))
-        if key in out:
-            raise ValueError("duplicate schedule parameter %r" % (key,))
-        out[key] = _parse_float(val, key)
-    for key in keys:
-        if key not in out and key not in optional:
-            raise ValueError("missing schedule parameter %r" % (key,))
-    return out
+    where = "schedule %r" % (text,)
+    tag, _, body = text.partition(":")
+    kind = {t: k for k, (t, _) in SCHEDULE_TEXT.items()}.get(tag.strip())
+    if kind is None:
+        raise ValueError("%s: unknown kind %r" % (where, tag.strip()))
+    if kind == "constant":
+        entries = [(where + ": ", "eta", body.strip())]
+    else:
+        entries = comma_entries(body, where)
+    values = parse_fields(entries, dict.fromkeys(SCHEDULE_TEXT[kind][1], float),
+                          where, optional=("r",))
+    return getattr(ScheduleSpec, kind)(**values)

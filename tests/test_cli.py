@@ -184,6 +184,32 @@ def test_negative_seed_exits_two_naming_the_seed(tmp_path, capsys, command,
     assert not (tmp_path / "res.csv").exists()
 
 
+@pytest.mark.parametrize("dataset, named", [
+    ("synth:n=20,d=3,seed=1", "must name its kind first (blobs or linear)"),
+    ("synth:linear,n=20,d=3,seed=-1", "bad seed value '-1'"),
+    ("synth:blobs,n=20,d=3,seed=1,separation=nan", "bad separation value 'nan'"),
+    ("synth:blobs,n=20,d=3,seed=1,separation=inf", "bad separation value 'inf'"),
+])
+def test_bad_synth_spec_exits_two_naming_the_field(tmp_path, capsys, dataset,
+                                                   named):
+    text = BASE_RUNFILE.replace("synth:linear,n=20,d=3,seed=4", dataset)
+    assert main(["run", write_runfile(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth spec %r" % dataset) and named in err
+
+
+@pytest.mark.parametrize("out", ["", "sub/"])
+def test_out_without_a_file_name_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                              out):
+    # both used to write a hidden `.csv`, next to the runfile or in sub/
+    (tmp_path / "sub").mkdir()
+    text = BASE_RUNFILE.replace("out = res.csv", "out = " + out)
+    assert main(["run", write_runfile(tmp_path, text)]) == 2
+    assert "out must name the output file, got %r" % out in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["job.run", "sub"]
+    assert os.listdir(tmp_path / "sub") == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_dataset_exits_two(tmp_path, capsys):
     data = tmp_path / "bad.svm"

@@ -138,15 +138,16 @@ def test_load_dataset_synth_spec():
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("synth:blobs,n=20,d=3,seed=1,n=30", "duplicate synthetic dataset field 'n'"),
-    ("synth:blobs,n=abc,d=3,seed=1", "bad synthetic dataset n value 'abc'"),
+    ("synth:blobs,n=20,d=3,seed=1,n=30", "duplicate key 'n'"),
+    ("synth:blobs,n=abc,d=3,seed=1",
+     "bad n value 'abc': invalid literal for int() with base 10: 'abc'"),
     ("synth:blobs,n=20,d=3,seed=1,separation=far",
-     "bad synthetic dataset separation value 'far'"),
+     "bad separation value 'far': could not convert string to float: 'far'"),
 ])
 def test_synth_spec_rejects_a_repeated_or_unparsable_field(spec, message):
     with pytest.raises(ValueError) as err:
         dataio.load_dataset(spec)
-    assert str(err.value) == message
+    assert str(err.value) == "synth spec %r: %s" % (spec, message)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +187,10 @@ runfiles = st.builds(
     cg.RunFileConfig,
     dataset=field_text,
     schedule=schedule_text,
-    seeds=st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=5).map(tuple),
+    seeds=st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=5,
+                   unique=True).map(tuple),
     epochs=st.integers(1, 10 ** 6),
-    out=field_text,
+    out=field_text.filter(os.path.basename),
     variant=st.sampled_from(dataio.REGULARIZERS),
     lam=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     stride=st.integers(1, 10 ** 6),
@@ -207,6 +209,13 @@ def test_parse_runfile_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ValueError) as err:
         cg.parse_runfile(RUNFILE_TEXT + "epochs = 3\n")
     assert "duplicate" in str(err.value).lower()
+
+
+def test_parse_runfile_rejects_a_repeated_seed():
+    # each seed is an independent run, so a repeat would duplicate rows
+    with pytest.raises(ValueError) as err:
+        cg.parse_runfile(RUNFILE_TEXT.replace("seeds = 0,1,2", "seeds = 0,1,0"))
+    assert str(err.value) == "seeds must be distinct, got seed 0 twice"
 
 
 def test_parse_runfile_requires_core_keys():
@@ -232,6 +241,50 @@ def test_parse_runfile_bad_value_names_line_and_key(key, value):
     with pytest.raises(ValueError) as err:
         cg.parse_runfile("\n".join(lines))
     assert str(err.value).startswith("line %d: bad %s value" % (line_no, key))
+
+
+SCHEDULE_TEXT = "power:scale=0.1,h=0.25"
+SYNTH_TEXT = "synth:blobs,n=20,d=3,seed=1"
+
+# grammar -> (parser, {error: (text, key named, runfile line or None)});
+# RUNFILE_TEXT has its last key on line 10
+FIELD_ERRORS = {
+    "schedule": (cg.parse_schedule, {
+        "unknown": (SCHEDULE_TEXT + ",q=2", "q", None),
+        "repeated": (SCHEDULE_TEXT + ",h=0.5", "h", None),
+        "missing": ("power:scale=0.1", "h", None),
+        "unparsable": ("power:scale=abc,h=0.25", "scale", None),
+    }),
+    "synth": (dataio.load_dataset, {
+        "unknown": (SYNTH_TEXT + ",m=2", "m", None),
+        "repeated": (SYNTH_TEXT + ",d=4", "d", None),
+        "missing": ("synth:blobs,n=20,d=3", "seed", None),
+        "unparsable": (SYNTH_TEXT.replace("d=3", "d=3.5"), "d", None),
+    }),
+    "runfile": (cg.parse_runfile, {
+        "unknown": (RUNFILE_TEXT + "model = logistic\n", "model", 11),
+        "repeated": (RUNFILE_TEXT + "epochs = 3\n", "epochs", 11),
+        "missing": (RUNFILE_TEXT.replace("stride = 1\n", ""), "stride", None),
+        "unparsable": (RUNFILE_TEXT.replace("epochs = 2", "epochs = abc"),
+                       "epochs", 8),
+    }),
+}
+
+
+@pytest.mark.parametrize("error", ["unknown", "repeated", "missing", "unparsable"])
+@pytest.mark.parametrize("grammar", sorted(FIELD_ERRORS))
+def test_every_grammar_names_the_key_of_a_field_error(grammar, error):
+    parse, cases = FIELD_ERRORS[grammar]
+    text, key, line_no = cases[error]
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    message = str(err.value)
+    if error == "unparsable":
+        assert "bad %s value" % key in message
+    else:
+        assert repr(key) in message
+    if line_no is not None:
+        assert message.startswith("line %d: " % line_no)
 
 
 def test_readme_runfile_requires_every_key():
