@@ -199,7 +199,9 @@ def load_dataset(source: str) -> Dataset:
 
 @dataclass(frozen=True)
 class RunFileConfig:
-    """Parsed run configuration, one field per runfile key (see RUNFILE_FIELDS)."""
+    """Parsed run configuration, one field per runfile key (see RUNFILE_FIELDS).
+    Every construction, a CLI override's included, checks each field's
+    range with _check_field."""
 
     dataset: str
     variant: str
@@ -211,33 +213,42 @@ class RunFileConfig:
     out: str
 
     def __post_init__(self):
-        if self.variant not in REGULARIZERS:
-            raise ValueError(
-                "unknown variant %r (choose from %s)"
-                % (self.variant, ", ".join(REGULARIZERS))
-            )
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError("lambda must be nonnegative and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
-        if not self.seeds:
-            raise ValueError("seed list must not be empty")
-        for k, seed in enumerate(self.seeds):
-            if parse_seed(seed) in self.seeds[:k]:
-                raise ValueError("seeds must be distinct, got seed %d twice" % seed)
-        if not os.path.basename(self.out):
-            raise ValueError("out must name the output file, got %r" % self.out)
-        for entry in self.schedule_list():
-            parse_schedule(entry)  # validate eagerly, errors carry the text
+        for key, (field, _) in RUNFILE_FIELDS.items():
+            _check_field(key, getattr(self, field))
 
     def schedule_list(self):
-        entries = [s.strip() for s in self.schedule.split(";")]
-        entries = [s for s in entries if s]
-        if not entries:
-            raise ValueError("schedule field must name at least one schedule")
-        return entries
+        return _schedule_entries(self.schedule)
+
+
+def _schedule_entries(text: str) -> list:
+    """The schedules of a `;`-separated schedule field, blanks skipped."""
+    entries = [s for s in map(str.strip, text.split(";")) if s]
+    if not entries:
+        raise ValueError("schedule field must name at least one schedule")
+    return entries
+
+
+def _check_field(key: str, value) -> None:
+    """The range rule of one parsed runfile value; raises ValueError."""
+    if key == "variant" and value not in REGULARIZERS:
+        raise ValueError("unknown variant %r (choose from %s)"
+                         % (value, ", ".join(REGULARIZERS)))
+    if key == "lambda" and not 0.0 <= value < math.inf:
+        raise ValueError("lambda must be nonnegative and finite")
+    if key in ("epochs", "stride") and value < 1:
+        raise ValueError("%s must be at least 1" % key)
+    if key == "seeds":
+        if not value:
+            raise ValueError("seed list must not be empty")
+        for k, seed in enumerate(value):
+            if parse_seed(seed) in value[:k]:
+                raise ValueError("seeds must be distinct, got seed %d twice"
+                                 % seed)
+    if key == "out" and not os.path.basename(value):
+        raise ValueError("out must name the output file, got %r" % value)
+    if key == "schedule":
+        for entry in _schedule_entries(value):
+            parse_schedule(entry)  # errors carry the schedule text
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -258,10 +269,20 @@ RUNFILE_FIELDS = {
 }
 
 
+def _checked_parser(key: str):
+    parse = RUNFILE_FIELDS[key][1]
+
+    def parse_and_check(text):
+        value = parse(text)
+        _check_field(key, value)
+        return value
+    return parse_and_check
+
+
 def parse_runfile(text: str) -> RunFileConfig:
     """Parse `key = value` lines; '#' comments and blank lines are skipped.
-    The lines walk RUNFILE_FIELDS through parse_fields, each error after
-    `line N: `; range checks are RunFileConfig's."""
+    The lines walk RUNFILE_FIELDS through parse_fields, each value parsed
+    and range checked (_check_field), and each error after `line N: `."""
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -271,8 +292,8 @@ def parse_runfile(text: str) -> RunFileConfig:
         if not sep:
             raise ValueError("line %d: expected key = value" % line_no)
         entries.append(("line %d: " % line_no, key.strip(), value.strip()))
-    values = parse_fields(entries, {key: parse for key, (_, parse)
-                                    in RUNFILE_FIELDS.items()}, "runfile")
+    values = parse_fields(entries, {key: _checked_parser(key)
+                                    for key in RUNFILE_FIELDS}, "runfile")
     return RunFileConfig(**{RUNFILE_FIELDS[key][0]: value
                             for key, value in values.items()})
 
@@ -371,14 +392,19 @@ def results_rows(sweep, run_id: str):
 
 def write_results(sweep, path: str) -> ResultTable:
     """Write one sweep to CSV with the fixed header; ends with a newline.
-    The run column holds the file's stem."""
-    rows = results_rows(sweep, os.path.splitext(os.path.basename(path))[0])
-    table = ResultTable(header=RESULT_HEADER, rows=rows)
+    The run column holds the file's stem. Every other cell is a number or
+    empty, so only the stem can need quoting, and csv quotes it once."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    rows = results_rows(sweep, stem)
+    quoted = io.StringIO()
+    csv.writer(quoted, lineterminator="\n").writerow([stem])
+    run_cell = quoted.getvalue()[:-1]
+    lines = [",".join(RESULT_HEADER)] + [",".join(row) for row in rows]
+    if run_cell != stem:
+        lines[1:] = [run_cell + line[len(stem):] for line in lines[1:]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULT_HEADER)
-        writer.writerows(rows)
-    return table
+        handle.write("\n".join(lines) + "\n")
+    return ResultTable(header=RESULT_HEADER, rows=rows)
 
 
 def read_results(path: str) -> ResultTable:
@@ -456,7 +482,7 @@ def emit_plot_script(csv_paths, path: str, titles=None) -> str:
 
 def execute_runfile(config: RunFileConfig, base_dir: str = ".",
                     emit_plot: bool = False):
-    """Run every schedule in the runfile.
+    """Run every schedule in the runfile, in one lockstep sweep.
 
     A single-schedule runfile produces one CSV named by `out`. With several
     schedules (semicolon-separated), each CSV gets an index suffix. With
@@ -473,23 +499,19 @@ def execute_runfile(config: RunFileConfig, base_dir: str = ".",
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
 
-    written = []
-    for k, text in enumerate(schedules, start=1):
-        run_config = RunConfig(
-            objective=objective,
-            schedule=parse_schedule(text),
-            seed=config.seeds[0],
-            iterations=iterations,
-            record_stride=config.stride,
-            reference=reference,
-        )
-        sweep = multi_seed_sweep(run_config, config.seeds)
-        if len(schedules) == 1:
-            csv_path = stem + ext
-        else:
-            csv_path = "%s_%d%s" % (stem, k, ext)
+    run_configs = [RunConfig(objective=objective, schedule=parse_schedule(text),
+                             seed=config.seeds[0], iterations=iterations,
+                             record_stride=config.stride, reference=reference)
+                   for text in schedules]
+    # every schedule runs before any file is written, so a divergence
+    # leaves no partial output
+    sweeps = multi_seed_sweep(run_configs, config.seeds)
+    if len(schedules) == 1:
+        written = [stem + ext]
+    else:
+        written = ["%s_%d%s" % (stem, k, ext) for k in range(1, len(schedules) + 1)]
+    for sweep, csv_path in zip(sweeps, written):
         write_results(sweep, csv_path)
-        written.append(csv_path)
 
     plot_path = None
     if emit_plot:

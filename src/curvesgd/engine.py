@@ -1,4 +1,5 @@
-"""Single-pass SGD runs, multi-seed sweeps, and diagnostic fits.
+"""Single-pass SGD runs, multi-seed and multi-schedule sweeps, and diagnostic
+fits.
 
 Sampling is with replacement: component indices come from a PCG64 generator
 seeded with the run's 64-bit seed, drawn in fixed blocks of 8192 regardless
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import REGION_RADIUS
-from .schedule import ScheduleSpec, step_size
+from .schedule import ScheduleSpec, format_schedule, step_size
 
 INDEX_BLOCK = 8192
 
@@ -122,55 +123,89 @@ def moving_mean(values, window: int = 3) -> np.ndarray:
     return total / np.minimum(np.arange(1.0, size + 1.0), window)
 
 
+# fields that every config of one lockstep sweep shares: only the schedule
+# and the unread seed may differ between them
+LOCKSTEP_FIELDS = ("objective", "iterations", "record_stride", "region_radius",
+                   "w0", "reference", "keep_iterates")
+
+
+def _start_point(config: RunConfig) -> np.ndarray:
+    d = config.objective.dimension
+    if config.w0 is None:
+        return np.zeros(d)
+    w0 = np.asarray(config.w0, dtype=float)
+    if w0.shape != (d,):
+        raise ValueError("w0 has shape %s, expected (%d,)" % (w0.shape, d))
+    if not np.all(np.isfinite(w0)):
+        raise ValueError("w0 must be finite")
+    return w0
+
+
+def _shared_value(config: RunConfig, name: str):
+    # objects compare by identity, and the start point by its bits
+    if name == "w0":
+        return _start_point(config).tobytes()
+    value = getattr(config, name)
+    return id(value) if name in ("objective", "reference") else value
+
+
 # the run detects a non-finite iterate itself and raises EngineError, and a
 # recorded F may overflow to inf, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
-def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
-    """Run one configuration for every seed in lockstep; config.seed is
-    not read.
+def multi_seed_sweep(config, seeds):
+    """Run one configuration, or several that differ only in schedule, for
+    every seed in lockstep; config.seed is not read.
 
-    The iterates of all S seeds form one (S, d) array, and each step
-    advances it with a single grad_rows call. Each seed draws its own index
-    stream, and every row is computed from that seed's data alone, so a
-    seed's trace is the same whichever seeds run beside it, and the same as
-    sgd_run gives for that seed alone. A run diverges at the first
-    iteration at which an iterate is non-finite; the error names the first
-    such seed in sweep order, which is the error that seed's own run
-    raises. Recorded values are kept as computed, so F may be inf at a
-    record while every iterate is still finite.
+    Given one RunConfig this returns its SweepResult; given a sequence of
+    them it returns one SweepResult per config, in order, and any field of
+    LOCKSTEP_FIELDS that differs raises ValueError naming it.
+
+    The iterates of every (schedule, seed) pair form one array, schedule
+    major, and each step advances it with a single grad_rows call. Each
+    seed draws its own index stream once, and every schedule's row of that
+    seed takes the same draws; every row is computed from its own data
+    alone, so a trace is the same whichever seeds and schedules run beside
+    it, and the same as sgd_run gives for that seed alone. A run diverges
+    at the first iteration at which an iterate is non-finite; the error
+    names the first such row in (schedule, seed) order, which is the error
+    that row's own run raises. Recorded values are kept as computed, so F
+    may be inf at a record while every iterate is still finite.
     """
+    single = isinstance(config, RunConfig)
+    configs = [config] if single else list(config)
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    for other in configs[1:]:
+        for name in LOCKSTEP_FIELDS:
+            if _shared_value(other, name) != _shared_value(first, name):
+                raise ValueError("configs of one sweep may differ only in "
+                                 "schedule, but they differ in %s" % name)
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    obj = config.objective
+    obj = first.objective
     n = obj.component_count
     d = obj.dimension
-    sched = config.schedule
+    scheds = [c.schedule for c in configs]
     S = len(seeds)
-    if config.w0 is None:
-        w0 = np.zeros(d)
-    else:
-        w0 = np.asarray(config.w0, dtype=float)
-        if w0.shape != (d,):
-            raise ValueError("w0 has shape %s, expected (%d,)" % (w0.shape, d))
-        if not np.all(np.isfinite(w0)):
-            raise ValueError("w0 must be finite")
-    W = np.tile(w0, (S, 1))
-    ref = config.reference
-    radius = config.region_radius
-    stride = config.record_stride
-    total = config.iterations
+    rows = len(configs) * S
+    W = np.tile(_start_point(first), (rows, 1))
+    ref = first.reference
+    radius = first.region_radius
+    stride = first.record_stride
+    total = first.iterations
     grad_rows = obj.grad_rows
 
     # records fall at every multiple of the stride and at the last
     # iteration, so iteration t lands in record column ceil(t / stride)
     records = -(-total // stride) + 1
     t_rec = np.minimum(np.arange(records, dtype=np.int64) * stride, total)
-    F = np.empty((S, records))
-    Y = np.full((S, records), math.nan)
-    flags = np.zeros((S, records), dtype=bool)
-    violations = np.zeros(S, dtype=np.int64)
-    iterates = np.empty((S, records, d)) if config.keep_iterates else None
+    F = np.empty((rows, records))
+    Y = np.full((rows, records), math.nan)
+    flags = np.zeros((rows, records), dtype=bool)
+    violations = np.zeros(rows, dtype=np.int64)
+    iterates = np.empty((rows, records, d)) if first.keep_iterates else None
 
     def record(col: int):
         F[:, col] = obj.value_many(W)
@@ -183,7 +218,7 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
     rngs = [np.random.default_rng(s) for s in seeds]
 
     record(0)
-    # indices are drawn, and the schedule evaluated, one block of
+    # indices are drawn, and the schedules evaluated, one block of
     # iterations at a time: the index stream stays a function of the seed
     # alone, and a step costs an array lookup without materializing all
     # `total` step sizes
@@ -191,7 +226,15 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
         block = np.stack([rng.integers(0, n, size=INDEX_BLOCK) for rng in rngs],
                          axis=1)
         grid = np.arange(base, min(base + INDEX_BLOCK, total), dtype=float)
-        steps = np.asarray(step_size(sched, grid), dtype=float)
+        steps = np.stack([step_size(s, grid) for s in scheds], axis=1)
+        # one schedule steps by a scalar; several by a contiguous (rows, 1)
+        # column, so that each row's update keeps the bits of its solo run,
+        # and every schedule's row of a seed takes that seed's draws
+        if len(configs) == 1:
+            steps = steps[:, 0]
+        else:
+            steps = steps.repeat(S, axis=1)[:, :, None]
+            block = np.tile(block, (1, len(configs)))
         for t_next, idx, step in zip(range(base + 1, total + 1), block, steps):
             W_next = W - step * grad_rows(idx, W)
             top = np.abs(W_next).max()
@@ -201,10 +244,12 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
                 row_top = np.abs(W_next).max(axis=1)
                 bad = np.flatnonzero(~np.isfinite(row_top))
                 if bad.size:
+                    c, k = divmod(int(bad[0]), S)
                     raise EngineError(
-                        "non-finite iterate at iteration %d (seed %d); the "
-                        "schedule is likely too aggressive for this objective"
-                        % (t_next, seeds[bad[0]]))
+                        "non-finite iterate at iteration %d (seed %d) under "
+                        "schedule %r; the schedule is likely too aggressive "
+                        "for this objective"
+                        % (t_next, seeds[k], format_schedule(scheds[c])))
                 over = row_top > radius
                 violations += over
                 flags[:, -(-t_next // stride)] |= over
@@ -212,19 +257,24 @@ def multi_seed_sweep(config: RunConfig, seeds) -> SweepResult:
             if t_next % stride == 0 or t_next == total:
                 record(-(-t_next // stride))
 
-    return SweepResult(
-        seeds=seeds,
-        t=t_rec,
-        eta=step_size(sched, t_rec.astype(float)),
-        F=F,
-        E=F - ref.f_min if ref is not None else Y,
-        Y=Y,
-        region_violation=flags,
-        violation_count=violations,
-        component_count=n,
-        has_reference=ref is not None,
-        iterates=iterates,
-    )
+    E = F - ref.f_min if ref is not None else Y
+    results = []
+    for c, sched in enumerate(scheds):
+        part = slice(c * S, (c + 1) * S)
+        results.append(SweepResult(
+            seeds=seeds,
+            t=t_rec,
+            eta=step_size(sched, t_rec.astype(float)),
+            F=F[part],
+            E=E[part],
+            Y=Y[part],
+            region_violation=flags[part],
+            violation_count=violations[part],
+            component_count=n,
+            has_reference=ref is not None,
+            iterates=None if iterates is None else iterates[part],
+        ))
+    return results[0] if single else results
 
 
 def rate_slope_fit(ts, values, window) -> float:

@@ -104,16 +104,16 @@ def test_criterion_07_rate_slopes(say, ridge_sweep, exp_cosh_sweep):
 
 
 def _final_loss_ranking(bench, w0, iterations, seeds):
-    out = {}
-    for h in (0.0, 0.25, 0.5, 0.75, 1.0):
-        sched = cg.parse_schedule("power:h=%g,scale=0.1" % h)
-        cfg = cg.RunConfig(objective=bench.objective, schedule=sched, seed=0,
-                           iterations=iterations, record_stride=iterations,
-                           reference=bench.reference, w0=w0,
-                           region_radius=bench.region_radius)
-        sweep = cg.multi_seed_sweep(cfg, seeds=range(seeds))
-        out[h] = float(sweep.mean_E[-1])
-    return out
+    # the five schedules run in lockstep, one engine call
+    hs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    configs = [cg.RunConfig(objective=bench.objective,
+                            schedule=cg.parse_schedule("power:h=%g,scale=0.1" % h),
+                            seed=0, iterations=iterations,
+                            record_stride=iterations, reference=bench.reference,
+                            w0=w0, region_radius=bench.region_radius)
+               for h in hs]
+    sweeps = cg.multi_seed_sweep(configs, seeds=range(seeds))
+    return {h: float(sweep.mean_E[-1]) for h, sweep in zip(hs, sweeps)}
 
 
 def test_criterion_08_power_law_ranking(say):

@@ -271,3 +271,30 @@ def test_diverging_run_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "non-finite iterate" in err and "seed 0" in err
+
+
+def test_sweep_whose_second_schedule_diverges_writes_nothing(tmp_path, capsys):
+    # every schedule runs before any file is written
+    text = BASE_RUNFILE.replace("norm2_squared", "exp_cosh_G")
+    path = write_runfile(tmp_path, text.replace("const:0.01",
+                                                "const:0.01; const:5.0"))
+    rc = main(["sweep", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "non-finite iterate" in captured.err and "seed 0" in captured.err
+    assert "under schedule 'const:5.0'" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["job.run"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--stride", "0", "stride must be at least 1"),
+    ("--out", "sub/", "out must name the output file, got 'sub/'"),
+])
+def test_override_range_error_names_the_key(tmp_path, capsys, option, value,
+                                            message):
+    # an override has no runfile line, so its error is the bare range rule
+    path = write_runfile(tmp_path, BASE_RUNFILE)
+    assert main(["run", path, option, value]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message

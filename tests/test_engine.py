@@ -225,6 +225,8 @@ def test_multi_seed_sweep_aggregates():
         assert np.array_equal(getattr(sweep, "mean_" + name), stacked.mean(axis=0))
     with pytest.raises(ValueError):
         cg.multi_seed_sweep(cfg, seeds=())
+    with pytest.raises(ValueError):
+        cg.multi_seed_sweep([], seeds=seeds)
 
 
 def test_sweep_seed_matches_solo_sweep():
@@ -241,6 +243,115 @@ def test_sweep_seed_matches_solo_sweep():
             for name in ("t", "eta", "F", "E", "Y", "region_violation"):
                 assert np.array_equal(getattr(trace, name), getattr(alone, name))
             assert trace.violation_count == alone.violation_count
+
+
+# one schedule of each kind, and power laws on both sides of the t >= 1 clamp
+LOCKSTEP_SCHEDULES = ("const:0.01", "power:scale=0.05,h=0", "power:scale=0.05,h=0.5")
+SWEEP_ARRAYS = ("t", "eta", "F", "E", "Y", "region_violation", "violation_count",
+                "iterates", "mean_F", "mean_E", "mean_Y")
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("problem, start", [("ridge", 0.0), ("quadratic_mean", 8.0)])
+def test_lockstep_schedule_matches_its_solo_sweep(problem, start, stride):
+    # a (schedule, seed) trace does not depend on which schedules run beside
+    # it; quadratic_mean starts outside the box, so region flags are set
+    b = cg.load_benchmark(problem)
+    schedules = [cg.parse_schedule(text) for text in LOCKSTEP_SCHEDULES]
+    schedules.append(b.schedule)  # the matched paper-opt schedule
+    configs = [cg.RunConfig(objective=b.objective, schedule=sched, seed=k,
+                            iterations=150, record_stride=stride,
+                            w0=np.full(b.objective.dimension, start),
+                            reference=b.reference, region_radius=b.region_radius,
+                            keep_iterates=True)
+               for k, sched in enumerate(schedules)]
+    seeds = (4, 0, 9)
+    together = cg.multi_seed_sweep(configs, seeds)
+    assert len(together) == len(configs)
+    for config, sweep in zip(configs, together):
+        alone = cg.multi_seed_sweep(config, seeds)
+        assert sweep.seeds == alone.seeds == seeds
+        assert sweep.component_count == alone.component_count
+        assert sweep.has_reference and alone.has_reference
+        for name in SWEEP_ARRAYS:
+            assert np.array_equal(getattr(sweep, name), getattr(alone, name))
+    if problem == "quadratic_mean":
+        assert all(sweep.violation_count.min() > 0 for sweep in together)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("objective", cg.QuadraticMeanObjective(10.0, np.eye(5))),
+    ("iterations", 21),
+    ("record_stride", 2),
+    ("w0", np.ones(5)),
+    ("reference", None),
+    ("region_radius", 2.0),
+    ("keep_iterates", True),
+])
+def test_lockstep_configs_differ_only_in_schedule(field, value):
+    b = cg.quadratic_mean_problem()
+    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
+                       iterations=20, reference=b.reference)
+    # the schedule and the unread seed may differ
+    cg.multi_seed_sweep([cfg, dataclasses.replace(
+        cfg, schedule=cg.ScheduleSpec.constant(0.01), seed=3)], (0,))
+    with pytest.raises(ValueError, match="differ in %s$" % field):
+        cg.multi_seed_sweep([cfg, dataclasses.replace(cfg, **{field: value})], (0,))
+
+
+@pytest.mark.filterwarnings("error")
+def test_lockstep_divergence_names_the_earliest_row():
+    # as in test_sweep_divergence_at_a_record_names_the_seed: component 0
+    # multiplies w by 1 - 18 eta per draw, so each (schedule, seed) row
+    # diverges at an iteration set by its step and its seed's draws
+    obj = cg.LeastSquaresObjective(cg.Dataset([[3.0], [0.5]], [1.0, 1.0]))
+    texts = ("const:0.4", "const:0.5")
+    seeds = (0, 5, 2)
+
+    def failure(texts, seeds):
+        configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
+                                seed=0, iterations=3000, record_stride=5)
+                   for text in texts]
+        with pytest.raises(cg.EngineError) as err:
+            cg.multi_seed_sweep(configs, seeds)
+        return str(err.value)
+
+    def iteration(message):
+        return int(re.search(r"iteration (\d+)", message).group(1))
+
+    solo = {(c, k): failure([text], [seed])
+            for c, text in enumerate(texts) for k, seed in enumerate(seeds)}
+    assert len({iteration(m) for m in solo.values()}) == len(solo)
+    first = min(solo, key=lambda row: iteration(solo[row]))
+    # the later-listed schedule diverges first, and not in the first seed
+    assert first[0] == 1 and first[1] != 0
+    message = failure(texts, seeds)
+    assert message == solo[first]
+    assert "(seed %d) under schedule 'const:0.5'" % seeds[first[1]] in message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("texts", [("const:0.2", "const:0.1"),
+                                   ("const:0.1", "const:0.2")])
+def test_lockstep_divergence_tie_names_the_first_schedule(texts):
+    # drawing the poisoned component throws w to inf whatever the step, so
+    # every schedule's row of a seed diverges at the same iteration
+    n = 20
+    X = np.full((n, 1), 0.5)
+    X[0] = 1e300
+    y = np.ones(n)
+    y[0] = 1e10
+    obj = cg.LeastSquaresObjective(cg.Dataset(X, y))
+    configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
+                            seed=0, iterations=30) for text in texts]
+    seeds = tuple(seed for seed, hit in _seeds_by_first_draw(n, 0, 30, 40)
+                  if hit is not None)[:3]
+    with pytest.raises(cg.EngineError) as err:
+        cg.multi_seed_sweep(configs, seeds)
+    with pytest.raises(cg.EngineError) as solo:
+        cg.multi_seed_sweep(configs[0], seeds)
+    assert str(err.value) == str(solo.value)
+    assert "under schedule %r" % texts[0] in str(err.value)
 
 
 @pytest.fixture(scope="module")

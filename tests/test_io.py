@@ -1,5 +1,6 @@
 """Dataset parsing, synthesis, runfiles, result tables, and plot scripts."""
 
+import csv
 import io
 import math
 import os
@@ -215,7 +216,33 @@ def test_parse_runfile_rejects_a_repeated_seed():
     # each seed is an independent run, so a repeat would duplicate rows
     with pytest.raises(ValueError) as err:
         cg.parse_runfile(RUNFILE_TEXT.replace("seeds = 0,1,2", "seeds = 0,1,0"))
-    assert str(err.value) == "seeds must be distinct, got seed 0 twice"
+    assert str(err.value) == ("line 7: bad seeds value '0,1,0': "
+                              "seeds must be distinct, got seed 0 twice")
+
+
+# key -> (runfile value, the range error that RunFileConfig raises)
+RANGE_ERRORS = {
+    "epochs": ("0", "epochs must be at least 1"),
+    "stride": ("0", "stride must be at least 1"),
+    "seeds": ("0,0", "seeds must be distinct, got seed 0 twice"),
+    "lambda": ("-1", "lambda must be nonnegative and finite"),
+    "variant": ("l1", "unknown variant 'l1' (choose from plain, norm2, "
+                      "norm2_squared, exp_cosh_G)"),
+    "out": ("dir/", "out must name the output file, got 'dir/'"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RANGE_ERRORS))
+def test_runfile_range_error_names_its_line(key):
+    value, reason = RANGE_ERRORS[key]
+    lines = RUNFILE_TEXT.splitlines()
+    line_no = next(k for k, line in enumerate(lines, start=1)
+                   if line.startswith(key + " ="))
+    lines[line_no - 1] = "%s = %s" % (key, value)
+    with pytest.raises(ValueError) as err:
+        cg.parse_runfile("\n".join(lines))
+    assert str(err.value) == "line %d: bad %s value %r: %s" % (
+        line_no, key, value, reason)
 
 
 def test_parse_runfile_requires_core_keys():
@@ -435,6 +462,22 @@ def test_emit_plot_script_lists_every_curve(tmp_path):
 def test_emit_plot_script_requires_curves(tmp_path):
     with pytest.raises(ValueError):
         cg.emit_plot_script([], str(tmp_path / "plot.gp"))
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two words", "plain"])
+def test_write_results_quotes_the_run_cell_as_csv_does(tmp_path, name):
+    # only the run cell, the file stem, can need quoting
+    sweep = small_sweep()
+    path = str(tmp_path / (name + ".csv"))
+    table = cg.write_results(sweep, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(dataio.RESULT_HEADER)
+    writer.writerows(table.rows)
+    with open(path, "rb") as handle:
+        assert handle.read() == expected.getvalue().encode("utf-8")
+    assert set(table.text_column("run")) == {name}
+    assert cg.read_results(path).rows == table.rows
 
 
 def test_emit_plot_script_column_indices(tmp_path):
