@@ -6,6 +6,14 @@ seeded with the run's 64-bit seed, drawn in fixed blocks of 8192 regardless
 of recording options, so the index stream is a stable function of the seed
 alone. Iterates are never projected; excursions outside the stated region
 are counted and flagged, not corrected.
+
+A sweep steps in chunks of at most objectives._BLOCK_TERMS (row, coordinate)
+terms of iterates. The objective gathers the component data of a whole
+chunk's indices in one call; each step is then one gradient kernel and one
+update into the chunk's buffer; and after the chunk a few whole-array calls
+settle its region check, its divergence test and its records. Every row is
+computed from its own data alone, so the chunk length never changes a bit,
+and a divergence is reported exactly as a step-by-step run reports it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import objectives
 from .objectives import REGION_RADIUS
 from .schedule import ScheduleSpec, format_schedule, step_size
 
@@ -161,15 +170,19 @@ def multi_seed_sweep(config, seeds):
     LOCKSTEP_FIELDS that differs raises ValueError naming it.
 
     The iterates of every (schedule, seed) pair form one array, schedule
-    major, and each step advances it with a single grad_rows call. Each
+    major, and each step advances it with a single call of the objective's
+    gradient kernel, on component data gathered once per chunk. Each
     seed draws its own index stream once, and every schedule's row of that
     seed takes the same draws; every row is computed from its own data
     alone, so a trace is the same whichever seeds and schedules run beside
     it, and the same as sgd_run gives for that seed alone. A run diverges
     at the first iteration at which an iterate is non-finite; the error
     names the first such row in (schedule, seed) order, which is the error
-    that row's own run raises. Recorded values are kept as computed, so F
-    may be inf at a record while every iterate is still finite.
+    that row's own run raises. A chunk may step past that iterate, and the
+    gradient may raise there; the error is then still the EngineError,
+    while an exception raised at a finite iterate propagates unchanged.
+    Recorded values are kept as computed, so F may be inf at a record while
+    every iterate is still finite.
     """
     single = isinstance(config, RunConfig)
     configs = [config] if single else list(config)
@@ -195,7 +208,8 @@ def multi_seed_sweep(config, seeds):
     radius = first.region_radius
     stride = first.record_stride
     total = first.iterations
-    grad_rows = obj.grad_rows
+    gather = obj._gather
+    grad = obj._grad_gathered
 
     # records fall at every multiple of the stride and at the last
     # iteration, so iteration t lands in record column ceil(t / stride)
@@ -207,55 +221,96 @@ def multi_seed_sweep(config, seeds):
     violations = np.zeros(rows, dtype=np.int64)
     iterates = np.empty((rows, records, d)) if first.keep_iterates else None
 
-    def record(col: int):
-        F[:, col] = obj.value_many(W)
+    def record(cols, W_rec):
+        # W_rec holds one (rows, d) iterate per record column in cols
+        flat = W_rec.reshape(-1, d)
+        F[:, cols] = obj.value_many(flat).reshape(len(cols), rows).T
         if ref is not None:
-            Y[:, col] = ref.squared_distance(W)
+            Y[:, cols] = ref.squared_distance(flat).reshape(len(cols), rows).T
         if iterates is not None:
-            iterates[:, col] = W
+            iterates[:, cols] = W_rec.swapaxes(0, 1)
+
+    # a chunk of at most _BLOCK_TERMS (row, coordinate) terms of iterates,
+    # H[j] being the iterate after the chunk's step j
+    chunk = max(1, min(objectives._BLOCK_TERMS // (rows * d), INDEX_BLOCK,
+                       total))
+    H = np.empty((chunk, rows, d))
+
+    def settle(lo, count):
+        """Settle the first `count` steps of the chunk that follows
+        iteration lo: their region check, their records and, if an iterate
+        is non-finite, the EngineError of the first one, whose records stop
+        before it as a step-by-step run's do."""
+        tops = np.abs(H[:count]).max(axis=2)
+        # a NaN iterate, for which every comparison is false, is caught
+        # here with the infinite ones
+        bad = np.flatnonzero(~np.isfinite(tops))
+        end = count if not bad.size else int(bad[0]) // rows
+        over = tops[:end] > radius
+        if over.any():
+            violations[:] += over.sum(axis=0)
+            # unbuffered, as several steps may share a record column
+            cols = -(-np.arange(lo + 1, lo + end + 1) // stride)
+            np.logical_or.at(flags.T, cols, over)
+        t = list(range((lo // stride + 1) * stride, lo + end + 1, stride))
+        if lo + end == total and total % stride:
+            t.append(total)
+        if t:
+            t = np.array(t)
+            record(-(-t // stride), H[t - lo - 1])
+        if bad.size:
+            j, row = divmod(int(bad[0]), rows)
+            c, k = divmod(row, S)
+            raise EngineError(
+                "non-finite iterate at iteration %d (seed %d) under "
+                "schedule %r; the schedule is likely too aggressive "
+                "for this objective"
+                % (lo + 1 + j, seeds[k], format_schedule(scheds[c])))
 
     # one column per seed, each drawn from that seed's own generator
     rngs = [np.random.default_rng(s) for s in seeds]
+    block = np.empty((INDEX_BLOCK, S), dtype=np.int64)
 
-    record(0)
+    record([0], W[None])
     # indices are drawn, and the schedules evaluated, one block of
     # iterations at a time: the index stream stays a function of the seed
     # alone, and a step costs an array lookup without materializing all
     # `total` step sizes
     for base in range(0, total, INDEX_BLOCK):
-        block = np.stack([rng.integers(0, n, size=INDEX_BLOCK) for rng in rngs],
-                         axis=1)
-        grid = np.arange(base, min(base + INDEX_BLOCK, total), dtype=float)
+        for k, rng in enumerate(rngs):
+            block[:, k] = rng.integers(0, n, size=INDEX_BLOCK)
+        stop = min(base + INDEX_BLOCK, total)
+        grid = np.arange(base, stop, dtype=float)
         steps = np.stack([step_size(s, grid) for s in scheds], axis=1)
-        # one schedule steps by a scalar; several by a contiguous (rows, 1)
-        # column, so that each row's update keeps the bits of its solo run,
-        # and every schedule's row of a seed takes that seed's draws
-        if len(configs) == 1:
-            steps = steps[:, 0]
-        else:
-            steps = steps.repeat(S, axis=1)[:, :, None]
-            block = np.tile(block, (1, len(configs)))
-        for t_next, idx, step in zip(range(base + 1, total + 1), block, steps):
-            W_next = W - step * grad_rows(idx, W)
-            top = np.abs(W_next).max()
-            # written so that a NaN iterate, for which every comparison is
-            # false, lands in the same branch as a region violation
-            if not top <= radius:
-                row_top = np.abs(W_next).max(axis=1)
-                bad = np.flatnonzero(~np.isfinite(row_top))
-                if bad.size:
-                    c, k = divmod(int(bad[0]), S)
-                    raise EngineError(
-                        "non-finite iterate at iteration %d (seed %d) under "
-                        "schedule %r; the schedule is likely too aggressive "
-                        "for this objective"
-                        % (t_next, seeds[k], format_schedule(scheds[c])))
-                over = row_top > radius
-                violations += over
-                flags[:, -(-t_next // stride)] |= over
-            W = W_next
-            if t_next % stride == 0 or t_next == total:
-                record(-(-t_next // stride))
+        for lo in range(base, stop, chunk):
+            m = min(chunk, stop - lo)
+            idx = block[lo - base : lo - base + m]
+            step = steps[lo - base : lo - base + m]
+            # one schedule steps by a scalar; several by a contiguous
+            # (rows, 1) column, so that each row's update keeps the bits of
+            # its solo run, and every schedule's row of a seed takes that
+            # seed's draws
+            if len(configs) == 1:
+                step = step[:, 0]
+            else:
+                step = step.repeat(S, axis=1)[:, :, None]
+                idx = np.tile(idx, (1, len(configs)))
+            data = gather(idx)
+            j = 0
+            try:
+                for j, (out, eta, step_data) in enumerate(
+                        zip(H, step, zip(*data))):
+                    np.subtract(W, eta * grad(step_data, W), out=out)
+                    W = out
+            except Exception:
+                # past a non-finite iterate the gradient may raise; a
+                # step-by-step run stops at that iterate with EngineError
+                settle(lo, j)
+                raise
+            # drop the gathered data before settling, so that the chunk
+            # holds about two buffers of its size at a time
+            data = step_data = None
+            settle(lo, m)
 
     E = F - ref.f_min if ref is not None else Y
     results = []

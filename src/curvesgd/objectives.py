@@ -19,8 +19,9 @@ REGULARIZERS = ("plain", "norm2", "norm2_squared", "exp_cosh_G")
 # schedules), the engine's region check and fit_curvature's samples
 REGION_RADIUS = 3.0
 
-# (row, component) terms per block of a batched value or gradient: bounds
-# memory and keeps the temporaries in cache
+# (row, component) terms per block of a batched value or gradient, and
+# (row, coordinate) terms per chunk of engine steps: bounds memory and keeps
+# the temporaries in cache
 _BLOCK_TERMS = 1 << 16
 
 
@@ -117,10 +118,13 @@ class Objective:
 
     Each component is base_i(w) + lam * reg(w): the regularizer is applied
     per component, so a stochastic gradient always carries the regularizer
-    gradient. A loss supplies two row-local hooks, ``_base_values`` and
-    ``_base_grad_rows``, plus ``_base_smoothness``; every value and gradient
-    of the public surface is built from them. Instances are immutable after
-    construction and safe to share across threads.
+    gradient. A loss supplies ``_gather``, which looks up the component data
+    of some indices, two row-local hooks, ``_base_values`` and
+    ``_base_grad_gathered``, and ``_base_smoothness``; every value and
+    gradient of the public surface is built from them, and the engine
+    gathers the data of many steps at once and calls the same gradient
+    kernel. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
@@ -139,9 +143,15 @@ class Objective:
         computed from W[k] alone."""
         raise NotImplementedError
 
-    def _base_grad_rows(self, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """(rows, d) matrix whose row k is grad base_{idx[k]}(W[k]), computed
-        from idx[k] and W[k] alone."""
+    def _gather(self, idx: np.ndarray) -> tuple:
+        """The component data of every index in idx, as a tuple of arrays
+        whose leading axes are those of idx, e.g. (X[idx], y[idx])."""
+        raise NotImplementedError
+
+    def _base_grad_gathered(self, data: tuple, W: np.ndarray) -> np.ndarray:
+        """(rows, d) matrix whose row k is grad base_i(W[k]) for the
+        component i whose data is row k of each array of data, computed
+        from that data and W[k] alone."""
         raise NotImplementedError
 
     def _base_smoothness(self) -> float:
@@ -212,7 +222,12 @@ class Objective:
         rows, so a row has the same bits whatever the other rows hold.
         """
         W, idx = self._rows(W, idx)
-        G = self._base_grad_rows(idx, W)
+        return self._grad_gathered(self._gather(idx), W)
+
+    def _grad_gathered(self, data, W):
+        # grad_rows on data _gather has looked up and W it has validated;
+        # the engine calls this once per step
+        G = self._base_grad_gathered(data, W)
         if self.regularization_weight:
             G = G + self.regularization_weight * self._reg_grad_rows(W)
         return G
@@ -268,7 +283,8 @@ class Objective:
         total = np.zeros(d)
         for lo in range(0, n, rows):
             idx = np.arange(lo, min(lo + rows, n))
-            total += self._base_grad_rows(idx, W.repeat(idx.size, axis=0)).sum(axis=0)
+            total += self._base_grad_gathered(
+                self._gather(idx), W.repeat(idx.size, axis=0)).sum(axis=0)
         g = total / n
         if self.regularization_weight:
             # every component carries the same regularizer gradient
@@ -311,8 +327,11 @@ class LogisticObjective(Objective):
     def _base_values(self, W):
         return _softplus(np.einsum("kj,ji->ki", W, self._neg_yX_T))
 
-    def _base_grad_rows(self, idx, W):
-        yXi = self._yX[idx]
+    def _gather(self, idx):
+        return (self._yX[idx],)
+
+    def _base_grad_gathered(self, data, W):
+        yXi, = data
         z = np.einsum("ij,ij->i", yXi, W)
         return -_sigmoid_neg(z)[:, None] * yXi
 
@@ -335,9 +354,12 @@ class LeastSquaresObjective(Objective):
         R = np.einsum("kj,ji->ki", W, self._XT) - self.y
         return R * R
 
-    def _base_grad_rows(self, idx, W):
-        Xi = self.X[idx]
-        r = np.einsum("ij,ij->i", Xi, W) - self.y[idx]
+    def _gather(self, idx):
+        return self.X[idx], self.y[idx]
+
+    def _base_grad_gathered(self, data, W):
+        Xi, yi = data
+        r = np.einsum("ij,ij->i", Xi, W) - yi
         return (2.0 * r)[:, None] * Xi
 
     def _base_smoothness(self):
@@ -362,8 +384,11 @@ class LinearObjective(Objective):
     def _base_values(self, W):
         return np.einsum("kj,ji->ki", W, self._CT)
 
-    def _base_grad_rows(self, idx, W):
-        return self.C[idx]
+    def _gather(self, idx):
+        return (self.C[idx],)
+
+    def _base_grad_gathered(self, data, W):
+        return data[0]
 
     def _base_smoothness(self):
         return 0.0
@@ -390,8 +415,12 @@ class QuadraticMeanObjective(Objective):
         D = W[:, None, :] - self.centers
         return (0.5 * self.mu) * np.einsum("kij,kij->ki", D, D)
 
-    def _base_grad_rows(self, idx, W):
-        return self.mu * (W - self.centers[idx])
+    def _gather(self, idx):
+        return (self.centers[idx],)
+
+    def _base_grad_gathered(self, data, W):
+        centers, = data
+        return self.mu * (W - centers)
 
     def _base_smoothness(self):
         return self.mu
@@ -418,7 +447,11 @@ class CallableObjective(Objective):
     def _base_values(self, W):
         return np.array([[float(f(w)) for f in self._values] for w in W])
 
-    def _base_grad_rows(self, idx, W):
+    def _gather(self, idx):
+        return (idx,)
+
+    def _base_grad_gathered(self, data, W):
+        idx, = data
         out = np.empty(W.shape)
         for k in range(W.shape[0]):
             out[k] = self._grads[int(idx[k])](W[k])

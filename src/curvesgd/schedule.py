@@ -5,8 +5,9 @@ Three schedule kinds share one spec type:
 * constant: eta_t = eta,
 * power_law: eta_t = scale / t^{1/(2-h)} for t >= 1 (the experiment grid),
 * curvature_matched: eta_t = (2/(beta (2-h)))^{1/(2-h)} (t + delta)^{-1/(2-h)}
-  with delta chosen so the first step honors the cap min(1/(2L), r); the
-  decay exponent is the one the contraction map v(eta) = beta h eta^{1-h}
+  with delta chosen so the first step is eta_0 = min(1/(2L), r)^{1/(2-h)},
+  which equals the cap min(1/(2L), r) only at h = 1 or when the cap is 1;
+  the decay exponent is the one the contraction map v(eta) = beta h eta^{1-h}
   rewards with the fastest rate envelope.
 
 For a schedule n(t) and contraction map v, the envelope machinery exposes

@@ -3,12 +3,15 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvesgd as cg
+from curvesgd import objectives
 from curvesgd.engine import INDEX_BLOCK
 from curvesgd.schedule import step_size
 
@@ -468,6 +471,179 @@ def test_sweep_divergence_at_a_record_names_the_seed():
     # divergence is the iterate's alone, so the stride cannot move it
     assert failure(culprit, 7) == failure(culprit, 10 ** 6) == solo[culprit]
     assert failure(culprit, 1, seeds) == solo[culprit]
+
+
+def _chunked_sweep(configs, seeds, steps):
+    """multi_seed_sweep with the engine's chunk bound, objectives._BLOCK_TERMS,
+    set to `steps` steps of all rows, or left at its default for None."""
+    if steps is None:
+        return cg.multi_seed_sweep(configs, seeds)
+    single = isinstance(configs, cg.RunConfig)
+    first = configs if single else configs[0]
+    rows = (1 if single else len(configs)) * len(seeds)
+    terms = steps * rows * first.objective.dimension
+    with mock.patch.object(objectives, "_BLOCK_TERMS", terms):
+        return cg.multi_seed_sweep(configs, seeds)
+
+
+# (benchmark, schedules, start, iterations, stride) of each chunking case
+CHUNK_CASES = {
+    # from w0 = 4 the iterates leave the box for 13 or 14 steps, so the
+    # excursion straddles 3-step chunk boundaries and ends inside a chunk;
+    # stride 5 divides neither the chunk nor the 61 iterations
+    "excursion": ("quadratic_mean", ["const:0.002"], 4.0, 61, 5),
+    "lockstep": ("ridge", LOCKSTEP_SCHEDULES, 0.0, 100, 7),
+    "keep_iterates": ("exp_cosh", ["const:0.01"], 3.5, 50, 1),
+    # past the first index block, whose end is also a chunk's end
+    "index_block": ("quadratic_mean", ["const:0.01"], 0.0, INDEX_BLOCK + 10, 1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunking_does_not_change_a_bit(benchmarks, case):
+    # chunks of 1 step, of 3 steps and of the default bound settle the
+    # region check, the flags and the records to the same bits
+    problem, schedules, start, iterations, stride = CHUNK_CASES[case]
+    b = benchmarks[problem]
+    configs = [cg.RunConfig(objective=b.objective, schedule=cg.parse_schedule(text),
+                            seed=0, iterations=iterations, record_stride=stride,
+                            w0=np.full(b.objective.dimension, start),
+                            reference=b.reference, region_radius=b.region_radius,
+                            keep_iterates=True)
+               for text in schedules]
+    if len(configs) == 1:
+        configs = configs[0]  # the one-schedule path steps by a scalar
+    seeds = (4, 0, 9)
+    results = [_chunked_sweep(configs, seeds, steps) for steps in (1, 3, None)]
+    results = [[r] if isinstance(r, cg.SweepResult) else r for r in results]
+    for one, three, default in zip(*results):
+        for name in SWEEP_ARRAYS:
+            expected = getattr(default, name)
+            assert np.array_equal(getattr(one, name), expected), name
+            assert np.array_equal(getattr(three, name), expected), name
+    if case == "excursion":
+        sweep = results[-1][0]
+        assert sorted(set(sweep.violation_count)) == [13, 14]
+        assert sweep.region_violation[:, 1:4].all()
+        assert not sweep.region_violation[:, 4:].any()
+        assert sweep.t[-1] == 61
+    if case == "index_block":
+        assert results[-1][0].t[-1] == INDEX_BLOCK + 10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [3, None])
+def test_divergence_inside_a_chunk_names_the_earliest_row(steps):
+    # the rows of test_lockstep_divergence_names_the_earliest_row diverge at
+    # six distinct iterations; the default chunk holds all 3000 steps, and
+    # one-step chunks settle each step as it is taken
+    obj = cg.LeastSquaresObjective(cg.Dataset([[3.0], [0.5]], [1.0, 1.0]))
+    configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
+                            seed=0, iterations=3000, record_stride=5)
+               for text in ("const:0.4", "const:0.5")]
+    seeds = (0, 5, 2)
+    messages = []
+    for chunk in (1, steps):
+        with pytest.raises(cg.EngineError) as err:
+            _chunked_sweep(configs, seeds, chunk)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def _cube_gradient(calls, refuse_above=math.inf):
+    # the gradient of w^4 / 4, refusing a non-finite argument, and a
+    # finite one past refuse_above, as a library routine might
+    def grad(w):
+        calls.append(w.copy())
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError("non-finite argument")
+        if np.abs(w).max() > refuse_above:
+            raise ValueError("argument out of range")
+        return w ** 3
+    return grad
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [1, 3, None])
+def test_gradient_raising_past_a_divergence_reports_the_divergence(steps):
+    # from w0 = 3, w <- w - w^3 / 2 overflows to -inf at iteration 7; a
+    # chunk that keeps stepping calls the gradient at -inf, which raises
+    calls = []
+    obj = cg.CallableObjective([lambda w: float(w[0] ** 4 / 4)],
+                               [_cube_gradient(calls)], 1)
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                       seed=0, iterations=50, record_stride=10, w0=np.array([3.0]))
+    with pytest.raises(cg.EngineError) as err:
+        _chunked_sweep(cfg, (0,), steps)
+    assert "iteration 7 (seed 0)" in str(err.value)
+    assert np.all(np.isfinite(calls[6]))
+    if steps == 1:
+        assert len(calls) == 7
+    else:
+        # a chunk that holds iteration 8 called the gradient at -inf
+        assert len(calls) == 8 and calls[7][0] == -math.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [1, 3, None])
+def test_records_stop_before_a_divergence(steps):
+    # the gradient w^3 accepts -inf, so a chunk steps on past iteration 7;
+    # the value refuses a non-finite argument, and is never given one
+    values = []
+
+    def value(w):
+        values.append(w.copy())
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError("non-finite argument")
+        return float(w[0] ** 4 / 4)
+
+    obj = cg.CallableObjective([value], [lambda w: w ** 3], 1)
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                       seed=0, iterations=50, record_stride=1, w0=np.array([3.0]))
+    with pytest.raises(cg.EngineError, match=r"iteration 7 \(seed 0\)"):
+        _chunked_sweep(cfg, (0,), steps)
+    # the records at t = 0, ..., 6
+    assert len(values) == 7
+
+
+@pytest.mark.parametrize("steps", [1, 3, None])
+def test_gradient_raising_at_a_finite_iterate_propagates(steps):
+    # the same run, but the gradient refuses w_2 = 568.3125, long before
+    # any iterate is non-finite
+    calls = []
+    obj = cg.CallableObjective([lambda w: float(w[0] ** 4 / 4)],
+                               [_cube_gradient(calls, refuse_above=100.0)], 1)
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.5),
+                       seed=0, iterations=50, record_stride=10, w0=np.array([3.0]))
+    with pytest.raises(ValueError, match="^argument out of range$"):
+        _chunked_sweep(cfg, (0,), steps)
+    assert len(calls) == 3 and calls[-1][0] == 568.3125
+
+
+def test_sweep_scratch_memory_is_about_two_chunks():
+    # 50 seeds of ridge (d = 10) make a chunk of 131 steps, 524,000 bytes
+    # of iterates. Beyond its output arrays and the index block that every
+    # seed draws, the sweep holds the chunk's iterates and its gathered
+    # rows, two such buffers, plus the block's step sizes and the labels
+    b = cg.load_benchmark("ridge")
+    seeds = tuple(range(50))
+    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
+                       iterations=20000, record_stride=20000, reference=b.reference)
+    rows_d = len(seeds) * b.objective.dimension
+    chunk_bytes = (objectives._BLOCK_TERMS // rows_d) * rows_d * 8
+    index_block_bytes = INDEX_BLOCK * len(seeds) * 8
+    cg.multi_seed_sweep(cfg, seeds[:2])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = cg.multi_seed_sweep(cfg, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (sweep.F, sweep.Y, sweep.region_violation,
+                                     sweep.violation_count))
+    scratch = peak - before - outputs - index_block_bytes
+    assert scratch < 3 * chunk_bytes, (scratch, chunk_bytes)
 
 
 def test_recorded_eta_is_the_step_taken():
