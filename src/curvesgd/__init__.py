@@ -59,7 +59,6 @@ from .objectives import (
 )
 from .omega import (
     DeltaEstimate,
-    GapFunctions,
     OmegaSpec,
     c_alpha,
     c_alpha_brute,

@@ -11,7 +11,6 @@ import csv
 import io
 import math
 import os
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +122,9 @@ def parse_libsvm(source) -> Dataset:
 def load_libsvm(source: str) -> Dataset:
     """Read LIBSVM text from a local path or an http(s) URL."""
     if source.startswith("http://") or source.startswith("https://"):
+        # imported here: urllib.request pulls in http, email and ssl
+        import urllib.request
+
         with urllib.request.urlopen(source, timeout=URL_TIMEOUT) as response:
             text = response.read().decode("utf-8")
         return parse_libsvm(text)

@@ -212,7 +212,7 @@ def multi_seed_sweep(config, seeds):
     grad = obj._grad_gathered
 
     # records fall at every multiple of the stride and at the last
-    # iteration, so iteration t lands in record column ceil(t / stride)
+    # iteration; iteration t lands in the first record column at or after t
     records = -(-total // stride) + 1
     t_rec = np.minimum(np.arange(records, dtype=np.int64) * stride, total)
     F = np.empty((rows, records))
@@ -250,14 +250,11 @@ def multi_seed_sweep(config, seeds):
         if over.any():
             violations[:] += over.sum(axis=0)
             # unbuffered, as several steps may share a record column
-            cols = -(-np.arange(lo + 1, lo + end + 1) // stride)
+            cols = t_rec.searchsorted(np.arange(lo + 1, lo + end + 1))
             np.logical_or.at(flags.T, cols, over)
-        t = list(range((lo // stride + 1) * stride, lo + end + 1, stride))
-        if lo + end == total and total % stride:
-            t.append(total)
-        if t:
-            t = np.array(t)
-            record(-(-t // stride), H[t - lo - 1])
+        start, stop = t_rec.searchsorted((lo, lo + end), side="right")
+        if stop > start:
+            record(np.arange(start, stop), H[t_rec[start:stop] - lo - 1])
         if bad.size:
             j, row = divmod(int(bad[0]), rows)
             c, k = divmod(row, S)
@@ -269,7 +266,9 @@ def multi_seed_sweep(config, seeds):
 
     # one column per seed, each drawn from that seed's own generator
     rngs = [np.random.default_rng(s) for s in seeds]
-    block = np.empty((INDEX_BLOCK, S), dtype=np.int64)
+    # the indices are drawn as int64, which fixes the stream, and stored as
+    # int32 at half the memory: component counts stay far below 2**31
+    block = np.empty((INDEX_BLOCK, S), dtype=np.int32)
 
     record([0], W[None])
     # indices are drawn, and the schedules evaluated, one block of

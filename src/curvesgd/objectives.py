@@ -15,8 +15,8 @@ import numpy as np
 
 REGULARIZERS = ("plain", "norm2", "norm2_squared", "exp_cosh_G")
 
-# the box ||w||_inf <= REGION_RADIUS shared by the default L (so the matched
-# schedules), the engine's region check and fit_curvature's samples
+# the box ||w||_inf <= REGION_RADIUS shared by smoothness_bound's L (so the
+# matched schedules), the engine's region check and estimate_delta's samples
 REGION_RADIUS = 3.0
 
 # (row, component) terms per block of a batched value or gradient, and
@@ -184,7 +184,7 @@ class Objective:
             return 0.5 * np.einsum("ij,ij->i", W, W)
         return regularizer_G_value(W)
 
-    def _reg_hessian_bound(self, region_radius: float) -> float:
+    def _reg_hessian_bound(self) -> float:
         kind = self.regularizer
         lam = self.regularization_weight
         if kind == "plain" or lam == 0.0:
@@ -193,10 +193,7 @@ class Objective:
             return math.inf  # curvature of ||w|| is unbounded at the origin
         if kind == "norm2_squared":
             return lam
-        try:
-            return lam * (math.exp(region_radius) + math.exp(-region_radius) - 2.0)
-        except OverflowError:  # e^r leaves the float range past about 709.78
-            return math.inf
+        return lam * (math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0)
 
     # ----- public surface ---------------------------------------------------
     def _rows(self, W, idx=None):
@@ -299,15 +296,13 @@ class Objective:
             mu += self.regularization_weight
         return mu if mu > 0 else None
 
-    def smoothness_bound(self, region_radius: float = REGION_RADIUS) -> float:
+    def smoothness_bound(self) -> float:
         """Upper bound on the per-component Hessian spectral norm.
 
-        Valid on the box {w : ||w||_inf <= region_radius}. The exp-cosh
-        regularizer is smooth only on bounded regions, hence the radius.
+        Valid on the box {w : ||w||_inf <= REGION_RADIUS}. The exp-cosh
+        regularizer is smooth only on bounded regions, hence the box.
         """
-        if not region_radius > 0:
-            raise ValueError("region_radius must be positive")
-        return self._base_smoothness() + self._reg_hessian_bound(region_radius)
+        return self._base_smoothness() + self._reg_hessian_bound()
 
 
 class LogisticObjective(Objective):
@@ -464,17 +459,16 @@ class CallableObjective(Objective):
 # a trial point may overflow F or its gradient to inf or NaN, which the
 # isfinite test and the norm comparison reject without numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def solve_reference(objective: Objective, max_iterations: int = 10 ** 6,
-                    w0=None) -> ReferenceSolution:
-    """Minimize F by full-gradient descent with Armijo backtracking, to a
-    gradient norm of at most 1e-10.
+def solve_reference(objective: Objective,
+                    max_iterations: int = 10 ** 6) -> ReferenceSolution:
+    """Minimize F by full-gradient descent with Armijo backtracking from the
+    origin, to a gradient norm of at most 1e-10.
 
     Deterministic: repeated calls with the same inputs produce bit-identical
     output. The noise constant is the mean of ||grad f_i(w_star)||^2 over
     components.
     """
-    d = objective.dimension
-    w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(objective.dimension)
     fw = objective.value(w)
     step = 1.0
     armijo = 1e-4

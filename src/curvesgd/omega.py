@@ -181,18 +181,6 @@ def _validate_alpha(spec: OmegaSpec, alpha: float):
 
 
 @dataclass(frozen=True)
-class GapFunctions:
-    """Paired maps a(w) = F(w) - F_min and b(w) = ||w - w_star||^2.
-
-    Both callables must accept a (samples, d) array and return a (samples,)
-    array.
-    """
-
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
 class DeltaEstimate:
     """Result of estimate_delta.
 
@@ -254,26 +242,22 @@ def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray) -> float:
     return float(slope)
 
 
-def estimate_delta(gap: GapFunctions, sample_region, grid=None,
-                   n_samples: int = 100_000, seed: int = 0) -> DeltaEstimate:
-    """Empirical gap-to-distance majorant.
+def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
+                   seed: int = 0) -> DeltaEstimate:
+    """Empirical gap-to-distance majorant of the maps a(w) = F(w) - F_min
+    and b(w) = ||w - w_star||^2, each taking a (samples, d) array to a
+    (samples,) array.
 
-    Samples w uniformly over the box ``sample_region = (low, high)``, bins
-    the samples into relative bands |a(w) - eps| <= 0.02 eps around
+    Samples w uniformly over the REGION_RADIUS box in the given dimension,
+    bins the samples into relative bands |a(w) - eps| <= 0.02 eps around
     each grid value, records the per-band maximum of b(w), and returns the
     least concave nondecreasing majorant of those maxima. Empty bands are
     reported (NaN rho, zero count), not fatal.
     """
-    low, high = sample_region
-    low = np.atleast_1d(np.asarray(low, dtype=float))
-    high = np.atleast_1d(np.asarray(high, dtype=float))
-    if low.shape != high.shape or np.any(low >= high):
-        raise ValueError("sample_region must be a (low, high) box with low < high")
-    # the draws and bits of rng.uniform(low, high, size), without its
-    # slower broadcasting path
-    W = low + (high - low) * np.random.default_rng(seed).random((n_samples, low.size))
-    av = np.asarray(gap.a(W), dtype=float)
-    bv = np.asarray(gap.b(W), dtype=float)
+    W = np.random.default_rng(seed).uniform(-REGION_RADIUS, REGION_RADIUS,
+                                            (n_samples, dimension))
+    av = np.asarray(a(W), dtype=float)
+    bv = np.asarray(b(W), dtype=float)
     if grid is None:
         pos = av[av > 0.0]
         if pos.size == 0:
@@ -313,10 +297,9 @@ def fit_curvature(objective, reference, seed: int = 0) -> float:
     yields h near 1, a quartic-bottomed objective h near 1/2. The slope is
     invariant under rescaling of the objective, up to sampling noise.
     """
-    gap = GapFunctions(a=lambda W: objective.value_many(W) - reference.f_min,
-                       b=reference.squared_distance)
-    box = REGION_RADIUS * np.ones(objective.dimension)
-    est = estimate_delta(gap, (-box, box), seed=seed)
+    est = estimate_delta(lambda W: objective.value_many(W) - reference.f_min,
+                         reference.squared_distance, objective.dimension,
+                         seed=seed)
     if math.isnan(est.fitted_h):
         raise ValueError("curvature fit failed: empty delta profile")
     return min(1.0, max(0.0, est.fitted_h))

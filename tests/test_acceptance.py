@@ -135,22 +135,18 @@ def test_criterion_08_power_law_ranking(say):
 
 
 def test_criterion_09_delta_estimator_oracles(say):
-    from curvesgd.omega import GapFunctions, estimate_delta
+    from curvesgd.omega import estimate_delta
     from curvesgd.objectives import LinearObjective, ReferenceSolution
 
     start = time.perf_counter()
     mu = 2.0
-    quad = GapFunctions(
-        a=lambda W: 0.5 * mu * np.einsum("ij,ij->i", W, W),
-        b=lambda W: np.einsum("ij,ij->i", W, W),
-    )
     grid = np.geomspace(1e-3, 5.0, 40)
-    est = estimate_delta(quad, (-3.0 * np.ones(3), 3.0 * np.ones(3)), grid=grid)
+    est = estimate_delta(lambda W: 0.5 * mu * np.einsum("ij,ij->i", W, W),
+                         lambda W: np.einsum("ij,ij->i", W, W), 3, grid=grid)
     pred = (2.0 / mu) * est.epsilon_grid
     quad_err = float(np.max(np.abs(est.delta_values - pred) / pred))
 
-    quart = GapFunctions(a=lambda W: W[:, 0] ** 4, b=lambda W: W[:, 0] ** 2)
-    est4 = estimate_delta(quart, (np.array([-3.0]), np.array([3.0])))
+    est4 = estimate_delta(lambda W: W[:, 0] ** 4, lambda W: W[:, 0] ** 2, 1)
 
     lam = 4.0
     obj = LinearObjective(np.array([[0.0]]), "exp_cosh_G", lam)

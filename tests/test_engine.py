@@ -622,8 +622,8 @@ def test_gradient_raising_at_a_finite_iterate_propagates(steps):
 
 def test_sweep_scratch_memory_is_about_two_chunks():
     # 50 seeds of ridge (d = 10) make a chunk of 131 steps, 524,000 bytes
-    # of iterates. Beyond its output arrays and the index block that every
-    # seed draws, the sweep holds the chunk's iterates and its gathered
+    # of iterates. Beyond its output arrays and the int32 index block that
+    # every seed draws, the sweep holds the chunk's iterates and its gathered
     # rows, two such buffers, plus the block's step sizes and the labels
     b = cg.load_benchmark("ridge")
     seeds = tuple(range(50))
@@ -631,7 +631,7 @@ def test_sweep_scratch_memory_is_about_two_chunks():
                        iterations=20000, record_stride=20000, reference=b.reference)
     rows_d = len(seeds) * b.objective.dimension
     chunk_bytes = (objectives._BLOCK_TERMS // rows_d) * rows_d * 8
-    index_block_bytes = INDEX_BLOCK * len(seeds) * 8
+    index_block_bytes = INDEX_BLOCK * len(seeds) * 4
     cg.multi_seed_sweep(cfg, seeds[:2])
     tracemalloc.start()
     try:
@@ -735,7 +735,7 @@ def test_recurrence_check_reports_violations_like_the_loop():
     assert report.checked == 301
     assert report.violations > 0
     violations, first_t, worst = _recurrence_loop(
-        b.objective, trace, noiseless, 1e-10, b.objective.smoothness_bound(3.0))
+        b.objective, trace, noiseless, 1e-10, b.objective.smoothness_bound())
     assert (report.violations, report.first_violation_t) == (violations, first_t)
     assert report.worst_margin == pytest.approx(worst, rel=1e-12, abs=1e-15)
 

@@ -534,7 +534,7 @@ def test_load_libsvm_url_has_timeout(monkeypatch):
         seen.update(url=url, timeout=timeout)
         return io.BytesIO(b"+1 1:0.5\n-1 2:1.5\n")
 
-    monkeypatch.setattr(dataio.urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     data = cg.load_libsvm("https://example.invalid/data.svm")
     assert seen["url"] == "https://example.invalid/data.svm"
     assert seen["timeout"] == dataio.URL_TIMEOUT

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import curvesgd as cg
-from curvesgd.omega import GapFunctions, estimate_delta
+from curvesgd.omega import estimate_delta
 
 
 def test_identity_case():
@@ -221,12 +221,9 @@ def test_c_alpha_rejects_large_alpha():
 
 def test_delta_estimator_quadratic():
     mu = 2.0
-    gap = GapFunctions(
-        a=lambda W: 0.5 * mu * np.einsum("ij,ij->i", W, W),
-        b=lambda W: np.einsum("ij,ij->i", W, W),
-    )
     grid = np.geomspace(1e-3, 5.0, 40)
-    est = estimate_delta(gap, (-3.0 * np.ones(3), 3.0 * np.ones(3)), grid=grid)
+    est = estimate_delta(lambda W: 0.5 * mu * np.einsum("ij,ij->i", W, W),
+                         lambda W: np.einsum("ij,ij->i", W, W), 3, grid=grid)
     pred = (2.0 / mu) * est.epsilon_grid
     rel = np.abs(est.delta_values - pred) / pred
     # the sampling band is 2 percent wide, so the majorant sits at its top
@@ -235,29 +232,40 @@ def test_delta_estimator_quadratic():
 
 
 def test_delta_estimator_quartic():
-    gap = GapFunctions(a=lambda W: W[:, 0] ** 4, b=lambda W: W[:, 0] ** 2)
-    est = estimate_delta(gap, (np.array([-3.0]), np.array([3.0])))
+    est = estimate_delta(lambda W: W[:, 0] ** 4, lambda W: W[:, 0] ** 2, 1)
     assert est.fitted_h == pytest.approx(0.5, abs=0.02)
 
 
 def test_delta_estimator_quadratic_plus_quartic():
     # near zero the quadratic term dominates the gap, so h fits to 1
-    gap = GapFunctions(
-        a=lambda W: W[:, 0] ** 2 + W[:, 0] ** 4,
-        b=lambda W: W[:, 0] ** 2,
-    )
-    est = estimate_delta(gap, (np.array([-3.0]), np.array([3.0])))
+    est = estimate_delta(lambda W: W[:, 0] ** 2 + W[:, 0] ** 4,
+                         lambda W: W[:, 0] ** 2, 1)
     assert est.fitted_h == pytest.approx(1.0, abs=0.03)
 
 
 def test_delta_estimator_reports_empty_bands():
-    gap = GapFunctions(a=lambda W: W[:, 0] ** 2, b=lambda W: W[:, 0] ** 2)
     # the top grid value is far beyond the sample range
     grid = np.array([0.1, 1.0, 1e6])
-    est = estimate_delta(gap, (np.array([-2.0]), np.array([2.0])), grid=grid)
+    est = estimate_delta(lambda W: W[:, 0] ** 2, lambda W: W[:, 0] ** 2, 1,
+                         grid=grid)
     assert est.band_counts[-1] == 0
     assert math.isnan(est.rho_values[-1])
     assert np.all(np.isfinite(est.delta_values[:2]))
+
+
+def test_estimate_delta_draws_the_region_radius_box():
+    n, d, seed = 1000, 4, 5
+    seen = []
+
+    def b(W):
+        seen.append(W.copy())
+        return np.einsum("ij,ij->i", W, W)
+
+    estimate_delta(lambda W: np.einsum("ij,ij->i", W, W), b, d,
+                   n_samples=n, seed=seed)
+    expected = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, d))
+    assert len(seen) == 1 and seen[0].shape == expected.shape
+    assert seen[0].tobytes() == expected.tobytes()
 
 
 def test_fit_curvature_strongly_convex():
