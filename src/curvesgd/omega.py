@@ -29,7 +29,9 @@ from .objectives import REGION_RADIUS
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Parameters (h, r, mu, tau) of one gauge."""
+    """Parameters (h, r, mu, tau) of one gauge or, as arrays that broadcast
+    against the input, of a batch of gauges for omega_eval, omega_derivative,
+    v_numeric, c_alpha and c_alpha_brute."""
 
     h: float
     r: float = math.inf
@@ -37,13 +39,13 @@ class OmegaSpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.h <= 1.0):
+        if not np.all((0.0 < self.h) & (self.h <= 1.0)):
             raise ValueError("h must lie in (0, 1]")
-        if not (self.r > 0.0):
+        if not np.all(self.r > 0.0):
             raise ValueError("r must be positive (math.inf allowed)")
-        if not (0.0 < self.mu < math.inf):
+        if not np.all((0.0 < self.mu) & (self.mu < math.inf)):
             raise ValueError("mu must be positive and finite")
-        if not (0.0 <= self.tau < math.inf):
+        if not np.all((0.0 <= self.tau) & (self.tau < math.inf)):
             raise ValueError("tau must be nonnegative and finite")
 
     @property
@@ -54,21 +56,24 @@ class OmegaSpec:
         return 0.5 * self.mu * h ** (-h) * (1.0 - h) ** (-(1.0 - h)) * r_pow
 
 
+def _like(out, x):
+    """A float for a 0-d x and one gauge. A 0-d x runs as a one-entry array:
+    numpy scalars take their own power routine, with other last bits."""
+    return out.item() if np.ndim(x) == 0 and out.size == 1 else out
+
+
 def omega_eval(spec: OmegaSpec, x):
     """omega(x) for scalar or array x >= 0."""
-    # a 0-d input runs as a one-entry array, here and below: numpy
-    # scalars take their own power routine, whose last bits can differ
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa < 0.0).any():
         raise ValueError("omega is defined for x >= 0")
     scale = 2.0 / (spec.mu * spec.h)
-    if math.isinf(spec.r):
-        out = spec.tau + scale * xa ** spec.h
-    else:
-        z = xa / spec.r
-        out = np.where(xa <= spec.r, spec.tau + scale * z ** spec.h,
-                       spec.tau + scale + (2.0 / spec.mu) * (z - 1.0))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    below = xa <= spec.r
+    # the unused tangent part takes z = 1, lest a huge x overflow it
+    z = xa / np.where(np.isinf(spec.r), 1.0, spec.r)
+    out = np.where(below, spec.tau + scale * z ** spec.h, spec.tau + scale
+                   + (2.0 / spec.mu) * (np.where(below, 1.0, z) - 1.0))
+    return _like(out, x)
 
 
 def omega_derivative(spec: OmegaSpec, x):
@@ -76,12 +81,9 @@ def omega_derivative(spec: OmegaSpec, x):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa <= 0.0).any():
         raise ValueError("omega' is defined for x > 0")
-    if math.isinf(spec.r):
-        out = (2.0 / spec.mu) * xa ** (spec.h - 1.0)
-    else:
-        slope = 2.0 / (spec.mu * spec.r)
-        out = np.where(xa <= spec.r, slope * (xa / spec.r) ** (spec.h - 1.0), slope)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    r = np.where(np.isinf(spec.r), 1.0, spec.r)  # r = inf is taken as 1
+    slope = 2.0 / (spec.mu * r)
+    return _like(np.where(xa <= spec.r, slope * (xa / r) ** (spec.h - 1.0), slope), x)
 
 
 def v_closed_form(spec: OmegaSpec, eta):
@@ -95,48 +97,48 @@ def v_closed_form(spec: OmegaSpec, eta):
         raise ValueError("eta must lie in (0, r]")
     if spec.tau != 0.0:
         raise ValueError("no closed form for tau > 0; use v_numeric")
-    out = spec.beta * spec.h * ea ** (1.0 - spec.h)
-    return float(out[0]) if np.ndim(eta) == 0 else out
+    return _like(spec.beta * spec.h * ea ** (1.0 - spec.h), eta)
 
 
 def v_numeric(spec: OmegaSpec, eta):
     """Invert eta = omega(x)/omega'(x) - x by bisection and return 1/omega'(x),
     for a scalar or an array of eta.
 
-    All eta are bisected at once on s = log x, by 64 halvings of [-700, 700]
-    (r = inf) or [-700, log r]. For finite r the map saturates at x = r, to
-    which eta up to 1e-9 past saturation is taken; eta beyond is rejected.
-    At h = 1 the map is constant, and v is its limit value.
+    All eta of all gauges are bisected at once on s = log x, by 64 halvings
+    of [-700, 700] (r = inf) or [-700, log r]. For finite r the map
+    saturates at x = r, to which eta up to 1e-9 past saturation is taken;
+    eta beyond is rejected. At h = 1 the map is constant, and v is its limit
+    value, which every x gives.
     """
     ea = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all(ea > 0.0):
         raise ValueError("eta must be positive")
-    finite = not math.isinf(spec.r)
-    x = np.full(ea.shape, 0.5 * spec.r if finite else 1.0)
-    if spec.h < 1.0:
-        def step_gap(x):
-            return omega_eval(spec, x) / omega_derivative(spec, x) - x
+    bisect, r_inf = np.less(spec.h, 1.0), np.isinf(spec.r)
 
-        bottom = step_gap(math.exp(-700.0))
-        top = step_gap(spec.r if finite else math.exp(700.0))
-        outside = (ea < bottom) | (ea > top * (1.0 + (1e-9 if finite else 0.0)))
-        if np.any(outside):
-            raise ValueError("eta=%g lies outside the range [%g, %g] of the "
-                             "step map" % (ea[outside][0], bottom, top))
-        # the brackets [lo, lo + 2 half] share their bounds, so one half-width
-        lo = np.full(ea.shape, -700.0)
-        half = 0.5 * ((math.log(spec.r) if finite else 700.0) + 700.0)
-        for _ in range(64):
-            mid = lo + half
-            lo = np.where(step_gap(np.exp(mid)) < ea, mid, lo)
-            half *= 0.5
-        # only a finite r lets eta pass top
-        x = np.where(ea > top, spec.r, np.exp(lo + half))
-    out = 1.0 / omega_derivative(spec, x)
-    return float(out[0]) if np.ndim(eta) == 0 else out
+    def step_gap(x):
+        x = np.where(bisect, x, 1.0)  # a constant map is probed at x = 1
+        return omega_eval(spec, x) / omega_derivative(spec, x) - x
+
+    x_top = np.where(r_inf, math.exp(700.0), spec.r)
+    bottom, top = step_gap(math.exp(-700.0)), step_gap(x_top)
+    outside = bisect & ((ea < bottom) | (ea > top * np.where(r_inf, 1.0, 1.0 + 1e-9)))
+    if np.any(outside):
+        e, b, t = (np.broadcast_to(v, outside.shape)[outside][0] for v in (ea, bottom, top))
+        raise ValueError("eta=%g lies outside the range [%g, %g] of the step map" % (e, b, t))
+    # a gauge's brackets [lo, lo + 2 half] share their bounds, so one half-width
+    # per gauge; math.log (exactly 700 at e^700), as np.log can differ in the last bit
+    lo = np.full(outside.shape, -700.0)
+    half = 0.5 * (np.vectorize(math.log)(x_top) + 700.0)
+    for _ in range(64):
+        mid = lo + half
+        lo = np.where(step_gap(np.exp(mid)) < ea, mid, lo)
+        half *= 0.5
+    # only a finite r (or h = 1) lets eta pass top
+    x = np.where(ea > top, spec.r, np.exp(lo + half))
+    return _like(1.0 / omega_derivative(spec, x), eta)
 
 
-def c_alpha(spec: OmegaSpec, alpha: float) -> float:
+def c_alpha(spec: OmegaSpec, alpha):
     """Doubling constant of the gauge at scale alpha, 0 < alpha <= r/2.
 
     Closed form 1 + (2^h - 1) / ((mu h tau / 2)(r/alpha)^h + 1); for tau = 0
@@ -144,35 +146,32 @@ def c_alpha(spec: OmegaSpec, alpha: float) -> float:
     """
     _validate_alpha(spec, alpha)
     h = spec.h
-    if math.isinf(spec.r):
-        ratio_pow = alpha ** (-h)  # r^h absorbed, so (r/alpha)^h -> alpha^-h
-    else:
-        ratio_pow = (spec.r / alpha) ** h
-    return 1.0 + (2.0 ** h - 1.0) / (0.5 * spec.mu * h * spec.tau * ratio_pow + 1.0)
+    # r^h absorbed at r = inf, so (r/alpha)^h -> alpha^-h
+    ratio_pow = np.where(np.isinf(spec.r), alpha ** (-h), (spec.r / alpha) ** h)
+    out = 1.0 + (2.0 ** h - 1.0) / (0.5 * spec.mu * h * spec.tau * ratio_pow + 1.0)
+    return _like(out, alpha)
 
 
-def c_alpha_brute(spec: OmegaSpec, alpha: float) -> float:
+def c_alpha_brute(spec: OmegaSpec, alpha):
     """Brute-force doubling constant on a log grid of 4000 points.
 
     Evaluates sup over e >= alpha of inf over x in [alpha, e] of
-    omega(2x)/omega(x), with alpha included in the grid exactly.
+    omega(2x)/omega(x), with alpha included in the grid exactly. A batch
+    takes an array of alpha; the grid runs along a new first axis.
     """
     _validate_alpha(spec, alpha)
-    if math.isinf(spec.r):
-        e_max = 1e4 * alpha
-    else:
-        e_max = max(10.0 * spec.r, 4.0 * alpha)
+    e_max = np.where(np.isinf(spec.r), 1e4 * alpha,
+                     np.maximum(10.0 * spec.r, 4.0 * alpha))
     grid = np.geomspace(alpha, e_max, 4000)
     grid[0] = alpha
     ratios = omega_eval(spec, 2.0 * grid) / omega_eval(spec, grid)
-    inner = np.minimum.accumulate(ratios)
-    return float(inner.max())
+    return _like(np.minimum.accumulate(ratios).max(axis=0), alpha)
 
 
-def _validate_alpha(spec: OmegaSpec, alpha: float):
-    if alpha <= 0.0:
+def _validate_alpha(spec: OmegaSpec, alpha):
+    if np.any(alpha <= 0.0):
         raise ValueError("alpha must be positive")
-    if not math.isinf(spec.r) and alpha > 0.5 * spec.r:
+    if np.any(alpha > 0.5 * spec.r):
         raise ValueError("alpha must not exceed r/2")
 
 

@@ -68,12 +68,11 @@ def test_recording_does_not_consume_randomness():
         assert fine.F[k] == f
 
 
-def test_index_stream_matches_block_rng():
+def _check_index_stream(targets):
     # the sampling contract: indices come from default_rng(seed) drawn in
     # blocks of INDEX_BLOCK, so runs are reproducible past block boundaries
-    n = 3
-    data = cg.Dataset(np.ones((n, 1)), np.array([1.0, -1.0, 2.0]))
-    obj = cg.LeastSquaresObjective(data)
+    n = targets.size
+    obj = cg.LeastSquaresObjective(cg.Dataset(np.ones((n, 1)), targets))
     eta0 = 0.05
     total = INDEX_BLOCK + 5
     trace = cg.sgd_run(cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(eta0),
@@ -85,6 +84,17 @@ def test_index_stream_matches_block_rng():
     for i in idx:
         w = w - eta0 * obj.grad_rows([i], w[None])[0]
     assert trace.F[-1] == obj.value(w)
+
+
+def test_index_stream_matches_block_rng():
+    _check_index_stream(np.array([1.0, -1.0, 2.0]))
+
+
+def test_index_stream_keeps_indices_past_int16():
+    # distinct targets over 40,000 components: an index block stored in a
+    # type narrower than int32 wraps indices past 127 or 32,767, and with
+    # them the components the replay steps on
+    _check_index_stream(np.arange(40_000.0))
 
 
 def test_repeat_runs_identical():

@@ -2,6 +2,7 @@
 estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,131 @@ def test_v_numeric_rejects_one_bad_eta_in_an_array():
     for bad in (0.0, -1.0, top * 1.01):
         with pytest.raises(ValueError):
             cg.v_numeric(spec, np.append(good, bad))
+
+
+# float.hex of scalar-gauge outputs, recorded from the two-branch code that
+# handled r = inf apart: omega_eval and omega_derivative at GOLDEN_X,
+# v_numeric at GOLDEN_ETA, c_alpha_brute at alpha = r/4 (1/4 at r = inf)
+GOLDEN_X = (0.01, 0.7, 3.0, 12.0)
+GOLDEN_ETA = (1e-3, 0.1, 1.0, 3.0)
+GOLDEN_BITS = [
+    pytest.param((0.3, math.inf, 2.0, 0.0),
+                 "0x1.acb1fe271107fp-1 0x1.7f5eb870a2335p+1 0x1.289dc98759791p+2 0x1.c19619686ad93p+2",
+                 "0x1.91e6de449ff75p+4 0x1.489a54f2d42c0p+0 0x1.da960f3ef58e9p-2 0x1.67ab4786bbe10p-3",
+                 "0x1.1fabcae7a1b86p-8 0x1.c39f86f137c5cp-4 0x1.1aef48625d0b5p-1 0x1.313d60794471cp+0",
+                 "0x1.3b2c47bff8328p+0", id="inf"),
+    pytest.param((0.3, 5.0, 2.0, 0.0),
+                 "0x1.0884fe6ca577dp-1 0x1.d91ac38986e8dp+0 0x1.6e0b6fa2f8dc1p+1 0x1.2eeeeeeeeeeefp+2",
+                 "0x1.eff95d0bb6408p+3 0x1.9584a79a73a30p-1 0x1.24d5f2e8c7167p-2 0x1.999999999999ap-3",
+                 "0x1.d2374c5beceb5p-8 0x1.6df68889c3775p-3 0x1.ca8a3c776b0c5p-1 0x1.eeb0567e77bdep+0",
+                 "0x1.3b2c47bff8328p+0", id="r"),
+    pytest.param((0.4, 3.0, 2.0, 0.5),
+                 "0x1.82b9d12ce4eabp-1 0x1.e593f241fce68p+0 0x1.8000000000000p+1 0x1.8000000000000p+2",
+                 "0x1.46d08af03c4abp+3 0x1.98a914ddb3509p-1 0x1.5555555555555p-2 0x1.5555555555555p-2",
+                 "0x1.005c861419c5cp-9 0x1.259b6b43fdd32p-3 0x1.bb451c76d07fdp-1 0x1.e0b85b8614bc2p+0",
+                 "0x1.3cab0bcba7f02p+0", id="tau"),
+    pytest.param((0.4, math.inf, 2.0, 0.5),
+                 "0x1.caddc7b6a3029p-1 0x1.5573ee25eb531p+1 0x1.184b983ec1694p+2 0x1.d04ea5778fa8cp+2",
+                 "0x1.fb2a734897866p+3 0x1.3d16c706c3ccbp+0 0x1.08d92aed9b1b0p-1 0x1.cd20b07f882b8p-3",
+                 "0x1.f52190608c9cbp-10 0x1.dd6e5e55fd746p-4 0x1.407ae7aeb87d6p-1 0x1.4ecdfad6afa8fp+0",
+                 "0x1.3cab0bcba7f02p+0", id="tau-inf"),
+    pytest.param((1.0, 2.0, 3.0, 0.0),
+                 "0x1.b4e81b4e81b4ep-9 0x1.dddddddddddddp-3 0x1.0000000000000p+0 0x1.fffffffffffffp+1",
+                 "0x1.5555555555555p-2 0x1.5555555555555p-2 0x1.5555555555555p-2 0x1.5555555555555p-2",
+                 "0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1",
+                 "0x1.0000000000000p+1", id="h1"),
+    pytest.param((1.0, math.inf, 3.0, 0.0),
+                 "0x1.b4e81b4e81b4ep-8 0x1.dddddddddddddp-2 0x1.0000000000000p+1 0x1.0000000000000p+3",
+                 "0x1.5555555555555p-1 0x1.5555555555555p-1 0x1.5555555555555p-1 0x1.5555555555555p-1",
+                 "0x1.8000000000000p+0 0x1.8000000000000p+0 0x1.8000000000000p+0 0x1.8000000000000p+0",
+                 "0x1.0000000000000p+1", id="h1-inf"),
+    pytest.param((0.5, 4.0, 1.0, 0.0),
+                 "0x1.999999999999ap-3 0x1.ac5eb3f7ab2f8p+0 0x1.bb67ae8584caap+1 0x1.0000000000000p+3",
+                 "0x1.4000000000000p+3 0x1.31fa808c55b43p+0 0x1.279a74590331cp-1 0x1.0000000000000p-1",
+                 "0x1.030dc4ea03a71p-5 0x1.43d136248490fp-2 0x1.ffffffffffffep-1 0x1.bb67ae8584ca9p+0",
+                 "0x1.6a09e667f3bcdp+0", id="half"),
+    pytest.param((0.5, math.inf, 2.0, 0.0),
+                 "0x1.999999999999ap-3 0x1.ac5eb3f7ab2f8p+0 0x1.bb67ae8584caap+1 0x1.bb67ae8584caap+2",
+                 "0x1.4000000000000p+3 0x1.31fa808c55b43p+0 0x1.279a74590331cp-1 0x1.279a74590331cp-2",
+                 "0x1.030dc4ea03a71p-5 0x1.43d136248490fp-2 0x1.0000000000000p+0 0x1.bb67ae8584ca9p+0",
+                 "0x1.6a09e667f3bcdp+0", id="half-inf"),
+]
+
+
+@pytest.mark.parametrize("fields, evals, derivs, vs, brute", GOLDEN_BITS)
+def test_scalar_gauges_keep_their_bits(fields, evals, derivs, vs, brute):
+    spec = cg.OmegaSpec(*fields)
+    assert [cg.omega_eval(spec, x).hex() for x in GOLDEN_X] == evals.split()
+    assert [cg.omega_derivative(spec, x).hex() for x in GOLDEN_X] == derivs.split()
+    assert [cg.v_numeric(spec, eta).hex() for eta in GOLDEN_ETA] == vs.split()
+    alpha = 0.25 if math.isinf(spec.r) else 0.25 * spec.r
+    assert cg.c_alpha_brute(spec, alpha).hex() == brute
+
+
+def _batch(gauges, column=True):
+    """One OmegaSpec of the given (h, r, mu, tau) gauges, as (G, 1) columns
+    or as (G,) arrays."""
+    return cg.OmegaSpec(*(np.array(f)[:, None] if column else np.array(f)
+                          for f in zip(*gauges)))
+
+
+# r = inf beside finite r, tau > 0 beside tau = 0, h = 1 beside h < 1
+_MIXED = [(0.3, math.inf, 2.0, 0.0), (0.3, 5.0, 2.0, 0.0), (0.4, 3.0, 2.0, 0.5),
+          (0.4, math.inf, 2.0, 0.5), (1.0, 2.0, 3.0, 0.0), (1.0, math.inf, 3.0, 0.0),
+          (0.5, 4.0, 1.0, 0.0), (0.7, 2.0, 0.5, 0.2)]
+
+
+def test_batch_rows_match_their_gauges():
+    batch, flat = _batch(_MIXED), _batch(_MIXED, column=False)
+    x = np.geomspace(1e-3, 20.0, 40)  # one grid for every row, past each r
+    # one eta row per gauge, inside every step map's range
+    eta = np.geomspace(1e-3, 0.5, 7) * (1.0 + 0.1 * np.arange(len(_MIXED)))[:, None]
+    alpha = 0.25 * np.where(np.isinf(flat.r), 1.0, flat.r)
+    together = [cg.omega_eval(batch, x), cg.omega_derivative(batch, x),
+                cg.v_numeric(batch, eta), cg.c_alpha(flat, alpha),
+                cg.c_alpha_brute(flat, alpha)]
+    assert [t.shape for t in together] == [(8, 40)] * 2 + [(8, 7), (8,), (8,)]
+    for g, fields in enumerate(_MIXED):
+        spec = cg.OmegaSpec(*fields)
+        alone = [cg.omega_eval(spec, x), cg.omega_derivative(spec, x),
+                 cg.v_numeric(spec, eta[g]), cg.c_alpha(spec, alpha[g]),
+                 cg.c_alpha_brute(spec, alpha[g])]
+        for rows, row in zip(together, alone):
+            np.testing.assert_allclose(rows[g], row, rtol=1e-15, atol=0.0)
+
+
+def test_batch_of_small_mu_raises_no_runtime_warning():
+    # at mu = 1e-6 and r = inf, the unused tangent part at x = e^700, or the
+    # step map of the h = 1 gauge there, would overflow
+    hs = (0.1, 0.5, 0.9, 1.0)
+    batch = cg.OmegaSpec(h=np.array(hs)[:, None], mu=1e-6)
+    eta = np.geomspace(1e-3, 10.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = cg.v_numeric(batch, eta)
+        # omega itself overflows there at h = 1, so only the h < 1 gauges
+        below_one = cg.OmegaSpec(h=np.array(hs[:-1]), mu=1e-6)
+        big = [f(below_one, math.exp(700.0)) for f in (cg.omega_eval, cg.omega_derivative)]
+        for g, h in enumerate(hs):
+            np.testing.assert_allclose(together[g], cg.v_numeric(cg.OmegaSpec(h, mu=1e-6), eta),
+                                       rtol=1e-15, atol=0.0)
+    assert all(np.all(np.isfinite(b)) for b in big)
+
+
+def test_v_numeric_batch_rejects_one_bad_eta():
+    batch = _batch([(0.5, 2.0, 1.0, 0.0), (0.3, math.inf, 2.0, 0.0), (1.0, 2.0, 3.0, 0.0)])
+    good = np.tile(np.geomspace(1e-3, 0.9, 5), (3, 1))
+    assert cg.v_numeric(batch, good).shape == (3, 5)
+    # the first gauge's step map saturates at r(1-h)/h = 2
+    for bad in (0.0, -1.0, 2.02):
+        eta = good.copy()
+        eta[0, 2] = bad
+        with pytest.raises(ValueError, match="eta" if bad <= 0 else "eta=2.02 "):
+            cg.v_numeric(batch, eta)
+    # the h = 1 gauge's map is constant, and v takes any positive eta
+    eta = good.copy()
+    eta[2, 2] = 1e6
+    assert cg.v_numeric(batch, eta)[2, 2] == 3.0  # mu r / 2
 
 
 def test_v_rejects_bad_eta():
