@@ -2,10 +2,12 @@
 fits.
 
 Sampling is with replacement: component indices come from a PCG64 generator
-seeded with the run's 64-bit seed, drawn in fixed blocks of 8192 regardless
-of recording options, so the index stream is a stable function of the seed
-alone. Iterates are never projected; excursions outside the stated region
-are counted and flagged, not corrected.
+seeded with the run's 64-bit seed, drawn in blocks of 8192 regardless of
+recording options, the last block only as long as the run needs. A shorter
+draw is a prefix of the longer one, so a run's indices are a prefix of its
+seed's stream, a stable function of the seed alone. Iterates are never
+projected; excursions outside the stated region are counted and flagged,
+not corrected.
 
 A sweep steps in chunks of at most objectives._BLOCK_TERMS (row, coordinate)
 terms of iterates. The objective gathers the component data of a whole
@@ -276,9 +278,9 @@ def multi_seed_sweep(config, seeds):
     # alone, and a step costs an array lookup without materializing all
     # `total` step sizes
     for base in range(0, total, INDEX_BLOCK):
-        for k, rng in enumerate(rngs):
-            block[:, k] = rng.integers(0, n, size=INDEX_BLOCK)
         stop = min(base + INDEX_BLOCK, total)
+        for k, rng in enumerate(rngs):
+            block[: stop - base, k] = rng.integers(0, n, size=stop - base)
         grid = np.arange(base, stop, dtype=float)
         steps = np.stack([step_size(s, grid) for s in scheds], axis=1)
         for lo in range(base, stop, chunk):

@@ -8,7 +8,9 @@ solver.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,41 @@ REGION_RADIUS = 3.0
 # (row, coordinate) terms per chunk of engine steps: bounds memory and keeps
 # the temporaries in cache
 _BLOCK_TERMS = 1 << 16
+
+# the threads that take a share of the blocks of a value_many or value_rows
+# call, started on first use; a forked child starts its own
+_POOL = None
+# set while a pool thread runs a share, so that a value call nested inside
+# one runs serially instead of waiting on the threads it occupies
+_IN_SHARE = contextvars.ContextVar("in_value_share", default=False)
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on: the calling thread and the pool
+    split a call's value blocks between them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    global _POOL
+    if _POOL is None:
+        # imported here, as most runs never evaluate more than one block
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, _worker_count() - 1),
+                                   thread_name_prefix="curvesgd-values")
+    return _POOL
+
+
+def _drop_pool():
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,9 +118,15 @@ def regularizer_G_gradient(w) -> np.ndarray:
     return np.expm1(w) - np.expm1(-w) - 2.0 * w
 
 
-def _softplus(m):
-    """log(1 + e^m) without overflow."""
-    return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+def _softplus_inplace(m, tmp):
+    """Overwrite m with log(1 + e^m), computed without overflow as
+    max(m, 0) + log1p(e^-|m|), using tmp as scratch."""
+    np.abs(m, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    np.maximum(m, 0.0, out=m)
+    np.add(m, tmp, out=m)
 
 
 def _sigmoid_neg(z):
@@ -123,8 +166,9 @@ class Objective:
     ``_base_grad_gathered``, and ``_base_smoothness``; every value and
     gradient of the public surface is built from them, and the engine
     gathers the data of many steps at once and calls the same gradient
-    kernel. Instances are immutable after construction and safe to share
-    across threads.
+    kernel. Instances do not change after construction, but for a cache of
+    the gathered data of every component, and are safe to share across
+    threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
@@ -136,11 +180,15 @@ class Objective:
         self.dimension = int(d)
         self.regularizer = regularizer
         self.regularization_weight = float(lam)
+        # the component data of every index, gathered by the first
+        # one-block gradient
+        self._every_data = None
 
     # ----- subclass hooks -------------------------------------------------
-    def _base_values(self, W: np.ndarray) -> np.ndarray:
-        """(rows, n) matrix whose entry [k, i] is base_i(W[k]), row k
-        computed from W[k] alone."""
+    def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+        """Write into the (rows, n) array out the entries [k, i] =
+        base_i(W[k]), row k computed from W[k] alone; tmp is a scratch
+        array of the same shape."""
         raise NotImplementedError
 
     def _gather(self, idx: np.ndarray) -> tuple:
@@ -171,7 +219,7 @@ class Objective:
             # a zero row takes the subgradient 0, valid at the kink
             return np.divide(W, nrm, out=np.zeros_like(W), where=nrm != 0.0)
         if kind == "norm2_squared":
-            return W.copy()
+            return W  # callers scale it into a new array
         return regularizer_G_gradient(W)
 
     def _reg_value_rows(self, W: np.ndarray) -> np.ndarray:
@@ -245,27 +293,67 @@ class Objective:
 
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
-        in blocks of about _BLOCK_TERMS (row, component) terms.
+        in blocks of about _BLOCK_TERMS (row, component) terms, and a call of
+        several blocks runs them on every CPU the process may use; the bits
+        do not depend on how many there are.
         """
         W, _ = self._rows(W)
         return self._block_values(W, None)
 
     def _block_values(self, W, idx):
-        # one (rows, n) block of base values at a time, reduced to the
-        # component idx[k] of each row, or to the row mean when idx is None
+        # blocks of rows, each a (rows, n) array of base values reduced to
+        # the component idx[k] of each row, or to the row mean when idx is
+        # None; a call of several blocks splits them into one contiguous
+        # share per worker, the calling thread taking the first. A share
+        # writes only its own rows of out, from their own weights, so the
+        # bits do not depend on the number of workers.
         out = np.empty(W.shape[0])
         rows = max(1, _BLOCK_TERMS // self.component_count)
-        for lo in range(0, W.shape[0], rows):
-            block = W[lo : lo + rows]
-            base = self._base_values(block)
-            if idx is None:
-                vals = base.sum(axis=1) / self.component_count
-            else:
-                vals = base[np.arange(block.shape[0]), idx[lo : lo + rows]]
-            if self.regularization_weight:
-                vals = vals + self.regularization_weight * self._reg_value_rows(block)
-            out[lo : lo + block.shape[0]] = vals
+        blocks = -(-W.shape[0] // rows)
+        shares = 1 if blocks < 2 or _IN_SHARE.get() else min(blocks, _worker_count())
+        if shares < 2:
+            self._value_share(W, idx, out, rows, 0, W.shape[0])
+            return out
+        cuts = [rows * (blocks * k // shares) for k in range(shares)] + [W.shape[0]]
+        # numpy's errstate lives in a context variable, so every share runs
+        # in a copy of the caller's context
+        pending = [_pool().submit(contextvars.copy_context().run,
+                                  self._pool_share, W, idx, out, rows, lo, hi)
+                   for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        try:
+            self._value_share(W, idx, out, rows, 0, cuts[1])
+        finally:
+            # the shares write into out: let each finish before leaving
+            for future in pending:
+                future.exception()
+        for future in pending:
+            future.result()
         return out
+
+    def _pool_share(self, *args):
+        _IN_SHARE.set(True)
+        self._value_share(*args)
+
+    def _value_share(self, W, idx, out, rows, start, stop):
+        # rows start:stop of out, one block of at most `rows` rows at a
+        # time, in two scratch arrays reused across the share's blocks
+        n = self.component_count
+        base = np.empty((min(rows, stop - start), n))
+        tmp = np.empty_like(base)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            if hi - lo < base.shape[0]:  # the share's last, shorter block
+                base, tmp = base[: hi - lo], tmp[: hi - lo]
+            block = W[lo:hi]
+            vals = out[lo:hi]
+            self._base_values(block, base, tmp)
+            if idx is None:
+                base.sum(axis=1, out=vals)
+                vals /= n
+            else:
+                vals[:] = base[np.arange(hi - lo), idx[lo:hi]]
+            if self.regularization_weight:
+                vals += self.regularization_weight * self._reg_value_rows(block)
 
     def value(self, w) -> float:
         """F(w), computed as the one-row case of value_many."""
@@ -279,9 +367,17 @@ class Objective:
         rows = max(1, _BLOCK_TERMS // d)
         total = np.zeros(d)
         for lo in range(0, n, rows):
-            idx = np.arange(lo, min(lo + rows, n))
+            hi = min(lo + rows, n)
+            if hi - lo == n:
+                # one block covers every component, so its data is
+                # gathered once per objective
+                if self._every_data is None:
+                    self._every_data = self._gather(np.arange(n))
+                data = self._every_data
+            else:
+                data = self._gather(np.arange(lo, hi))
             total += self._base_grad_gathered(
-                self._gather(idx), W.repeat(idx.size, axis=0)).sum(axis=0)
+                data, W.repeat(hi - lo, axis=0)).sum(axis=0)
         g = total / n
         if self.regularization_weight:
             # every component carries the same regularizer gradient
@@ -319,8 +415,9 @@ class LogisticObjective(Objective):
         self._yX = self.y[:, None] * self.X
         self._neg_yX_T = (-self._yX).T.copy()
 
-    def _base_values(self, W):
-        return _softplus(np.einsum("kj,ji->ki", W, self._neg_yX_T))
+    def _base_values(self, W, out, tmp):
+        np.einsum("kj,ji->ki", W, self._neg_yX_T, out=out)
+        _softplus_inplace(out, tmp)
 
     def _gather(self, idx):
         return (self._yX[idx],)
@@ -345,9 +442,10 @@ class LeastSquaresObjective(Objective):
         self._XT = self.X.T.copy()
         self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
 
-    def _base_values(self, W):
-        R = np.einsum("kj,ji->ki", W, self._XT) - self.y
-        return R * R
+    def _base_values(self, W, out, tmp):
+        np.einsum("kj,ji->ki", W, self._XT, out=out)
+        np.subtract(out, self.y, out=out)
+        np.multiply(out, out, out=out)
 
     def _gather(self, idx):
         return self.X[idx], self.y[idx]
@@ -376,8 +474,8 @@ class LinearObjective(Objective):
         self.C = C
         self._CT = C.T.copy()
 
-    def _base_values(self, W):
-        return np.einsum("kj,ji->ki", W, self._CT)
+    def _base_values(self, W, out, tmp):
+        np.einsum("kj,ji->ki", W, self._CT, out=out)
 
     def _gather(self, idx):
         return (self.C[idx],)
@@ -406,9 +504,10 @@ class QuadraticMeanObjective(Objective):
         self.mu = float(mu)
         self.centers = centers
 
-    def _base_values(self, W):
+    def _base_values(self, W, out, tmp):
         D = W[:, None, :] - self.centers
-        return (0.5 * self.mu) * np.einsum("kij,kij->ki", D, D)
+        np.einsum("kij,kij->ki", D, D, out=out)
+        out *= 0.5 * self.mu
 
     def _gather(self, idx):
         return (self.centers[idx],)
@@ -428,7 +527,8 @@ class CallableObjective(Objective):
     """Components given directly as (value, gradient) callables.
 
     Handy for one-off test objectives such as F(w) = w^4 in one dimension.
-    The callables take one weight vector, so the row hooks loop over rows.
+    The callables take one weight vector, so the row hooks loop over rows;
+    a value call of several blocks calls them from several threads at once.
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,
@@ -439,8 +539,9 @@ class CallableObjective(Objective):
         self._values = list(value_fns)
         self._grads = list(grad_fns)
 
-    def _base_values(self, W):
-        return np.array([[float(f(w)) for f in self._values] for w in W])
+    def _base_values(self, W, out, tmp):
+        for k, w in enumerate(W):
+            out[k] = [float(f(w)) for f in self._values]
 
     def _gather(self, idx):
         return (idx,)

@@ -1,6 +1,9 @@
 """Unit tests for the finite-sum objectives and the reference solver."""
 
 import math
+import os
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -445,6 +448,135 @@ def test_value_many_matches_component_mean(d):
             for k in range(W.shape[0]):
                 mean = np.mean(obj.value_rows(every, np.tile(W[k], (7, 1))))
                 assert F[k] == pytest.approx(mean, rel=1e-13), (kind, regularizer)
+
+
+def _workers(count):
+    """The CPUs the value blocks may use, patched to count."""
+    return mock.patch.object(objectives, "_worker_count", lambda: count)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_value_blocks_keep_their_bits_on_any_worker_count(kind):
+    # 40 rows in blocks of 3: fourteen blocks, split between 1 or 4 workers
+    rng = np.random.default_rng(7)
+    for regularizer in REGULARIZERS:
+        obj = make_objective(kind, rng, 5, 4, regularizer, 0.3)
+        W = rng.uniform(-2.0, 2.0, size=(40, 4))
+        W[5] = 0.0
+        idx = rng.integers(0, 5, size=40)
+        results = []
+        for count in (1, 4):
+            with _workers(count), mock.patch.object(objectives, "_BLOCK_TERMS", 15):
+                results.append((obj.value_many(W), obj.value_rows(idx, W)))
+        (F1, V1), (F4, V4) = results
+        assert np.array_equal(F1, F4), regularizer
+        assert np.array_equal(V1, V4), regularizer
+
+
+def test_value_blocks_of_full_size_keep_their_bits_on_any_worker_count():
+    # 4,000 rows of 50 logistic components: four blocks of 1,310 rows
+    rng = np.random.default_rng(8)
+    obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
+    W = rng.uniform(-3.0, 3.0, size=(4000, 10))
+    idx = rng.integers(0, 50, size=4000)
+    with _workers(1):
+        F1, V1 = obj.value_many(W), obj.value_rows(idx, W)
+    with _workers(4):
+        assert np.array_equal(obj.value_many(W), F1)
+        assert np.array_equal(obj.value_rows(idx, W), V1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_threaded_values_keep_the_callers_errstate():
+    # exp_cosh overflows to inf at |w| past 709.78; the caller's errstate
+    # must hold in every share, as a warning raised in a pool thread fails
+    # the call
+    obj = cg.LinearObjective(np.ones((3, 2)), "exp_cosh_G", 0.5)
+    W = np.full((30, 2), 800.0)
+    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 9):
+        with np.errstate(over="ignore"):
+            F = obj.value_many(W)
+            V = obj.value_rows(np.zeros(30, dtype=int), W)
+        assert np.all(F == math.inf) and np.all(V == math.inf)
+        with pytest.raises(RuntimeWarning):
+            obj.value_many(W)
+
+
+def test_an_exception_in_a_share_propagates_unchanged():
+    # the last rows, in the last share, make the value raise
+    raised = []
+
+    def value(w):
+        if w[0] > 1.0:
+            raised.append(ValueError("bad row %g" % w[0]))
+            raise raised[-1]
+        return float(w[0])
+
+    obj = cg.CallableObjective([value], [lambda w: w], 1)
+    W = np.linspace(-1.0, 2.0, 40)[:, None]
+    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 3):
+        with pytest.raises(ValueError) as err:
+            obj.value_many(W)
+    assert err.value is raised[0]
+
+
+def test_one_block_calls_create_no_pool():
+    rng = np.random.default_rng(9)
+    obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
+    W = rng.uniform(-3.0, 3.0, size=(1310, 10))
+    with _workers(4), mock.patch.object(objectives, "_POOL", None):
+        obj.value_many(W)
+        obj.value_rows(np.zeros(1310, dtype=int), W)
+        obj.value(W[0])
+        obj.gradient(W[0])
+        assert objectives._POOL is None
+        obj.value_many(np.vstack([W, W[:1]]))
+        assert objectives._POOL is not None
+        objectives._POOL.shutdown()
+
+
+def test_a_value_call_inside_a_share_runs_serially():
+    # each component value makes a call of several blocks itself; were it
+    # to wait on the pool from a pool thread, it could wait forever
+    rng = np.random.default_rng(10)
+    inner = make_objective("least_squares", rng, 4, 2, "plain", 0.0)
+    inner_W = rng.uniform(-1.0, 1.0, size=(12, 2))
+    obj = cg.CallableObjective(
+        [lambda w: float(w[0] + inner.value_many(inner_W).sum())],
+        [lambda w: w], 1)
+    W = np.linspace(-1.0, 1.0, 16)[:, None]
+    results = []
+    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 4):
+        with _workers(1):
+            expected = obj.value_many(W)
+        worker = threading.Thread(target=lambda: results.append(obj.value_many(W)))
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert np.array_equal(results[0], expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool():
+    rng = np.random.default_rng(12)
+    obj = make_objective("linear", rng, 4, 3, "plain", 0.0)
+    W = rng.uniform(-1.0, 1.0, size=(20, 3))
+    with _workers(2), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
+        expected = obj.value_many(W)
+        assert objectives._POOL is not None
+        with warnings.catch_warnings():
+            # python 3.12 and later warn on a fork of a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = (objectives._POOL is None
+                      and np.array_equal(obj.value_many(W), expected))
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("z", [-40.0, -37.0, -30.0, 30.0, 37.0, 40.0])
