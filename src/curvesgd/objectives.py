@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,36 +27,47 @@ REGION_RADIUS = 3.0
 # the temporaries in cache
 _BLOCK_TERMS = 1 << 16
 
+# the most workers a value call splits its blocks between: the width at
+# which the threaded blocks were measured. Each worker holds two blocks of
+# scratch (about 1 MB), and the affinity mask does not see a CPU quota.
+_MAX_WORKERS = 2
+
 # the threads that take a share of the blocks of a value_many or value_rows
-# call, started on first use; a forked child starts its own
+# call, started on first use under _POOL_LOCK; a forked child starts its own
 _POOL = None
+_POOL_LOCK = threading.Lock()
 # set while a pool thread runs a share, so that a value call nested inside
 # one runs serially instead of waiting on the threads it occupies
 _IN_SHARE = contextvars.ContextVar("in_value_share", default=False)
 
 
 def _worker_count() -> int:
-    """The CPUs this process may run on: the calling thread and the pool
-    split a call's value blocks between them."""
+    """The CPUs this process may run on, at most _MAX_WORKERS: the calling
+    thread and the pool split a call's value blocks between them."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _pool():
     global _POOL
     if _POOL is None:
-        # imported here, as most runs never evaluate more than one block
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(max(1, _worker_count() - 1),
-                                   thread_name_prefix="curvesgd-values")
+        with _POOL_LOCK:
+            if _POOL is None:
+                # imported here, as most runs never evaluate more than one
+                # block
+                from concurrent.futures import ThreadPoolExecutor
+                _POOL = ThreadPoolExecutor(max(1, _worker_count() - 1),
+                                           thread_name_prefix="curvesgd-values")
     return _POOL
 
 
 def _drop_pool():
-    global _POOL
-    _POOL = None
+    # the parent's lock may have been held by a thread the child lacks
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -166,9 +178,8 @@ class Objective:
     ``_base_grad_gathered``, and ``_base_smoothness``; every value and
     gradient of the public surface is built from them, and the engine
     gathers the data of many steps at once and calls the same gradient
-    kernel. Instances do not change after construction, but for a cache of
-    the gathered data of every component, and are safe to share across
-    threads.
+    kernel. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
@@ -180,9 +191,6 @@ class Objective:
         self.dimension = int(d)
         self.regularizer = regularizer
         self.regularization_weight = float(lam)
-        # the component data of every index, gathered by the first
-        # one-block gradient
-        self._every_data = None
 
     # ----- subclass hooks -------------------------------------------------
     def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -339,7 +347,7 @@ class Objective:
         # time, in two scratch arrays reused across the share's blocks
         n = self.component_count
         base = np.empty((min(rows, stop - start), n))
-        tmp = np.empty_like(base)
+        tmp = np.empty(base.shape)
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
             if hi - lo < base.shape[0]:  # the share's last, shorter block
@@ -356,8 +364,12 @@ class Objective:
                 vals += self.regularization_weight * self._reg_value_rows(block)
 
     def value(self, w) -> float:
-        """F(w), computed as the one-row case of value_many."""
-        return float(self.value_many(np.asarray(w, dtype=float)[None])[0])
+        """F(w), computed as the one-row case of value_many, straight
+        through its block loop."""
+        W, _ = self._rows(np.asarray(w, dtype=float)[None])
+        out = np.empty(1)
+        self._value_share(W, None, out, 1, 0, 1)
+        return float(out[0])
 
     def gradient(self, w) -> np.ndarray:
         """grad F(w): the mean of the component gradients at w, summed over
@@ -367,17 +379,9 @@ class Objective:
         rows = max(1, _BLOCK_TERMS // d)
         total = np.zeros(d)
         for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            if hi - lo == n:
-                # one block covers every component, so its data is
-                # gathered once per objective
-                if self._every_data is None:
-                    self._every_data = self._gather(np.arange(n))
-                data = self._every_data
-            else:
-                data = self._gather(np.arange(lo, hi))
+            idx = np.arange(lo, min(lo + rows, n))
             total += self._base_grad_gathered(
-                data, W.repeat(hi - lo, axis=0)).sum(axis=0)
+                self._gather(idx), W.repeat(idx.size, axis=0)).sum(axis=0)
         g = total / n
         if self.regularization_weight:
             # every component carries the same regularizer gradient

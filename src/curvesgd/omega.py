@@ -69,24 +69,11 @@ def omega_eval(spec: OmegaSpec, x):
         raise ValueError("omega is defined for x >= 0")
     scale = 2.0 / (spec.mu * spec.h)
     below = xa <= spec.r
-    # z = x / r in an array of the output's shape, as every part of the
-    # gauge is updated in place
-    shape = np.broadcast_shapes(
-        xa.shape, *map(np.shape, (spec.h, spec.r, spec.mu, spec.tau)))
-    z = np.divide(xa, np.where(np.isinf(spec.r), 1.0, spec.r),
-                  out=np.empty(shape))
-    # the power part tau + scale z^h
-    power = z ** spec.h
-    power *= scale
-    power += spec.tau
-    # the tangent part tau + scale + (2/mu)(z - 1), where the unused entries
-    # take z = 1, lest a huge x overflow them
-    np.copyto(z, 1.0, where=below)
-    z -= 1.0
-    z *= 2.0 / spec.mu
-    np.add(spec.tau + scale, z, out=z)
-    np.copyto(z, power, where=below)
-    return _like(z, x)
+    # the unused tangent part takes z = 1, lest a huge x overflow it
+    z = xa / np.where(np.isinf(spec.r), 1.0, spec.r)
+    out = np.where(below, spec.tau + scale * z ** spec.h, spec.tau + scale
+                   + (2.0 / spec.mu) * (np.where(below, 1.0, z) - 1.0))
+    return _like(out, x)
 
 
 def omega_derivative(spec: OmegaSpec, x):

@@ -535,6 +535,42 @@ def test_one_block_calls_create_no_pool():
         objectives._POOL.shutdown()
 
 
+def test_worker_count_is_the_allowed_cpus_at_most_the_cap():
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(64)),
+                           create=True):
+        assert objectives._worker_count() == objectives._MAX_WORKERS
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        assert objectives._worker_count() == 1
+
+
+def test_concurrent_first_calls_create_one_pool():
+    # a slow executor start leaves every thread time to find no pool yet
+    import concurrent.futures
+    made = []
+
+    def slow_executor(*args, **kwargs):
+        threading.Event().wait(0.05)
+        made.append(object())
+        return made[-1]
+
+    start = threading.Barrier(4)
+    pools = []
+
+    def first_call():
+        start.wait()
+        pools.append(objectives._pool())
+
+    with mock.patch.object(objectives, "_POOL", None), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", slow_executor):
+        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert len(made) == 1
+    assert len(pools) == 4 and all(p is made[0] for p in pools)
+
+
 def test_a_value_call_inside_a_share_runs_serially():
     # each component value makes a call of several blocks itself; were it
     # to wait on the pool from a pool thread, it could wait forever
