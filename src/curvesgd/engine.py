@@ -11,11 +11,16 @@ not corrected.
 
 A sweep steps in chunks of at most objectives._BLOCK_TERMS (row, coordinate)
 terms of iterates. The objective gathers the component data of a whole
-chunk's indices in one call; each step is then one gradient kernel and one
-update into the chunk's buffer; and after the chunk a few whole-array calls
-settle its region check, its divergence test and its records. Every row is
-computed from its own data alone, so the chunk length never changes a bit,
-and a divergence is reported exactly as a step-by-step run reports it.
+chunk's indices in one call. Each step is then one call of the objective's
+gradient kernel, _grad_gathered(data, W, out, tmp), into two buffers the
+sweep reuses, and one update into the chunk's buffer; a one-schedule step
+size is a Python float, which a ufunc takes faster than a numpy scalar.
+After the chunk, its largest and smallest entry settle the region check and
+the divergence test of a chunk that stayed finite and inside the box; only
+a chunk that did not is checked step by step and row by row. Its records
+are then taken in a few whole-array calls. Every row is computed
+from its own data alone, so the chunk length never changes a bit, and a
+divergence is reported exactly as a step-by-step run reports it.
 """
 
 from __future__ import annotations
@@ -237,27 +242,36 @@ def multi_seed_sweep(config, seeds):
     chunk = max(1, min(objectives._BLOCK_TERMS // (rows * d), INDEX_BLOCK,
                        total))
     H = np.empty((chunk, rows, d))
+    # a step's gradient, then its step size times the gradient, and the
+    # gradient kernel's scratch
+    G = np.empty((rows, d))
+    tmp = np.empty((rows, d))
 
     def settle(lo, count):
         """Settle the first `count` steps of the chunk that follows
         iteration lo: their region check, their records and, if an iterate
         is non-finite, the EngineError of the first one, whose records stop
         before it as a step-by-step run's do."""
-        tops = np.abs(H[:count]).max(axis=2)
-        # a NaN iterate, for which every comparison is false, is caught
-        # here with the infinite ones
-        bad = np.flatnonzero(~np.isfinite(tops))
-        end = count if not bad.size else int(bad[0]) // rows
-        over = tops[:end] > radius
-        if over.any():
-            violations[:] += over.sum(axis=0)
-            # unbuffered, as several steps may share a record column
-            cols = t_rec.searchsorted(np.arange(lo + 1, lo + end + 1))
-            np.logical_or.at(flags.T, cols, over)
+        part = H[:count]
+        end, bad = count, ()
+        # a chunk whose iterates all stayed finite and inside the box is
+        # settled by its largest and smallest entry, both NaN if any is
+        if not (count and part.max() <= radius and part.min() >= -radius):
+            tops = np.abs(part).max(axis=2)
+            # a NaN iterate, for which every comparison is false, is caught
+            # here with the infinite ones
+            bad = np.flatnonzero(~np.isfinite(tops))
+            end = count if not bad.size else int(bad[0]) // rows
+            over = tops[:end] > radius
+            if over.any():
+                violations[:] += over.sum(axis=0)
+                # unbuffered, as several steps may share a record column
+                cols = t_rec.searchsorted(np.arange(lo + 1, lo + end + 1))
+                np.logical_or.at(flags.T, cols, over)
         start, stop = t_rec.searchsorted((lo, lo + end), side="right")
         if stop > start:
             record(np.arange(start, stop), H[t_rec[start:stop] - lo - 1])
-        if bad.size:
+        if len(bad):
             j, row = divmod(int(bad[0]), rows)
             c, k = divmod(row, S)
             raise EngineError(
@@ -287,12 +301,12 @@ def multi_seed_sweep(config, seeds):
             m = min(chunk, stop - lo)
             idx = block[lo - base : lo - base + m]
             step = steps[lo - base : lo - base + m]
-            # one schedule steps by a scalar; several by a contiguous
+            # one schedule steps by a Python float; several by a contiguous
             # (rows, 1) column, so that each row's update keeps the bits of
             # its solo run, and every schedule's row of a seed takes that
             # seed's draws
             if len(configs) == 1:
-                step = step[:, 0]
+                step = step[:, 0].tolist()
             else:
                 step = step.repeat(S, axis=1)[:, :, None]
                 idx = np.tile(idx, (1, len(configs)))
@@ -301,8 +315,8 @@ def multi_seed_sweep(config, seeds):
             try:
                 for j, (out, eta, step_data) in enumerate(
                         zip(H, step, zip(*data))):
-                    np.subtract(W, eta * grad(step_data, W), out=out)
-                    W = out
+                    np.multiply(grad(step_data, W, G, tmp), eta, G)
+                    W = np.subtract(W, G, out)
             except Exception:
                 # past a non-finite iterate the gradient may raise; a
                 # step-by-step run stops at that iterate with EngineError

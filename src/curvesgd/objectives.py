@@ -109,6 +109,18 @@ class Dataset:
     def dimension(self) -> int:
         return self.X.shape[1]
 
+
+def _constant(value) -> np.ndarray:
+    """value as a read-only 0-d float array: a ufunc takes one about as
+    cheaply as an array operand, and faster than a Python or numpy float."""
+    const = np.array(value, dtype=float)
+    const.flags.writeable = False
+    return const
+
+
+_TWO = _constant(2.0)
+
+
 def _g_terms(w: np.ndarray) -> np.ndarray:
     # expm1(w) + expm1(-w) equals e^w + e^-w - 2 with full precision near 0
     return np.expm1(w) + np.expm1(-w) - w * w
@@ -124,10 +136,18 @@ def regularizer_G_value(w):
     return np.sum(_g_terms(np.asarray(w, dtype=float)), axis=-1)
 
 
-def regularizer_G_gradient(w) -> np.ndarray:
-    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i."""
+def regularizer_G_gradient(w, out=None) -> np.ndarray:
+    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i.
+
+    Written into out when it is given, an array of w's shape other than w.
+    """
     w = np.asarray(w, dtype=float)
-    return np.expm1(w) - np.expm1(-w) - 2.0 * w
+    scratch = np.negative(w)
+    np.expm1(scratch, scratch)
+    out = np.expm1(w, out)
+    np.subtract(out, scratch, out)
+    np.multiply(w, _TWO, scratch)
+    return np.subtract(out, scratch, out)
 
 
 def _softplus_inplace(m, tmp):
@@ -174,12 +194,15 @@ class Objective:
     Each component is base_i(w) + lam * reg(w): the regularizer is applied
     per component, so a stochastic gradient always carries the regularizer
     gradient. A loss supplies ``_gather``, which looks up the component data
-    of some indices, two row-local hooks, ``_base_values`` and
-    ``_base_grad_gathered``, and ``_base_smoothness``; every value and
-    gradient of the public surface is built from them, and the engine
-    gathers the data of many steps at once and calls the same gradient
-    kernel. Instances are immutable after construction and safe to share
-    across threads.
+    of some indices, two row-local hooks, ``_base_values(W, out, tmp)`` and
+    ``_base_grad_gathered(data, W, out)``, and ``_base_smoothness``; every
+    value and gradient of the public surface is built from them. The
+    gradient kernel ``_grad_gathered(data, W, out, tmp)`` adds lam times
+    the regularizer gradient in place. The engine gathers the data of many
+    steps at once and calls the same kernel once per step, with buffers it
+    reuses; grad_rows and gradient call it with fresh ones. The constants
+    these paths multiply by are 0-d arrays made once. Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
@@ -191,6 +214,7 @@ class Objective:
         self.dimension = int(d)
         self.regularizer = regularizer
         self.regularization_weight = float(lam)
+        self._lam = _constant(self.regularization_weight)
 
     # ----- subclass hooks -------------------------------------------------
     def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -204,10 +228,13 @@ class Objective:
         whose leading axes are those of idx, e.g. (X[idx], y[idx])."""
         raise NotImplementedError
 
-    def _base_grad_gathered(self, data: tuple, W: np.ndarray) -> np.ndarray:
-        """(rows, d) matrix whose row k is grad base_i(W[k]) for the
+    def _base_grad_gathered(self, data: tuple, W: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+        """The (rows, d) matrix whose row k is grad base_i(W[k]) for the
         component i whose data is row k of each array of data, computed
-        from that data and W[k] alone."""
+        from that data and W[k] alone: written into out, an array of W's
+        shape, or, when the gradient does not depend on W, an array of data
+        returned as it is."""
         raise NotImplementedError
 
     def _base_smoothness(self) -> float:
@@ -218,17 +245,20 @@ class Objective:
         return None
 
     # ----- regularizer terms ----------------------------------------------
-    def _reg_grad_rows(self, W: np.ndarray) -> np.ndarray:
+    def _reg_grad_rows(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the regularizer gradient at each row of W, written into out, or W
+        # itself for norm2_squared, which callers scale into their own array
         kind = self.regularizer
-        if kind == "plain":
-            return np.zeros_like(W)
+        if kind == "norm2_squared":
+            return W
+        if kind == "exp_cosh_G":
+            return regularizer_G_gradient(W, out)
+        # a zero row of norm2 takes the subgradient 0, valid at the kink
+        out.fill(0.0)
         if kind == "norm2":
             nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-            # a zero row takes the subgradient 0, valid at the kink
-            return np.divide(W, nrm, out=np.zeros_like(W), where=nrm != 0.0)
-        if kind == "norm2_squared":
-            return W  # callers scale it into a new array
-        return regularizer_G_gradient(W)
+            np.divide(W, nrm, out=out, where=nrm != 0.0)
+        return out
 
     def _reg_value_rows(self, W: np.ndarray) -> np.ndarray:
         kind = self.regularizer
@@ -275,14 +305,18 @@ class Objective:
         rows, so a row has the same bits whatever the other rows hold.
         """
         W, idx = self._rows(W, idx)
-        return self._grad_gathered(self._gather(idx), W)
+        return self._grad_gathered(self._gather(idx), W, np.empty(W.shape),
+                                   np.empty(W.shape))
 
-    def _grad_gathered(self, data, W):
-        # grad_rows on data _gather has looked up and W it has validated;
-        # the engine calls this once per step
-        G = self._base_grad_gathered(data, W)
+    def _grad_gathered(self, data, W, out, tmp):
+        # grad_rows on data _gather has looked up and W it has validated:
+        # out, or what the loss returned when no regularizer term is added;
+        # tmp is scratch of W's shape. The engine calls this once per step,
+        # with buffers it reuses.
+        G = self._base_grad_gathered(data, W, out)
         if self.regularization_weight:
-            G = G + self.regularization_weight * self._reg_grad_rows(W)
+            np.multiply(self._reg_grad_rows(W, tmp), self._lam, tmp)
+            G = np.add(G, tmp, out)
         return G
 
     def value_rows(self, idx, W) -> np.ndarray:
@@ -380,12 +414,14 @@ class Objective:
         total = np.zeros(d)
         for lo in range(0, n, rows):
             idx = np.arange(lo, min(lo + rows, n))
+            block = W.repeat(idx.size, axis=0)
             total += self._base_grad_gathered(
-                self._gather(idx), W.repeat(idx.size, axis=0)).sum(axis=0)
+                self._gather(idx), block, np.empty(block.shape)).sum(axis=0)
         g = total / n
         if self.regularization_weight:
             # every component carries the same regularizer gradient
-            g = g + self.regularization_weight * self._reg_grad_rows(W)[0]
+            reg = self._reg_grad_rows(W, np.empty(W.shape))[0]
+            g = g + self.regularization_weight * reg
         return g
 
     @property
@@ -426,10 +462,10 @@ class LogisticObjective(Objective):
     def _gather(self, idx):
         return (self._yX[idx],)
 
-    def _base_grad_gathered(self, data, W):
+    def _base_grad_gathered(self, data, W, out):
         yXi, = data
-        z = np.einsum("ij,ij->i", yXi, W)
-        return -_sigmoid_neg(z)[:, None] * yXi
+        s = _sigmoid_neg(np.einsum("ij,ij->i", yXi, W))
+        return np.multiply(np.negative(s, s)[:, None], yXi, out)
 
     def _base_smoothness(self):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
@@ -454,10 +490,12 @@ class LeastSquaresObjective(Objective):
     def _gather(self, idx):
         return self.X[idx], self.y[idx]
 
-    def _base_grad_gathered(self, data, W):
+    def _base_grad_gathered(self, data, W, out):
         Xi, yi = data
-        r = np.einsum("ij,ij->i", Xi, W) - yi
-        return (2.0 * r)[:, None] * Xi
+        r = np.einsum("ij,ij->i", Xi, W)
+        np.subtract(r, yi, r)
+        np.multiply(r, _TWO, r)
+        return np.multiply(r[:, None], Xi, out)
 
     def _base_smoothness(self):
         return 2.0 * self._max_row_sq
@@ -484,7 +522,7 @@ class LinearObjective(Objective):
     def _gather(self, idx):
         return (self.C[idx],)
 
-    def _base_grad_gathered(self, data, W):
+    def _base_grad_gathered(self, data, W, out):
         return data[0]
 
     def _base_smoothness(self):
@@ -506,6 +544,7 @@ class QuadraticMeanObjective(Objective):
             raise ValueError("mu must be positive and finite")
         super().__init__(centers.shape[0], centers.shape[1], regularizer, lam)
         self.mu = float(mu)
+        self._mu = _constant(mu)
         self.centers = centers
 
     def _base_values(self, W, out, tmp):
@@ -516,9 +555,10 @@ class QuadraticMeanObjective(Objective):
     def _gather(self, idx):
         return (self.centers[idx],)
 
-    def _base_grad_gathered(self, data, W):
+    def _base_grad_gathered(self, data, W, out):
         centers, = data
-        return self.mu * (W - centers)
+        np.subtract(W, centers, out)
+        return np.multiply(out, self._mu, out)
 
     def _base_smoothness(self):
         return self.mu
@@ -550,9 +590,8 @@ class CallableObjective(Objective):
     def _gather(self, idx):
         return (idx,)
 
-    def _base_grad_gathered(self, data, W):
+    def _base_grad_gathered(self, data, W, out):
         idx, = data
-        out = np.empty(W.shape)
         for k in range(W.shape[0]):
             out[k] = self._grads[int(idx[k])](W[k])
         return out

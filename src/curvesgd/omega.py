@@ -267,14 +267,18 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
         raise ValueError("grid must be positive and strictly increasing")
     rho = np.full(grid.size, math.nan)
     counts = np.zeros(grid.size, dtype=int)
-    dev, mask = np.empty_like(av), np.empty(av.shape, dtype=bool)
-    for k, eps in enumerate(grid):
-        # |av - eps| <= 0.02 eps, in buffers reused across bands
-        np.abs(np.subtract(av, eps, out=dev), out=dev)
-        np.less_equal(dev, 0.02 * eps, out=mask)
+    # sorted once, NaN last; each band's members lie well inside the window
+    # eps +- 2 tol, where the exact test |av - eps| <= tol picks them out
+    order = np.argsort(av)
+    av, bv = av[order], bv[order]
+    tol = 0.02 * grid
+    lows = av.searchsorted(grid - 2.0 * tol)
+    highs = av.searchsorted(grid + 2.0 * tol, side="right")
+    for k, (eps, lo, hi) in enumerate(zip(grid, lows, highs)):
+        mask = np.abs(av[lo:hi] - eps) <= tol[k]
         counts[k] = int(np.count_nonzero(mask))
         if counts[k]:
-            rho[k] = float(bv[mask].max())
+            rho[k] = float(bv[lo:hi][mask].max())
     delta = _upper_concave_majorant(grid, rho)
     fitted = _fit_low_decade_slope(grid, delta)
     return DeltaEstimate(

@@ -15,6 +15,8 @@ from curvesgd import objectives
 from curvesgd.engine import INDEX_BLOCK
 from curvesgd.schedule import step_size
 
+from test_objectives import OBJECTIVE_KINDS, make_objective
+
 
 def contraction_problem():
     # single component f(w) = (1/2)(w - 1)^2, gradient w - 1
@@ -292,6 +294,57 @@ def test_lockstep_schedule_matches_its_solo_sweep(problem, start, stride):
         assert all(sweep.violation_count.min() > 0 for sweep in together)
 
 
+def _replay(obj, schedules, seeds, w0, iterations):
+    """The iterates of every (schedule, seed) row, schedule major, stepped
+    one at a time as W = W - eta * grad_rows(idx, W) from each seed's own
+    index stream: an array (rows, iterations + 1, d)."""
+    draws = [np.random.default_rng(s).integers(0, obj.component_count,
+                                               size=iterations)
+             for s in seeds]
+    idx = np.tile(np.stack(draws, axis=1), (1, len(schedules)))
+    grid = np.arange(iterations, dtype=float)
+    eta = np.stack([step_size(s, grid) for s in schedules],
+                   axis=1).repeat(len(seeds), axis=1)
+    W = np.tile(w0, (idx.shape[1], 1))
+    trail = [W]
+    for t in range(iterations):
+        W = W - eta[t][:, None] * obj.grad_rows(idx[t], W)
+        trail.append(W)
+    return np.stack(trail, axis=1)
+
+
+def _assert_sweeps_replay(obj, texts, seeds, w0, iterations):
+    # the engine's in-place steps, with one schedule and in lockstep, keep
+    # the bits of the step-by-step replay through grad_rows
+    schedules = [cg.parse_schedule(text) for text in texts]
+    configs = [cg.RunConfig(objective=obj, schedule=sched, seed=0,
+                            iterations=iterations, w0=w0, keep_iterates=True)
+               for sched in schedules]
+    expected = _replay(obj, schedules, seeds, w0, iterations)
+    solo = cg.multi_seed_sweep(configs[0], seeds).iterates
+    assert np.array_equal(solo, expected[: len(seeds)])
+    together = [s.iterates for s in cg.multi_seed_sweep(configs, seeds)]
+    assert np.array_equal(np.concatenate(together), expected)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("regularizer", objectives.REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_sweep_steps_are_the_grad_rows_replay(kind, regularizer, lam):
+    obj = make_objective(kind, np.random.default_rng(3), 5, 3, regularizer, lam)
+    # from the origin, the kink of norm2, where its subgradient 0 is taken
+    _assert_sweeps_replay(obj, ["const:0.05", "power:scale=0.1,h=0.5"],
+                          (4, 0, 9), np.zeros(3), 40)
+
+
+def test_sweep_steps_near_the_exp_cosh_overflow_are_the_replay():
+    # e^709.7 is within a factor 1.1 of the largest float, so grad G is
+    # near it; the tiny steps keep every iterate finite
+    obj = cg.LinearObjective(np.zeros((2, 2)), "exp_cosh_G", 0.5)
+    _assert_sweeps_replay(obj, ["const:1e-307", "const:3e-308"], (1, 2),
+                          np.array([709.7, -709.75]), 20)
+
+
 @pytest.mark.parametrize("field, value", [
     ("objective", cg.QuadraticMeanObjective(10.0, np.eye(5))),
     ("iterations", 21),
@@ -502,6 +555,10 @@ CHUNK_CASES = {
     # excursion straddles 3-step chunk boundaries and ends inside a chunk;
     # stride 5 divides neither the chunk nor the 61 iterations
     "excursion": ("quadratic_mean", ["const:0.002"], 4.0, 61, 5),
+    # from w0 = 4 the exp_cosh iterates return to the box after 9 or 10
+    # steps and the ridge iterates after 33 to 44
+    "exp_cosh_excursion": ("exp_cosh", ["const:0.001"], 4.0, 61, 5),
+    "ridge_excursion": ("ridge", ["const:0.01"], 4.0, 61, 5),
     "lockstep": ("ridge", LOCKSTEP_SCHEDULES, 0.0, 100, 7),
     "keep_iterates": ("exp_cosh", ["const:0.01"], 3.5, 50, 1),
     # past the first index block, whose end is also a chunk's end
@@ -539,6 +596,10 @@ def test_chunking_does_not_change_a_bit(benchmarks, case):
         assert sweep.t[-1] == 61
     if case == "index_block":
         assert results[-1][0].t[-1] == INDEX_BLOCK + 10
+    if case.endswith("_excursion"):
+        sweep = results[-1][0]
+        assert sweep.region_violation[:, 1].all()
+        assert not sweep.region_violation[:, -1].any()
 
 
 @pytest.mark.filterwarnings("error")

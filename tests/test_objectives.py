@@ -383,6 +383,83 @@ def test_grad_rows_match_component_gradients(kind, regularizer, lam, n, d, rows,
                 <= 1e-12 * (g_scale[j] + lam * h_scale[j])
 
 
+def allocating_grad_rows(kind, X, y, regularizer, lam, idx, W, mu=2.0):
+    """grad_rows by the allocating formulas, one new array per operation,
+    whose bits the in-place gradient hooks keep."""
+    if kind == "logistic":
+        yXi = y[idx][:, None] * X[idx]
+        z = np.einsum("ij,ij->i", yXi, W)
+        s = np.exp(-np.maximum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+        G = -s[:, None] * yXi
+    elif kind == "least_squares":
+        G = (2.0 * (np.einsum("ij,ij->i", X[idx], W) - y[idx]))[:, None] * X[idx]
+    elif kind == "linear":
+        G = X[idx]
+    elif kind == "quadratic_mean":
+        G = mu * (W - X[idx])
+    else:
+        G = 4.0 * (W - X[idx]) ** 3
+    if not lam:
+        return G
+    if regularizer == "plain":
+        R = np.zeros_like(W)
+    elif regularizer == "norm2":
+        nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+        R = np.divide(W, nrm, out=np.zeros_like(W), where=nrm != 0.0)
+    elif regularizer == "norm2_squared":
+        R = W
+    else:
+        R = np.expm1(W) - np.expm1(-W) - 2.0 * W
+    return G + lam * R
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
+                                                            lam):
+    rng = np.random.default_rng(29)
+    X, y = make_data(kind, rng, 6, 3)
+    obj = build_objective(kind, X, y, regularizer, lam)
+    idx = rng.integers(0, 6, size=40)
+    W = rng.uniform(-3.0, 3.0, size=(40, 3))
+    W[0] = 0.0  # the kink of norm2
+    W[1] = -0.0
+    # rows near the exp_cosh overflow at |w| = 709.78, and past it
+    W[2:8] = [[709.7, -709.7, 1e-300], [709.78, -709.78, 0.0],
+              [709.79, -709.79, 3.0], [710.0, -710.0, -1e-300],
+              [-709.7, 709.7, 5e-324], [-710.0, 710.0, 2.5]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = allocating_grad_rows(kind, X, y, regularizer, lam, idx, W)
+        G = obj.grad_rows(idx, W)
+        assert np.array_equal(G, expected, equal_nan=True)
+        if kind == "quadratic_mean":
+            # a weight that is not a power of two rounds
+            G = cg.QuadraticMeanObjective(0.7, X, regularizer, lam).grad_rows(idx, W)
+            expected = allocating_grad_rows(kind, X, y, regularizer, lam, idx,
+                                            W, mu=0.7)
+            assert np.array_equal(G, expected, equal_nan=True)
+    if regularizer == "exp_cosh_G" and lam:
+        assert np.isinf(G[4:8]).any()
+
+
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_grad_rows_returns_an_array_the_caller_owns(kind, regularizer):
+    rng = np.random.default_rng(31)
+    for lam in (0.0, 0.3):
+        obj = make_objective(kind, rng, 4, 3, regularizer, lam)
+        idx = rng.integers(0, 4, size=5)
+        W = rng.uniform(-1.0, 1.0, size=(5, 3))
+        G = obj.grad_rows(idx, W)
+        expected = G.copy()
+        assert not np.shares_memory(G, W)
+        assert not np.shares_memory(G, obj.grad_rows(idx, W))
+        # writing into it changes neither the objective nor the next call
+        G[:] = math.nan
+        assert np.array_equal(obj.grad_rows(idx, W), expected)
+
+
 @pytest.mark.parametrize("d", [1, 5, 10, 17, 33])
 def test_grad_rows_do_not_depend_on_other_rows(d):
     # the seed-lockstep engine relies on this: a seed's row has the same

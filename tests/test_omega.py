@@ -379,6 +379,43 @@ def test_delta_estimator_reports_empty_bands():
     assert np.all(np.isfinite(est.delta_values[:2]))
 
 
+def _band_loop(av, bv, grid):
+    # the band test of estimate_delta, one full pass per grid value
+    rho = np.full(grid.size, math.nan)
+    counts = np.zeros(grid.size, dtype=int)
+    for k, eps in enumerate(grid):
+        mask = np.abs(av - eps) <= 0.02 * eps
+        counts[k] = np.count_nonzero(mask)
+        if counts[k]:
+            rho[k] = bv[mask].max()
+    return rho, counts
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimate_delta_bands_match_the_band_loop():
+    # gaps include inf, NaN, zero, negative values, repeats and values on
+    # the band edges eps * (1 +- 0.02) of grid points, some subnormal
+    rng = np.random.default_rng(23)
+    n = 300
+    for case in range(200):
+        grid = np.sort(np.unique(rng.choice(
+            [rng.uniform(1e-3, 10.0), rng.lognormal(0.0, 2.0), 5e-324, 1e-320,
+             1e300], size=rng.integers(1, 12))))
+        av = rng.choice([rng.lognormal(0.0, 2.0), -rng.uniform(), 0.0,
+                         math.inf, -math.inf, math.nan], size=n,
+                        p=[0.6, 0.1, 0.05, 0.1, 0.05, 0.1]).astype(float)
+        av[: n // 4] = rng.lognormal(0.0, 2.0, n // 4)
+        edges = rng.choice(grid, size=n // 4)
+        av[n // 4 : n // 2] = edges + 0.02 * edges * rng.choice([-1.0, 1.0], n // 4)
+        av[n // 2 : n // 2 + 10] = rng.choice(grid, 10)
+        bv = rng.uniform(0.0, 5.0, n)
+        est = estimate_delta(lambda W: av, lambda W: bv, 1, grid=grid,
+                             n_samples=n, seed=case)
+        rho, counts = _band_loop(av, bv, grid)
+        assert np.array_equal(est.band_counts, counts), case
+        assert np.array_equal(est.rho_values, rho, equal_nan=True), case
+
+
 def test_estimate_delta_draws_the_region_radius_box():
     n, d, seed = 1000, 4, 5
     seen = []
