@@ -16,7 +16,8 @@ gradient kernel, _grad_gathered(data, W, out, tmp), into two buffers the
 sweep reuses, and one update into the chunk's buffer; a one-schedule step
 size is a Python float, which a ufunc takes faster than a numpy scalar.
 After the chunk, its largest and smallest entry settle the region check and
-the divergence test of a chunk that stayed finite and inside the box; only
+the divergence test of a chunk that stayed inside the box, which is
+capped at the largest float so that an infinite entry never passes; only
 a chunk that did not is checked step by step and row by row. Its records
 are then taken in a few whole-array calls. Every row is computed
 from its own data alone, so the chunk length never changes a bit, and a
@@ -213,6 +214,9 @@ def multi_seed_sweep(config, seeds):
     W = np.tile(_start_point(first), (rows, 1))
     ref = first.reference
     radius = first.region_radius
+    # the box of the whole-chunk check in settle, finite even for an
+    # unbounded region, so that an infinite iterate always fails it
+    bound = min(radius, np.finfo(float).max)
     stride = first.record_stride
     total = first.iterations
     gather = obj._gather
@@ -256,7 +260,7 @@ def multi_seed_sweep(config, seeds):
         end, bad = count, ()
         # a chunk whose iterates all stayed finite and inside the box is
         # settled by its largest and smallest entry, both NaN if any is
-        if not (count and part.max() <= radius and part.min() >= -radius):
+        if not (count and part.max() <= bound and part.min() >= -bound):
             tops = np.abs(part).max(axis=2)
             # a NaN iterate, for which every comparison is false, is caught
             # here with the infinite ones

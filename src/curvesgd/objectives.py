@@ -118,9 +118,6 @@ def _constant(value) -> np.ndarray:
     return const
 
 
-_TWO = _constant(2.0)
-
-
 def _g_terms(w: np.ndarray) -> np.ndarray:
     # expm1(w) + expm1(-w) equals e^w + e^-w - 2 with full precision near 0
     return np.expm1(w) + np.expm1(-w) - w * w
@@ -136,17 +133,26 @@ def regularizer_G_value(w):
     return np.sum(_g_terms(np.asarray(w, dtype=float)), axis=-1)
 
 
-def regularizer_G_gradient(w, out=None) -> np.ndarray:
+def regularizer_G_gradient(w, out=None):
     """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i.
 
-    Written into out when it is given, an array of w's shape other than w.
+    Written into out when it is given, an array of w's shape other than w;
+    a 0-d w without out yields a float.
     """
     w = np.asarray(w, dtype=float)
-    scratch = np.negative(w)
+    if out is not None:
+        return _g_gradient(w, out, np.empty_like(w))
+    return _g_gradient(w, np.empty_like(w), np.empty_like(w))[()]
+
+
+def _g_gradient(w, out, scratch):
+    # grad G at w written into out, with scratch overwritten: both arrays
+    # of w's shape, distinct from w and from each other
+    np.negative(w, scratch)
     np.expm1(scratch, scratch)
-    out = np.expm1(w, out)
+    np.expm1(w, out)
     np.subtract(out, scratch, out)
-    np.multiply(w, _TWO, scratch)
+    np.add(w, w, scratch)
     return np.subtract(out, scratch, out)
 
 
@@ -245,14 +251,17 @@ class Objective:
         return None
 
     # ----- regularizer terms ----------------------------------------------
-    def _reg_grad_rows(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _reg_grad_rows(self, W: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
         # the regularizer gradient at each row of W, written into out, or W
-        # itself for norm2_squared, which callers scale into their own array
+        # itself for norm2_squared, which callers scale into their own
+        # array; scratch, of W's shape and distinct from out, may be
+        # overwritten
         kind = self.regularizer
         if kind == "norm2_squared":
             return W
         if kind == "exp_cosh_G":
-            return regularizer_G_gradient(W, out)
+            return _g_gradient(W, out, scratch)
         # a zero row of norm2 takes the subgradient 0, valid at the kink
         out.fill(0.0)
         if kind == "norm2":
@@ -313,11 +322,12 @@ class Objective:
         # out, or what the loss returned when no regularizer term is added;
         # tmp is scratch of W's shape. The engine calls this once per step,
         # with buffers it reuses.
-        G = self._base_grad_gathered(data, W, out)
-        if self.regularization_weight:
-            np.multiply(self._reg_grad_rows(W, tmp), self._lam, tmp)
-            G = np.add(G, tmp, out)
-        return G
+        if not self.regularization_weight:
+            return self._base_grad_gathered(data, W, out)
+        # lam times the regularizer term goes into tmp first, with out as
+        # its scratch, and the loss's gradient into out after it
+        np.multiply(self._reg_grad_rows(W, tmp, out), self._lam, tmp)
+        return np.add(self._base_grad_gathered(data, W, out), tmp, out)
 
     def value_rows(self, idx, W) -> np.ndarray:
         """Component values row by row: entry k is f_{idx[k]}(W[k]).
@@ -420,7 +430,8 @@ class Objective:
         g = total / n
         if self.regularization_weight:
             # every component carries the same regularizer gradient
-            reg = self._reg_grad_rows(W, np.empty(W.shape))[0]
+            reg = self._reg_grad_rows(W, np.empty(W.shape),
+                                      np.empty(W.shape))[0]
             g = g + self.regularization_weight * reg
         return g
 
@@ -494,7 +505,7 @@ class LeastSquaresObjective(Objective):
         Xi, yi = data
         r = np.einsum("ij,ij->i", Xi, W)
         np.subtract(r, yi, r)
-        np.multiply(r, _TWO, r)
+        np.add(r, r, r)
         return np.multiply(r[:, None], Xi, out)
 
     def _base_smoothness(self):

@@ -621,6 +621,29 @@ def test_divergence_inside_a_chunk_names_the_earliest_row(steps):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps, to_the_end", [(None, False), (3, False),
+                                               (None, True)])
+def test_unbounded_region_still_reports_divergence(steps, to_the_end):
+    # under an infinite radius w <- w - 1e307 leaves the float range for
+    # -inf, where it stays and never turns NaN; that step ends a 3-step
+    # chunk and, with to_the_end, the run
+    obj = cg.LinearObjective(np.array([[1.0]]))
+    w = np.zeros(1)
+    first_bad = 0
+    with np.errstate(all="ignore"):
+        while np.all(np.isfinite(w)):
+            w = w - 1e307 * obj.grad_rows([0], w[None])[0]
+            first_bad += 1
+    assert first_bad % 3 == 0
+    cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(1e307),
+                       seed=0, iterations=first_bad if to_the_end else 100,
+                       record_stride=5, region_radius=math.inf)
+    with pytest.raises(cg.EngineError) as err:
+        _chunked_sweep(cfg, (6,), steps)
+    assert "iteration %d (seed 6)" % first_bad in str(err.value)
+
+
 def _cube_gradient(calls, refuse_above=math.inf):
     # the gradient of w^4 / 4, refusing a non-finite argument, and a
     # finite one past refuse_above, as a library routine might

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -97,6 +98,32 @@ def test_regularizer_G_basics():
     assert g[0] == pytest.approx(math.e - math.exp(-1.0) - 2.0, rel=1e-14)
     # gradient is odd
     assert np.allclose(cg.regularizer_G_gradient(z), -cg.regularizer_G_gradient(-z))
+    # a scalar yields a float, and out receives the same bits
+    for scalar in (1.0, np.float64(1.0), np.array(1.0)):
+        g0 = cg.regularizer_G_gradient(scalar)
+        assert isinstance(g0, np.float64) and g0 == g[0]
+    out = np.empty(3)
+    assert cg.regularizer_G_gradient(z, out) is out
+    assert np.array_equal(out, cg.regularizer_G_gradient(z))
+
+
+def test_exp_cosh_kernel_allocates_no_rows_array():
+    # the gradient kernel takes the scratch of the exp-cosh term from the
+    # buffers it is given, so an engine step allocates no (rows, d) array
+    obj = cg.LinearObjective(np.ones((1, 50)), "exp_cosh_G", 0.5)
+    W = np.full((200, 50), 0.3)
+    data = obj._gather(np.zeros(200, dtype=np.int64))
+    out, tmp = np.empty(W.shape), np.empty(W.shape)
+    expected = obj._grad_gathered(data, W, out, tmp).copy()
+    tracemalloc.start()
+    try:
+        G = obj._grad_gathered(data, W, out, tmp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G is out and np.array_equal(G, expected)
+    assert np.array_equal(G, obj.grad_rows(np.zeros(200, dtype=np.int64), W))
+    assert peak < W.nbytes // 4, peak
 
 
 def test_regularizer_G_batch_rows():
