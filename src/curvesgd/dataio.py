@@ -466,9 +466,10 @@ def emit_plot_script(csv_paths, path: str, titles=None) -> str:
     clauses = []
     for csv_path, title in zip(csv_paths, titles):
         rel = os.path.relpath(os.path.abspath(csv_path), start=script_dir)
+        # gnuplot writes a quote inside a single-quoted string as two
         clauses.append(
             "  '%s' using %d:%d smooth unique with lines title '%s'"
-            % (rel, epoch_col, f_col, title.replace("'", ""))
+            % (rel.replace("'", "''"), epoch_col, f_col, title.replace("'", ""))
         )
     out.write(", \\\n".join(clauses))
     out.write("\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,46 +31,15 @@ _BLOCK_TERMS = 1 << 16
 # scratch (about 1 MB), and the affinity mask does not see a CPU quota.
 _MAX_WORKERS = 2
 
-# the threads that take a share of the blocks of a value_many or value_rows
-# call, started on first use under _POOL_LOCK; a forked child starts its own
-_POOL = None
-_POOL_LOCK = threading.Lock()
-# set while a pool thread runs a share, so that a value call nested inside
-# one runs serially instead of waiting on the threads it occupies
-_IN_SHARE = contextvars.ContextVar("in_value_share", default=False)
-
 
 def _worker_count() -> int:
     """The CPUs this process may run on, at most _MAX_WORKERS: the calling
-    thread and the pool split a call's value blocks between them."""
+    thread and the helper threads of a call split its value blocks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, _MAX_WORKERS)
-
-
-def _pool():
-    global _POOL
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                # imported here, as most runs never evaluate more than one
-                # block
-                from concurrent.futures import ThreadPoolExecutor
-                _POOL = ThreadPoolExecutor(max(1, _worker_count() - 1),
-                                           thread_name_prefix="curvesgd-values")
-    return _POOL
-
-
-def _drop_pool():
-    # the parent's lock may have been held by a thread the child lacks
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class ConvergenceError(RuntimeError):
@@ -133,15 +101,10 @@ def regularizer_G_value(w):
     return np.sum(_g_terms(np.asarray(w, dtype=float)), axis=-1)
 
 
-def regularizer_G_gradient(w, out=None):
-    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i.
-
-    Written into out when it is given, an array of w's shape other than w;
-    a 0-d w without out yields a float.
-    """
+def regularizer_G_gradient(w):
+    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i; a 0-d w yields
+    a float."""
     w = np.asarray(w, dtype=float)
-    if out is not None:
-        return _g_gradient(w, out, np.empty_like(w))
     return _g_gradient(w, np.empty_like(w), np.empty_like(w))[()]
 
 
@@ -293,7 +256,8 @@ class Objective:
     # ----- public surface ---------------------------------------------------
     def _rows(self, W, idx=None):
         """W as a float (rows, dimension) array, and idx, when given, as an
-        array with one entry per row; anything else is a ValueError."""
+        integer array with one component index in [0, n) per row; anything
+        else is a ValueError that names the first bad index."""
         W = np.asarray(W, dtype=float)
         if idx is not None:
             idx = np.asarray(idx)
@@ -301,6 +265,16 @@ class Objective:
                 raise ValueError(
                     "weights of shape %s with indices of shape %s; expected "
                     "(rows, %d) and (rows,)" % (W.shape, idx.shape, self.dimension))
+            n = self.component_count
+            if not idx.size:
+                idx = idx.astype(np.intp)
+            elif not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError("component index %r at position 0 is not an "
+                                 "integer (dtype %s)" % (idx[0].item(), idx.dtype))
+            elif idx.min() < 0 or idx.max() >= n:
+                k = int(np.argmax((idx < 0) | (idx >= n)))
+                raise ValueError("component index %d at position %d is outside "
+                                 "[0, %d)" % (idx[k], k, n))
         elif W.ndim != 2 or W.shape[1] != self.dimension:
             raise ValueError("weights of shape %s; expected (rows, %d)"
                              % (W.shape, self.dimension))
@@ -356,35 +330,31 @@ class Objective:
         # blocks of rows, each a (rows, n) array of base values reduced to
         # the component idx[k] of each row, or to the row mean when idx is
         # None; a call of several blocks splits them into one contiguous
-        # share per worker, the calling thread taking the first. A share
-        # writes only its own rows of out, from their own weights, so the
-        # bits do not depend on the number of workers.
+        # share per worker, the calling thread taking the first and helper
+        # threads that live for the call the others. A share writes only
+        # its own rows of out, from their own weights, so the bits do not
+        # depend on the number of workers.
         out = np.empty(W.shape[0])
         rows = max(1, _BLOCK_TERMS // self.component_count)
         blocks = -(-W.shape[0] // rows)
-        shares = 1 if blocks < 2 or _IN_SHARE.get() else min(blocks, _worker_count())
+        shares = 1 if blocks < 2 else min(blocks, _worker_count())
         if shares < 2:
             self._value_share(W, idx, out, rows, 0, W.shape[0])
             return out
+        # imported here, as most calls evaluate a single block
+        from concurrent.futures import ThreadPoolExecutor
         cuts = [rows * (blocks * k // shares) for k in range(shares)] + [W.shape[0]]
-        # numpy's errstate lives in a context variable, so every share runs
-        # in a copy of the caller's context
-        pending = [_pool().submit(contextvars.copy_context().run,
-                                  self._pool_share, W, idx, out, rows, lo, hi)
-                   for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        try:
+        # leaving the with block waits for every share, so none writes into
+        # out after the call; numpy's errstate lives in a context variable,
+        # so every share runs in a copy of the caller's context
+        with ThreadPoolExecutor(shares - 1) as pool:
+            pending = [pool.submit(contextvars.copy_context().run,
+                                   self._value_share, W, idx, out, rows, lo, hi)
+                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
             self._value_share(W, idx, out, rows, 0, cuts[1])
-        finally:
-            # the shares write into out: let each finish before leaving
             for future in pending:
-                future.exception()
-        for future in pending:
-            future.result()
+                future.result()
         return out
-
-    def _pool_share(self, *args):
-        _IN_SHARE.set(True)
-        self._value_share(*args)
 
     def _value_share(self, W, idx, out, rows, start, stop):
         # rows start:stop of out, one block of at most `rows` rows at a

@@ -487,6 +487,17 @@ def test_emit_plot_script_column_indices(tmp_path):
     assert "using %d:%d" % (epoch_col, f_col) in text
 
 
+def test_a_quote_in_a_runfile_out_is_doubled_in_the_plot_script(tmp_path):
+    # gnuplot writes a quote inside a single-quoted string as two
+    text = RUNFILE_TEXT.replace("demo.csv", "it's.csv")
+    written, plot = cg.execute_runfile(cg.parse_runfile(text),
+                                       base_dir=str(tmp_path), emit_plot=True)
+    assert [os.path.basename(p) for p in written] == ["it's.csv"]
+    with open(plot, encoding="utf-8") as handle:
+        last = handle.read().splitlines()[-1]
+    assert last == "  'it''s.csv' using 3:6 smooth unique with lines title 'const:0.01'"
+
+
 # ---------------------------------------------------------------------------
 # runfile execution
 

@@ -2,9 +2,9 @@
 
 import math
 import os
+import re
 import threading
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -77,6 +77,22 @@ def test_mislabeled_shapes_raise():
                 obj.gradient(w)
 
 
+@pytest.mark.parametrize("method", ["grad_rows", "value_rows"])
+def test_component_indices_must_be_integers_in_range(method):
+    # three components, rows of 3 weights; a negative index must not wrap
+    obj = cg.LeastSquaresObjective(cg.Dataset(np.eye(3), np.array([1.0, 2.0, 3.0])))
+    rows = getattr(obj, method)
+    W = np.full((2, 3), 4.0)
+    for idx, message in (([0, -1], "index -1 at position 1 is outside [0, 3)"),
+                         ([3, 0], "index 3 at position 0 is outside [0, 3)"),
+                         (np.array([True, False]), "index True at position 0 is not an integer"),
+                         ([1.0, 2.0], "index 1.0 at position 0 is not an integer")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rows(idx, W)
+    assert rows([], np.empty((0, 3))).shape[0] == 0
+    assert rows(np.array([2, 0], dtype=np.uint8), W).shape[0] == 2
+
+
 def test_noise_constant_at_minimizer():
     obj = two_point_least_squares()
     ref = cg.solve_reference(obj)
@@ -98,13 +114,10 @@ def test_regularizer_G_basics():
     assert g[0] == pytest.approx(math.e - math.exp(-1.0) - 2.0, rel=1e-14)
     # gradient is odd
     assert np.allclose(cg.regularizer_G_gradient(z), -cg.regularizer_G_gradient(-z))
-    # a scalar yields a float, and out receives the same bits
+    # a scalar yields a float
     for scalar in (1.0, np.float64(1.0), np.array(1.0)):
         g0 = cg.regularizer_G_gradient(scalar)
         assert isinstance(g0, np.float64) and g0 == g[0]
-    out = np.empty(3)
-    assert cg.regularizer_G_gradient(z, out) is out
-    assert np.array_equal(out, cg.regularizer_G_gradient(z))
 
 
 def test_exp_cosh_kernel_allocates_no_rows_array():
@@ -593,7 +606,7 @@ def test_value_blocks_of_full_size_keep_their_bits_on_any_worker_count():
 @pytest.mark.filterwarnings("error")
 def test_threaded_values_keep_the_callers_errstate():
     # exp_cosh overflows to inf at |w| past 709.78; the caller's errstate
-    # must hold in every share, as a warning raised in a pool thread fails
+    # must hold in every share, as a warning raised in a helper thread fails
     # the call
     obj = cg.LinearObjective(np.ones((3, 2)), "exp_cosh_G", 0.5)
     W = np.full((30, 2), 800.0)
@@ -606,37 +619,63 @@ def test_threaded_values_keep_the_callers_errstate():
             obj.value_many(W)
 
 
-def test_an_exception_in_a_share_propagates_unchanged():
-    # the last rows, in the last share, make the value raise
+@pytest.mark.parametrize("share", ["first", "last"])
+def test_an_exception_in_a_share_propagates_unchanged(share):
+    # 40 rows in blocks of 3, in four shares: the first rows are the calling
+    # thread's share, the last rows a helper thread's
+    bad = (lambda x: x < -0.9) if share == "first" else (lambda x: x > 1.0)
     raised = []
 
     def value(w):
-        if w[0] > 1.0:
-            raised.append(ValueError("bad row %g" % w[0]))
-            raise raised[-1]
+        if bad(w[0]):
+            raised.append((ValueError("bad row %g" % w[0]), threading.get_ident()))
+            raise raised[-1][0]
         return float(w[0])
 
     obj = cg.CallableObjective([value], [lambda w: w], 1)
     W = np.linspace(-1.0, 2.0, 40)[:, None]
+    before = threading.enumerate()
     with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 3):
         with pytest.raises(ValueError) as err:
             obj.value_many(W)
-    assert err.value is raised[0]
+    assert err.value is raised[0][0]
+    assert (raised[0][1] == threading.get_ident()) == (share == "first")
+    # leaving the call waited for every helper, whichever share raised
+    assert threading.enumerate() == before
 
 
-def test_one_block_calls_create_no_pool():
+def test_no_thread_outlives_a_multi_block_call():
+    rng = np.random.default_rng(11)
+    obj = make_objective("least_squares", rng, 4, 2, "norm2", 0.3)
+    W = rng.uniform(-1.0, 1.0, size=(30, 2))
+    before = threading.enumerate()
+    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
+        obj.value_many(W)
+        obj.value_rows(np.zeros(30, dtype=int), W)
+    assert threading.enumerate() == before
+
+
+def test_one_block_calls_start_no_thread():
+    import concurrent.futures
+    made = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording_executor(*args, **kwargs):
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
     rng = np.random.default_rng(9)
     obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
     W = rng.uniform(-3.0, 3.0, size=(1310, 10))
-    with _workers(4), mock.patch.object(objectives, "_POOL", None):
+    with _workers(4), mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
+                                        recording_executor):
         obj.value_many(W)
         obj.value_rows(np.zeros(1310, dtype=int), W)
         obj.value(W[0])
         obj.gradient(W[0])
-        assert objectives._POOL is None
+        assert made == []
         obj.value_many(np.vstack([W, W[:1]]))
-        assert objectives._POOL is not None
-        objectives._POOL.shutdown()
+        assert len(made) == 1
 
 
 def test_worker_count_is_the_allowed_cpus_at_most_the_cap():
@@ -647,37 +686,9 @@ def test_worker_count_is_the_allowed_cpus_at_most_the_cap():
         assert objectives._worker_count() == 1
 
 
-def test_concurrent_first_calls_create_one_pool():
-    # a slow executor start leaves every thread time to find no pool yet
-    import concurrent.futures
-    made = []
-
-    def slow_executor(*args, **kwargs):
-        threading.Event().wait(0.05)
-        made.append(object())
-        return made[-1]
-
-    start = threading.Barrier(4)
-    pools = []
-
-    def first_call():
-        start.wait()
-        pools.append(objectives._pool())
-
-    with mock.patch.object(objectives, "_POOL", None), \
-            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", slow_executor):
-        threads = [threading.Thread(target=first_call) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    assert len(made) == 1
-    assert len(pools) == 4 and all(p is made[0] for p in pools)
-
-
-def test_a_value_call_inside_a_share_runs_serially():
+def test_a_value_call_inside_a_share_gets_its_own_helpers():
     # each component value makes a call of several blocks itself; were it
-    # to wait on the pool from a pool thread, it could wait forever
+    # to wait on threads that the outer call occupies, it could wait forever
     rng = np.random.default_rng(10)
     inner = make_objective("least_squares", rng, 4, 2, "plain", 0.0)
     inner_W = rng.uniform(-1.0, 1.0, size=(12, 2))
@@ -697,22 +708,17 @@ def test_a_value_call_inside_a_share_runs_serially():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_pool():
+def test_a_child_forked_after_a_threaded_call_gets_the_same_bits():
     rng = np.random.default_rng(12)
     obj = make_objective("linear", rng, 4, 3, "plain", 0.0)
     W = rng.uniform(-1.0, 1.0, size=(20, 3))
     with _workers(2), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
         expected = obj.value_many(W)
-        assert objectives._POOL is not None
-        with warnings.catch_warnings():
-            # python 3.12 and later warn on a fork of a threaded process
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        pid = os.fork()
         if pid == 0:
             ok = False
             try:
-                ok = (objectives._POOL is None
-                      and np.array_equal(obj.value_many(W), expected))
+                ok = np.array_equal(obj.value_many(W), expected)
             finally:
                 os._exit(0 if ok else 1)
         _, status = os.waitpid(pid, 0)
