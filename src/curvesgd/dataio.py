@@ -469,7 +469,7 @@ def emit_plot_script(csv_paths, path: str, titles=None) -> str:
         # gnuplot writes a quote inside a single-quoted string as two
         clauses.append(
             "  '%s' using %d:%d smooth unique with lines title '%s'"
-            % (rel.replace("'", "''"), epoch_col, f_col, title.replace("'", ""))
+            % (rel.replace("'", "''"), epoch_col, f_col, title.replace("'", "''"))
         )
     out.write(", \\\n".join(clauses))
     out.write("\n")
@@ -502,13 +502,14 @@ def execute_runfile(config: RunFileConfig, base_dir: str = ".",
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
 
-    run_configs = [RunConfig(objective=objective, schedule=parse_schedule(text),
-                             seed=config.seeds[0], iterations=iterations,
-                             record_stride=config.stride, reference=reference)
-                   for text in schedules]
+    run_config = RunConfig(
+        objective=objective,
+        schedule=tuple(parse_schedule(text) for text in schedules),
+        seed=config.seeds[0], iterations=iterations,
+        record_stride=config.stride, reference=reference)
     # every schedule runs before any file is written, so a divergence
     # leaves no partial output
-    sweeps = multi_seed_sweep(run_configs, config.seeds)
+    sweeps = multi_seed_sweep(run_config, config.seeds)
     if len(schedules) == 1:
         written = [stem + ext]
     else:

@@ -44,10 +44,12 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one SGD run exactly."""
+    """Everything needed to reproduce one SGD run exactly, or a lockstep
+    sweep of several schedules: schedule is one ScheduleSpec or a non-empty
+    tuple of them, and every other field is shared by all of them."""
 
     objective: object
-    schedule: ScheduleSpec
+    schedule: ScheduleSpec | tuple
     seed: int
     iterations: int
     record_stride: int = 1
@@ -57,6 +59,10 @@ class RunConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        scheds = self.schedule if type(self.schedule) is tuple else (self.schedule,)
+        if not scheds or not all(isinstance(s, ScheduleSpec) for s in scheds):
+            raise ValueError("schedule must be a ScheduleSpec or a non-empty "
+                             "tuple of them")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.record_stride < 1:
@@ -123,6 +129,8 @@ class SweepResult:
 
 def sgd_run(config: RunConfig) -> RunTrace:
     """Run SGD and record the trace. Bit-identical across repeat calls."""
+    if not isinstance(config.schedule, ScheduleSpec):
+        raise ValueError("sgd_run takes one schedule, not a tuple of them")
     return multi_seed_sweep(config, (config.seed,)).traces[0]
 
 
@@ -140,12 +148,6 @@ def moving_mean(values, window: int = 3) -> np.ndarray:
     return total / np.minimum(np.arange(1.0, size + 1.0), window)
 
 
-# fields that every config of one lockstep sweep shares: only the schedule
-# and the unread seed may differ between them
-LOCKSTEP_FIELDS = ("objective", "iterations", "record_stride", "region_radius",
-                   "w0", "reference", "keep_iterates")
-
-
 def _start_point(config: RunConfig) -> np.ndarray:
     d = config.objective.dimension
     if config.w0 is None:
@@ -158,24 +160,16 @@ def _start_point(config: RunConfig) -> np.ndarray:
     return w0
 
 
-def _shared_value(config: RunConfig, name: str):
-    # objects compare by identity, and the start point by its bits
-    if name == "w0":
-        return _start_point(config).tobytes()
-    value = getattr(config, name)
-    return id(value) if name in ("objective", "reference") else value
-
-
 # the run detects a non-finite iterate itself and raises EngineError, and a
 # recorded F may overflow to inf, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
-def multi_seed_sweep(config, seeds):
-    """Run one configuration, or several that differ only in schedule, for
-    every seed in lockstep; config.seed is not read.
+def multi_seed_sweep(config: RunConfig, seeds):
+    """Run a configuration for every seed, and every schedule of it in
+    lockstep; config.seed is not read.
 
-    Given one RunConfig this returns its SweepResult; given a sequence of
-    them it returns one SweepResult per config, in order, and any field of
-    LOCKSTEP_FIELDS that differs raises ValueError naming it.
+    Given a config of one ScheduleSpec this returns its SweepResult; given
+    a tuple of them, even of one, it returns one SweepResult per schedule,
+    in order.
 
     The iterates of every (schedule, seed) pair form one array, schedule
     major, and each step advances it with a single call of the objective's
@@ -192,33 +186,24 @@ def multi_seed_sweep(config, seeds):
     Recorded values are kept as computed, so F may be inf at a record while
     every iterate is still finite.
     """
-    single = isinstance(config, RunConfig)
-    configs = [config] if single else list(config)
-    if not configs:
-        raise ValueError("need at least one config")
-    first = configs[0]
-    for other in configs[1:]:
-        for name in LOCKSTEP_FIELDS:
-            if _shared_value(other, name) != _shared_value(first, name):
-                raise ValueError("configs of one sweep may differ only in "
-                                 "schedule, but they differ in %s" % name)
+    single = isinstance(config.schedule, ScheduleSpec)
+    scheds = (config.schedule,) if single else config.schedule
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    obj = first.objective
+    obj = config.objective
     n = obj.component_count
     d = obj.dimension
-    scheds = [c.schedule for c in configs]
     S = len(seeds)
-    rows = len(configs) * S
-    W = np.tile(_start_point(first), (rows, 1))
-    ref = first.reference
-    radius = first.region_radius
+    rows = len(scheds) * S
+    W = np.tile(_start_point(config), (rows, 1))
+    ref = config.reference
+    radius = config.region_radius
     # the box of the whole-chunk check in settle, finite even for an
     # unbounded region, so that an infinite iterate always fails it
     bound = min(radius, np.finfo(float).max)
-    stride = first.record_stride
-    total = first.iterations
+    stride = config.record_stride
+    total = config.iterations
     gather = obj._gather
     grad = obj._grad_gathered
 
@@ -230,7 +215,7 @@ def multi_seed_sweep(config, seeds):
     Y = np.full((rows, records), math.nan)
     flags = np.zeros((rows, records), dtype=bool)
     violations = np.zeros(rows, dtype=np.int64)
-    iterates = np.empty((rows, records, d)) if first.keep_iterates else None
+    iterates = np.empty((rows, records, d)) if config.keep_iterates else None
 
     def record(cols, W_rec):
         # W_rec holds one (rows, d) iterate per record column in cols
@@ -309,11 +294,11 @@ def multi_seed_sweep(config, seeds):
             # (rows, 1) column, so that each row's update keeps the bits of
             # its solo run, and every schedule's row of a seed takes that
             # seed's draws
-            if len(configs) == 1:
+            if len(scheds) == 1:
                 step = step[:, 0].tolist()
             else:
                 step = step.repeat(S, axis=1)[:, :, None]
-                idx = np.tile(idx, (1, len(configs)))
+                idx = np.tile(idx, (1, len(scheds)))
             data = gather(idx)
             j = 0
             try:

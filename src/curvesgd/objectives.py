@@ -179,6 +179,9 @@ class Objective:
             raise ValueError("unknown regularizer %r" % (regularizer,))
         if not (0.0 <= lam < math.inf):
             raise ValueError("regularization weight must be nonnegative and finite")
+        if n < 1 or d < 1:
+            raise ValueError("an objective needs at least one component and one "
+                             "coordinate, got n=%d, d=%d" % (n, d))
         self.component_count = int(n)
         self.dimension = int(d)
         self.regularizer = regularizer

@@ -106,13 +106,12 @@ def test_criterion_07_rate_slopes(say, ridge_sweep, exp_cosh_sweep):
 def _final_loss_ranking(bench, w0, iterations, seeds):
     # the five schedules run in lockstep, one engine call
     hs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    configs = [cg.RunConfig(objective=bench.objective,
-                            schedule=cg.parse_schedule("power:h=%g,scale=0.1" % h),
-                            seed=0, iterations=iterations,
-                            record_stride=iterations, reference=bench.reference,
-                            w0=w0, region_radius=bench.region_radius)
-               for h in hs]
-    sweeps = cg.multi_seed_sweep(configs, seeds=range(seeds))
+    config = cg.RunConfig(
+        objective=bench.objective,
+        schedule=tuple(cg.parse_schedule("power:h=%g,scale=0.1" % h) for h in hs),
+        seed=0, iterations=iterations, record_stride=iterations,
+        reference=bench.reference, w0=w0, region_radius=bench.region_radius)
+    sweeps = cg.multi_seed_sweep(config, seeds=range(seeds))
     return {h: float(sweep.mean_E[-1]) for h, sweep in zip(hs, sweeps)}
 
 

@@ -223,6 +223,18 @@ def test_non_finite_dataset_exits_two(tmp_path, capsys):
     assert "error: line 2: feature value 'nan' is not finite" in err
 
 
+@pytest.mark.parametrize("command", ["run", "estimate-curvature"])
+def test_labels_only_dataset_exits_two(tmp_path, capsys, command):
+    # every line holds a label and no feature: a (3, 0) dataset
+    data = tmp_path / "labels.svm"
+    data.write_text("+1\n-1\n+1\n")
+    text = BASE_RUNFILE.replace("synth:linear,n=20,d=3,seed=4", str(data))
+    assert main([command, write_runfile(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "one coordinate" in err
+    assert sorted(os.listdir(tmp_path)) == ["job.run", "labels.svm"]
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

@@ -241,7 +241,7 @@ def test_multi_seed_sweep_aggregates():
     with pytest.raises(ValueError):
         cg.multi_seed_sweep(cfg, seeds=())
     with pytest.raises(ValueError):
-        cg.multi_seed_sweep([], seeds=seeds)
+        dataclasses.replace(cfg, schedule=())
 
 
 def test_sweep_seed_matches_solo_sweep():
@@ -274,17 +274,17 @@ def test_lockstep_schedule_matches_its_solo_sweep(problem, start, stride):
     b = cg.load_benchmark(problem)
     schedules = [cg.parse_schedule(text) for text in LOCKSTEP_SCHEDULES]
     schedules.append(b.schedule)  # the matched paper-opt schedule
-    configs = [cg.RunConfig(objective=b.objective, schedule=sched, seed=k,
-                            iterations=150, record_stride=stride,
-                            w0=np.full(b.objective.dimension, start),
-                            reference=b.reference, region_radius=b.region_radius,
-                            keep_iterates=True)
-               for k, sched in enumerate(schedules)]
+    config = cg.RunConfig(objective=b.objective, schedule=tuple(schedules),
+                          seed=0, iterations=150, record_stride=stride,
+                          w0=np.full(b.objective.dimension, start),
+                          reference=b.reference, region_radius=b.region_radius,
+                          keep_iterates=True)
     seeds = (4, 0, 9)
-    together = cg.multi_seed_sweep(configs, seeds)
-    assert len(together) == len(configs)
-    for config, sweep in zip(configs, together):
-        alone = cg.multi_seed_sweep(config, seeds)
+    together = cg.multi_seed_sweep(config, seeds)
+    assert len(together) == len(schedules)
+    for sched, sweep in zip(schedules, together):
+        alone = cg.multi_seed_sweep(dataclasses.replace(config, schedule=sched),
+                                    seeds)
         assert sweep.seeds == alone.seeds == seeds
         assert sweep.component_count == alone.component_count
         assert sweep.has_reference and alone.has_reference
@@ -292,6 +292,45 @@ def test_lockstep_schedule_matches_its_solo_sweep(problem, start, stride):
             assert np.array_equal(getattr(sweep, name), getattr(alone, name))
     if problem == "quadratic_mean":
         assert all(sweep.violation_count.min() > 0 for sweep in together)
+
+
+@pytest.mark.parametrize("schedule", [
+    (),
+    [cg.ScheduleSpec.constant(0.01)],
+    (cg.ScheduleSpec.constant(0.01), "const:0.02"),
+    "const:0.01",
+], ids=["empty-tuple", "list", "non-spec-entry", "text"])
+def test_run_config_takes_one_schedule_or_a_tuple_of_them(schedule):
+    b = cg.quadratic_mean_problem()
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        cg.RunConfig(objective=b.objective, schedule=schedule, seed=0,
+                     iterations=20)
+
+
+def test_one_schedule_tuple_gives_the_single_schedule_sweep():
+    # from w0 = 8 the iterates start outside the box, so flags are set too
+    b = cg.quadratic_mean_problem()
+    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
+                       iterations=150, record_stride=7,
+                       w0=np.full(b.objective.dimension, 8.0),
+                       reference=b.reference, keep_iterates=True)
+    seeds = (4, 0, 9)
+    alone = cg.multi_seed_sweep(cfg, seeds)
+    together = cg.multi_seed_sweep(
+        dataclasses.replace(cfg, schedule=(b.schedule,)), seeds)
+    assert isinstance(together, list) and len(together) == 1
+    assert together[0].seeds == alone.seeds == seeds
+    assert alone.violation_count.min() > 0
+    for name in SWEEP_ARRAYS:
+        assert np.array_equal(getattr(together[0], name), getattr(alone, name))
+
+
+def test_sgd_run_rejects_a_schedule_tuple():
+    b = cg.quadratic_mean_problem()
+    cfg = cg.RunConfig(objective=b.objective, schedule=(b.schedule,), seed=0,
+                       iterations=20)
+    with pytest.raises(ValueError, match="one schedule"):
+        cg.sgd_run(cfg)
 
 
 def _replay(obj, schedules, seeds, w0, iterations):
@@ -316,14 +355,14 @@ def _replay(obj, schedules, seeds, w0, iterations):
 def _assert_sweeps_replay(obj, texts, seeds, w0, iterations):
     # the engine's in-place steps, with one schedule and in lockstep, keep
     # the bits of the step-by-step replay through grad_rows
-    schedules = [cg.parse_schedule(text) for text in texts]
-    configs = [cg.RunConfig(objective=obj, schedule=sched, seed=0,
-                            iterations=iterations, w0=w0, keep_iterates=True)
-               for sched in schedules]
+    schedules = tuple(cg.parse_schedule(text) for text in texts)
+    config = cg.RunConfig(objective=obj, schedule=schedules, seed=0,
+                          iterations=iterations, w0=w0, keep_iterates=True)
     expected = _replay(obj, schedules, seeds, w0, iterations)
-    solo = cg.multi_seed_sweep(configs[0], seeds).iterates
+    solo = cg.multi_seed_sweep(
+        dataclasses.replace(config, schedule=schedules[0]), seeds).iterates
     assert np.array_equal(solo, expected[: len(seeds)])
-    together = [s.iterates for s in cg.multi_seed_sweep(configs, seeds)]
+    together = [s.iterates for s in cg.multi_seed_sweep(config, seeds)]
     assert np.array_equal(np.concatenate(together), expected)
 
 
@@ -345,26 +384,6 @@ def test_sweep_steps_near_the_exp_cosh_overflow_are_the_replay():
                           np.array([709.7, -709.75]), 20)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("objective", cg.QuadraticMeanObjective(10.0, np.eye(5))),
-    ("iterations", 21),
-    ("record_stride", 2),
-    ("w0", np.ones(5)),
-    ("reference", None),
-    ("region_radius", 2.0),
-    ("keep_iterates", True),
-])
-def test_lockstep_configs_differ_only_in_schedule(field, value):
-    b = cg.quadratic_mean_problem()
-    cfg = cg.RunConfig(objective=b.objective, schedule=b.schedule, seed=0,
-                       iterations=20, reference=b.reference)
-    # the schedule and the unread seed may differ
-    cg.multi_seed_sweep([cfg, dataclasses.replace(
-        cfg, schedule=cg.ScheduleSpec.constant(0.01), seed=3)], (0,))
-    with pytest.raises(ValueError, match="differ in %s$" % field):
-        cg.multi_seed_sweep([cfg, dataclasses.replace(cfg, **{field: value})], (0,))
-
-
 @pytest.mark.filterwarnings("error")
 def test_lockstep_divergence_names_the_earliest_row():
     # as in test_sweep_divergence_at_a_record_names_the_seed: component 0
@@ -375,11 +394,11 @@ def test_lockstep_divergence_names_the_earliest_row():
     seeds = (0, 5, 2)
 
     def failure(texts, seeds):
-        configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
-                                seed=0, iterations=3000, record_stride=5)
-                   for text in texts]
+        config = cg.RunConfig(
+            objective=obj, schedule=tuple(map(cg.parse_schedule, texts)),
+            seed=0, iterations=3000, record_stride=5)
         with pytest.raises(cg.EngineError) as err:
-            cg.multi_seed_sweep(configs, seeds)
+            cg.multi_seed_sweep(config, seeds)
         return str(err.value)
 
     def iteration(message):
@@ -408,14 +427,16 @@ def test_lockstep_divergence_tie_names_the_first_schedule(texts):
     y = np.ones(n)
     y[0] = 1e10
     obj = cg.LeastSquaresObjective(cg.Dataset(X, y))
-    configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
-                            seed=0, iterations=30) for text in texts]
+    schedules = tuple(map(cg.parse_schedule, texts))
+    config = cg.RunConfig(objective=obj, schedule=schedules, seed=0,
+                          iterations=30)
     seeds = tuple(seed for seed, hit in _seeds_by_first_draw(n, 0, 30, 40)
                   if hit is not None)[:3]
     with pytest.raises(cg.EngineError) as err:
-        cg.multi_seed_sweep(configs, seeds)
+        cg.multi_seed_sweep(config, seeds)
     with pytest.raises(cg.EngineError) as solo:
-        cg.multi_seed_sweep(configs[0], seeds)
+        cg.multi_seed_sweep(dataclasses.replace(config, schedule=schedules[0]),
+                            seeds)
     assert str(err.value) == str(solo.value)
     assert "under schedule %r" % texts[0] in str(err.value)
 
@@ -536,17 +557,16 @@ def test_sweep_divergence_at_a_record_names_the_seed():
     assert failure(culprit, 1, seeds) == solo[culprit]
 
 
-def _chunked_sweep(configs, seeds, steps):
+def _chunked_sweep(config, seeds, steps):
     """multi_seed_sweep with the engine's chunk bound, objectives._BLOCK_TERMS,
     set to `steps` steps of all rows, or left at its default for None."""
     if steps is None:
-        return cg.multi_seed_sweep(configs, seeds)
-    single = isinstance(configs, cg.RunConfig)
-    first = configs if single else configs[0]
-    rows = (1 if single else len(configs)) * len(seeds)
-    terms = steps * rows * first.objective.dimension
+        return cg.multi_seed_sweep(config, seeds)
+    single = isinstance(config.schedule, cg.ScheduleSpec)
+    rows = (1 if single else len(config.schedule)) * len(seeds)
+    terms = steps * rows * config.objective.dimension
     with mock.patch.object(objectives, "_BLOCK_TERMS", terms):
-        return cg.multi_seed_sweep(configs, seeds)
+        return cg.multi_seed_sweep(config, seeds)
 
 
 # (benchmark, schedules, start, iterations, stride) of each chunking case
@@ -572,16 +592,16 @@ def test_chunking_does_not_change_a_bit(benchmarks, case):
     # region check, the flags and the records to the same bits
     problem, schedules, start, iterations, stride = CHUNK_CASES[case]
     b = benchmarks[problem]
-    configs = [cg.RunConfig(objective=b.objective, schedule=cg.parse_schedule(text),
-                            seed=0, iterations=iterations, record_stride=stride,
-                            w0=np.full(b.objective.dimension, start),
-                            reference=b.reference, region_radius=b.region_radius,
-                            keep_iterates=True)
-               for text in schedules]
-    if len(configs) == 1:
-        configs = configs[0]  # the one-schedule path steps by a scalar
+    specs = tuple(map(cg.parse_schedule, schedules))
+    config = cg.RunConfig(objective=b.objective,
+                          # the one-schedule path steps by a scalar
+                          schedule=specs[0] if len(specs) == 1 else specs,
+                          seed=0, iterations=iterations, record_stride=stride,
+                          w0=np.full(b.objective.dimension, start),
+                          reference=b.reference, region_radius=b.region_radius,
+                          keep_iterates=True)
     seeds = (4, 0, 9)
-    results = [_chunked_sweep(configs, seeds, steps) for steps in (1, 3, None)]
+    results = [_chunked_sweep(config, seeds, steps) for steps in (1, 3, None)]
     results = [[r] if isinstance(r, cg.SweepResult) else r for r in results]
     for one, three, default in zip(*results):
         for name in SWEEP_ARRAYS:
@@ -609,14 +629,15 @@ def test_divergence_inside_a_chunk_names_the_earliest_row(steps):
     # six distinct iterations; the default chunk holds all 3000 steps, and
     # one-step chunks settle each step as it is taken
     obj = cg.LeastSquaresObjective(cg.Dataset([[3.0], [0.5]], [1.0, 1.0]))
-    configs = [cg.RunConfig(objective=obj, schedule=cg.parse_schedule(text),
-                            seed=0, iterations=3000, record_stride=5)
-               for text in ("const:0.4", "const:0.5")]
+    config = cg.RunConfig(
+        objective=obj,
+        schedule=(cg.parse_schedule("const:0.4"), cg.parse_schedule("const:0.5")),
+        seed=0, iterations=3000, record_stride=5)
     seeds = (0, 5, 2)
     messages = []
     for chunk in (1, steps):
         with pytest.raises(cg.EngineError) as err:
-            _chunked_sweep(configs, seeds, chunk)
+            _chunked_sweep(config, seeds, chunk)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 

@@ -487,6 +487,14 @@ def test_emit_plot_script_column_indices(tmp_path):
     assert "using %d:%d" % (epoch_col, f_col) in text
 
 
+def test_a_quote_in_a_title_is_doubled_in_the_plot_script(tmp_path):
+    # the default title is the file stem, which keeps its quote
+    text = cg.emit_plot_script([str(tmp_path / "it's.csv")],
+                               str(tmp_path / "p.gp"))
+    assert text.splitlines()[-1] == (
+        "  'it''s.csv' using 3:6 smooth unique with lines title 'it''s'")
+
+
 def test_a_quote_in_a_runfile_out_is_doubled_in_the_plot_script(tmp_path):
     # gnuplot writes a quote inside a single-quoted string as two
     text = RUNFILE_TEXT.replace("demo.csv", "it's.csv")

@@ -77,6 +77,24 @@ def test_mislabeled_shapes_raise():
                 obj.gradient(w)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cg.LeastSquaresObjective(cg.Dataset(np.zeros((3, 0)), np.ones(3))),
+    lambda: cg.LogisticObjective(cg.Dataset(np.zeros((3, 0)), np.ones(3))),
+    lambda: cg.LinearObjective(np.zeros((0, 3))),
+    lambda: cg.LinearObjective(np.zeros((3, 0))),
+    lambda: cg.QuadraticMeanObjective(1.0, np.zeros((0, 3))),
+    lambda: cg.QuadraticMeanObjective(1.0, np.zeros((3, 0))),
+    lambda: cg.CallableObjective([lambda w: 0.0], [lambda w: w], 0),
+], ids=["least-squares-d0", "logistic-d0", "linear-n0", "linear-d0",
+        "quadratic-mean-n0", "quadratic-mean-d0", "callable-d0"])
+def test_objectives_need_a_component_and_a_coordinate(make):
+    # a labels-only LIBSVM file parses to a (rows, 0) dataset; its objective
+    # used to divide by zero in gradient and value_many
+    with pytest.raises(ValueError, match="at least one component and one "
+                                         "coordinate"):
+        make()
+
+
 @pytest.mark.parametrize("method", ["grad_rows", "value_rows"])
 def test_component_indices_must_be_integers_in_range(method):
     # three components, rows of 3 weights; a negative index must not wrap
