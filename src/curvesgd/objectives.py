@@ -152,9 +152,20 @@ class ReferenceSolution:
     iterations: int = 0
 
     def squared_distance(self, W) -> np.ndarray:
-        """||W[k] - w_star||^2 for each row k, computed from W[k] alone."""
-        diff = W - self.w_star
-        return np.einsum("ij,ij->i", diff, diff)
+        """||W[k] - w_star||^2 for each row k, computed from W[k] alone.
+
+        Rows are taken in blocks of about _BLOCK_TERMS (row, coordinate)
+        terms through one scratch block, so no temporary as large as W is
+        made; the bits do not depend on the block size."""
+        W = np.asarray(W)
+        out = np.empty(W.shape[0])
+        rows = max(1, _BLOCK_TERMS // W.shape[1])
+        diff = np.empty((min(rows, W.shape[0]), W.shape[1]))
+        for lo in range(0, W.shape[0], rows):
+            hi = min(lo + rows, W.shape[0])
+            part = np.subtract(W[lo:hi], self.w_star, diff[: hi - lo])
+            np.einsum("ij,ij->i", part, part, out=out[lo:hi])
+        return out
 
 
 class Objective:

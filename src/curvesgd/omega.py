@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import objectives
 from .objectives import REGION_RADIUS
+
+# (sample, coordinate) terms per block of estimate_delta's draw: 4 MB, two
+# blocks of 100,000 samples at d = 10. Smaller blocks make more value_many
+# calls, and each call of several value blocks starts a helper thread.
+_SAMPLE_TERMS = 8 * objectives._BLOCK_TERMS
 
 
 @dataclass(frozen=True)
@@ -241,22 +247,58 @@ def _fit_low_decade_slope(eps: np.ndarray, delta: np.ndarray) -> float:
     return float(slope)
 
 
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError("%s must be an integer of at least 1, got %r"
+                         % (name, value))
+    return int(value)
+
+
+def _sample_gaps(a, b, dimension: int, n_samples: int, seed: int):
+    # a and b at n_samples points drawn uniformly from the REGION_RADIUS
+    # box, one block of rows at a time into one reused buffer. U * 2R - R is
+    # the formula of rng.uniform(-R, R), and rng.random fills the blocks
+    # from the same stream, so the points are the bits of one uniform draw.
+    # The buffer is freed on return, before the caller sorts the gaps.
+    rng = np.random.default_rng(seed)
+    rows = max(1, _SAMPLE_TERMS // dimension)
+    block = np.empty((min(rows, n_samples), dimension))
+    av = np.empty(n_samples)
+    bv = np.empty(n_samples)
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        W = block[: hi - lo]
+        rng.random(out=W)
+        W *= 2.0 * REGION_RADIUS
+        W -= REGION_RADIUS
+        av[lo:hi] = a(W)
+        bv[lo:hi] = b(W)
+    return av, bv
+
+
 def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
                    seed: int = 0) -> DeltaEstimate:
     """Empirical gap-to-distance majorant of the maps a(w) = F(w) - F_min
-    and b(w) = ||w - w_star||^2, each taking a (samples, d) array to a
-    (samples,) array.
+    and b(w) = ||w - w_star||^2, each taking a (rows, d) array to a (rows,)
+    array.
 
     Samples w uniformly over the REGION_RADIUS box in the given dimension,
     bins the samples into relative bands |a(w) - eps| <= 0.02 eps around
     each grid value, records the per-band maximum of b(w), and returns the
     least concave nondecreasing majorant of those maxima. Empty bands are
     reported (NaN rho, zero count), not fatal.
+
+    The samples are the bits of default_rng(seed).uniform over an
+    (n_samples, dimension) array, drawn in consecutive blocks of rows into
+    one reused buffer of at most _SAMPLE_TERMS terms, so no sample-size
+    matrix is held. a and b see each block in turn; they must compute each
+    row from that row alone and must not keep the block, which the next
+    draw overwrites. dimension and n_samples must be integers of at least 1.
     """
-    W = np.random.default_rng(seed).uniform(-REGION_RADIUS, REGION_RADIUS,
-                                            (n_samples, dimension))
-    av = np.asarray(a(W), dtype=float)
-    bv = np.asarray(b(W), dtype=float)
+    dimension = _positive_int("dimension", dimension)
+    n_samples = _positive_int("n_samples", n_samples)
+    av, bv = _sample_gaps(a, b, dimension, n_samples, seed)
     if grid is None:
         pos = av[av > 0.0]
         if pos.size == 0:
@@ -294,7 +336,9 @@ def fit_curvature(objective, reference, seed: int = 0) -> float:
     """Estimate the curvature exponent h of an objective, clamped to [0, 1].
 
     The gaps F(w) - F_min and ||w - w_star||^2 are measured against the
-    given reference, at 100,000 points drawn from the REGION_RADIUS box. The
+    given reference, at 100,000 points drawn from the REGION_RADIUS box in
+    estimate_delta's blocks, one value_many and one squared_distance call
+    per block, so memory stays within a block and the per-sample gaps. The
     estimate is the log-log slope of the empirical delta majorant near
     zero, so delta(eps) ~ eps^h by construction: a strongly convex quadratic
     yields h near 1, a quartic-bottomed objective h near 1/2. The slope is

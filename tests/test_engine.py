@@ -622,6 +622,44 @@ def test_chunking_does_not_change_a_bit(benchmarks, case):
         assert not sweep.region_violation[:, -1].any()
 
 
+def _drift_then_jump(rate):
+    # the gradient, at step size 1, of the map that drifts a coordinate up
+    # by `rate` below 1, jumps from [1, 1.5) to 3.5, outside the box, and
+    # from there back to 2, where it stays
+    def grad(w):
+        nxt = np.where(w < 1.0, w + rate, np.where(
+            w < 1.5, 3.5, np.where(w < 3.0, w, 2.0)))
+        return w - nxt
+    return grad
+
+
+def test_one_step_out_of_the_box_inside_a_long_chunk():
+    # 10 seeds in d = 5 step in one chunk of 1,310 steps. Each seed's
+    # iterate leaves the box for one step, near iteration 835 to 1,001 as
+    # its draws of the two drift rates fall, and is flagged in one record
+    # column of stride 7; the default chunk checks only the span of those
+    # steps row by row, and agrees with a replay whose every chunk is a
+    # single step
+    obj = cg.CallableObjective([lambda w: float(w @ w)] * 2,
+                               [_drift_then_jump(0.001), _drift_then_jump(0.0012)], 5)
+    ref = cg.ReferenceSolution(w_star=np.zeros(5), f_min=0.0, noise_constant=0.0,
+                               gradient_norm_at_solution=0.0)
+    config = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(1.0),
+                          seed=0, iterations=1310, record_stride=7, reference=ref)
+    seeds = tuple(range(10))
+    assert objectives._BLOCK_TERMS // (len(seeds) * 5) == 1310
+    sweep = cg.multi_seed_sweep(config, seeds)
+    with mock.patch.object(objectives, "_BLOCK_TERMS", 1):
+        replay = cg.multi_seed_sweep(config, seeds)
+    for name in SWEEP_ARRAYS:
+        assert np.array_equal(getattr(sweep, name), getattr(replay, name)), name
+    assert np.array_equal(sweep.violation_count, np.ones(10))
+    assert np.array_equal(sweep.region_violation.sum(axis=1), np.ones(10))
+    flagged = sweep.t[sweep.region_violation.argmax(axis=1)]
+    assert flagged.min() >= 800 and flagged.max() <= 1015
+    assert len(set(flagged)) > 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("steps", [3, None])
 def test_divergence_inside_a_chunk_names_the_earliest_row(steps):

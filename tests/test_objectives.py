@@ -562,6 +562,43 @@ def test_value_many_rows_do_not_depend_on_other_rows(kind, regularizer, d, n,
         assert np.array_equal(obj.value_rows(idx, W), V)
 
 
+@settings(deadline=None)
+@given(d=st.sampled_from([1, 5, 10, 17, 33]), rows=st.integers(0, 40),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_squared_distance_rows_do_not_depend_on_other_rows(d, rows, data_seed):
+    # the engine's Y and estimate_delta's blocks rely on this: a row has the
+    # same bits whichever rows and blocks it is computed with
+    rng = np.random.default_rng(data_seed)
+    ref = cg.ReferenceSolution(w_star=rng.uniform(-1.0, 1.0, d), f_min=0.0,
+                               noise_constant=0.0, gradient_norm_at_solution=0.0)
+    W = rng.uniform(-3.0, 3.0, size=(rows, d))
+    if rows:
+        W[0] = ref.w_star
+    Y = ref.squared_distance(W)
+    assert Y.shape == (rows,)
+    for k in range(rows):
+        assert np.array_equal(Y[k], ref.squared_distance(W[k].copy()[None])[0]), k
+    # so the block size cannot matter either
+    for terms in (1, 3 * d, 10 ** 9):
+        with mock.patch.object(objectives, "_BLOCK_TERMS", terms):
+            assert np.array_equal(ref.squared_distance(W), Y), terms
+
+
+def test_squared_distance_of_many_blocks_matches_one_block():
+    # 30,000 rows in d = 5 make three blocks at the default size, the last
+    # one shorter; a strided view is read as it is
+    rng = np.random.default_rng(41)
+    ref = cg.ReferenceSolution(w_star=rng.uniform(-1.0, 1.0, 5), f_min=0.0,
+                               noise_constant=0.0, gradient_norm_at_solution=0.0)
+    W = rng.uniform(-3.0, 3.0, size=(30_000, 10))[:, ::2]
+    assert -(-W.shape[0] // (objectives._BLOCK_TERMS // 5)) == 3
+    Y = ref.squared_distance(W)
+    with mock.patch.object(objectives, "_BLOCK_TERMS", 10 ** 9):
+        assert np.array_equal(ref.squared_distance(W), Y)
+    diff = W - ref.w_star
+    assert np.array_equal(Y, np.einsum("ij,ij->i", diff, diff))
+
+
 def test_value_is_the_one_row_case_of_value_many():
     rng = np.random.default_rng(11)
     for kind in OBJECTIVE_KINDS:

@@ -1,13 +1,17 @@
 """Tests for the modulus family, its contraction map, and the curvature
 estimators."""
 
+import contextlib
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import curvesgd as cg
+from curvesgd import objectives, omega
 from curvesgd.omega import estimate_delta
 
 
@@ -429,6 +433,94 @@ def test_estimate_delta_draws_the_region_radius_box():
     expected = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, d))
     assert len(seen) == 1 and seen[0].shape == expected.shape
     assert seen[0].tobytes() == expected.tobytes()
+
+
+def _sample_rows(rows, dimension):
+    """estimate_delta's sample block, patched to `rows` rows."""
+    return mock.patch.object(omega, "_SAMPLE_TERMS", rows * dimension)
+
+
+def _delta_arrays(est):
+    return (est.epsilon_grid, est.rho_values, est.delta_values,
+            np.array(est.fitted_h), est.band_counts)
+
+
+@pytest.mark.parametrize("name", ["ridge", "exp_cosh", "quadratic_mean"])
+def test_sample_blocks_do_not_change_a_bit(name):
+    # 1,003 samples in blocks of 1, 7 and 64 rows, the last block shorter,
+    # against one block of all of them
+    b = cg.load_benchmark(name)
+    obj, ref = b.objective, b.reference
+
+    def estimate():
+        return estimate_delta(lambda W: obj.value_many(W) - ref.f_min,
+                              ref.squared_distance, obj.dimension,
+                              n_samples=1003, seed=3)
+
+    whole = estimate()
+    for rows in (1, 7, 64):
+        with _sample_rows(rows, obj.dimension):
+            blocked = estimate()
+        for got, expected in zip(_delta_arrays(blocked), _delta_arrays(whole)):
+            assert np.array_equal(got, expected, equal_nan=True), rows
+
+
+@pytest.mark.parametrize("n, d, rows, blocks", [
+    (1003, 4, 7, 144), (1003, 4, None, 1), (100_000, 10, None, 2)])
+def test_sample_blocks_are_one_uniform_draw_in_order(n, d, rows, blocks):
+    # b sees consecutive blocks of equal rows, the last one shorter, which
+    # together are the bits of one uniform draw
+    seed = 8
+    seen = []
+
+    def b(W):
+        seen.append(W.copy())
+        return np.einsum("ij,ij->i", W, W)
+
+    with _sample_rows(rows, d) if rows else contextlib.nullcontext():
+        estimate_delta(lambda W: np.einsum("ij,ij->i", W, W), b, d,
+                       n_samples=n, seed=seed)
+        block = omega._SAMPLE_TERMS // d
+    assert len(seen) == blocks
+    assert {len(W) for W in seen[:-1]} <= {block} and 0 < len(seen[-1]) <= block
+    expected = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, d))
+    assert np.concatenate(seen).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 0), ("dimension", -2), ("dimension", 2.0),
+    ("dimension", True), ("n_samples", 0), ("n_samples", -3),
+    ("n_samples", 10.5), ("n_samples", "100")])
+def test_estimate_delta_rejects_a_bad_count(field, value):
+    args = {"dimension": 2, "n_samples": 50, field: value}
+    with pytest.raises(ValueError, match="^%s must be an integer" % field):
+        estimate_delta(lambda W: W[:, 0] ** 2, lambda W: W[:, 0] ** 2,
+                       args["dimension"], n_samples=args["n_samples"])
+
+
+def test_fit_curvature_scratch_memory_is_about_one_sample_block():
+    # ridge has d = 10, so its 100,000 samples come in two blocks of
+    # _SAMPLE_TERMS terms, drawn into one buffer. Beside that buffer the fit
+    # holds the value blocks' scratch (two blocks of _BLOCK_TERMS terms per
+    # worker), the gaps a and b of every sample, and a block's value_many
+    # output and gap, each shorter than the samples; sorting the gaps
+    # afterwards takes five sample-size vectors and no buffer
+    b = cg.load_benchmark("ridge")
+    d, n = b.objective.dimension, 100_000
+    block_bytes = (omega._SAMPLE_TERMS // d) * d * 8
+    value_bytes = objectives._MAX_WORKERS * 2 * objectives._BLOCK_TERMS * 8
+    sample_bytes = n * 8
+    cg.fit_curvature(b.objective, b.reference, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cg.fit_curvature(b.objective, b.reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - before
+    assert scratch < block_bytes + value_bytes + 4 * sample_bytes, (
+        scratch, block_bytes)
 
 
 def test_fit_curvature_strongly_convex():
