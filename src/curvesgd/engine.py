@@ -17,9 +17,8 @@ sweep reuses, and one update into the chunk's buffer; a one-schedule step
 size is a Python float, which a ufunc takes faster than a numpy scalar.
 After the chunk, its largest and smallest entry settle the region check and
 the divergence test of a chunk that stayed inside the box, which is
-capped at the largest float so that an infinite entry never passes; a
-chunk that did not is checked step by step, and row by row only from its
-first step outside the box to its last. Its records
+capped at the largest float so that an infinite entry never passes; only
+a chunk that did not is checked step by step and row by row. Its records
 are then taken in a few whole-array calls. Every row is computed
 from its own data alone, so the chunk length never changes a bit, and a
 divergence is reported exactly as a step-by-step run reports it.
@@ -246,26 +245,17 @@ def multi_seed_sweep(config: RunConfig, seeds):
         end, bad = count, ()
         # a chunk whose iterates all stayed finite and inside the box is
         # settled by its largest and smallest entry, both NaN if any is
-        if count and not (part.max() <= bound and part.min() >= -bound):
-            # the same test step by step finds the steps that left the box
-            # or are non-finite; only the span from the first to the last
-            # of them is checked row by row
-            inside = ((part.max(axis=(1, 2)) <= bound)
-                      & (part.min(axis=(1, 2)) >= -bound))
-            outside = np.flatnonzero(~inside)
-            first, last = int(outside[0]), int(outside[-1]) + 1
-            tops = np.abs(part[first:last]).max(axis=2)
+        if not (count and part.max() <= bound and part.min() >= -bound):
+            tops = np.abs(part).max(axis=2)
             # a NaN iterate, for which every comparison is false, is caught
             # here with the infinite ones
-            bad = np.flatnonzero(~np.isfinite(tops)) + first * rows
+            bad = np.flatnonzero(~np.isfinite(tops))
             end = count if not bad.size else int(bad[0]) // rows
-            # the steps first:stop, before the first non-finite one
-            stop = min(end, last)
-            over = tops[: stop - first] > radius
+            over = tops[:end] > radius
             if over.any():
                 violations[:] += over.sum(axis=0)
                 # unbuffered, as several steps may share a record column
-                cols = t_rec.searchsorted(np.arange(lo + first + 1, lo + stop + 1))
+                cols = t_rec.searchsorted(np.arange(lo + 1, lo + end + 1))
                 np.logical_or.at(flags.T, cols, over)
         start, stop = t_rec.searchsorted((lo, lo + end), side="right")
         if stop > start:

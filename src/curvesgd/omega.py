@@ -255,28 +255,6 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
-def _sample_gaps(a, b, dimension: int, n_samples: int, seed: int):
-    # a and b at n_samples points drawn uniformly from the REGION_RADIUS
-    # box, one block of rows at a time into one reused buffer. U * 2R - R is
-    # the formula of rng.uniform(-R, R), and rng.random fills the blocks
-    # from the same stream, so the points are the bits of one uniform draw.
-    # The buffer is freed on return, before the caller sorts the gaps.
-    rng = np.random.default_rng(seed)
-    rows = max(1, _SAMPLE_TERMS // dimension)
-    block = np.empty((min(rows, n_samples), dimension))
-    av = np.empty(n_samples)
-    bv = np.empty(n_samples)
-    for lo in range(0, n_samples, rows):
-        hi = min(lo + rows, n_samples)
-        W = block[: hi - lo]
-        rng.random(out=W)
-        W *= 2.0 * REGION_RADIUS
-        W -= REGION_RADIUS
-        av[lo:hi] = a(W)
-        bv[lo:hi] = b(W)
-    return av, bv
-
-
 def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
                    seed: int = 0) -> DeltaEstimate:
     """Empirical gap-to-distance majorant of the maps a(w) = F(w) - F_min
@@ -298,7 +276,24 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
     """
     dimension = _positive_int("dimension", dimension)
     n_samples = _positive_int("n_samples", n_samples)
-    av, bv = _sample_gaps(a, b, dimension, n_samples, seed)
+    # one block of rows at a time into one reused buffer: U * 2R - R is the
+    # formula of rng.uniform(-R, R), and rng.random fills the blocks from
+    # the same stream, so the points are the bits of one uniform draw
+    rng = np.random.default_rng(seed)
+    rows = max(1, _SAMPLE_TERMS // dimension)
+    block = np.empty((min(rows, n_samples), dimension))
+    av = np.empty(n_samples)
+    bv = np.empty(n_samples)
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        W = block[: hi - lo]
+        rng.random(out=W)
+        W *= 2.0 * REGION_RADIUS
+        W -= REGION_RADIUS
+        av[lo:hi] = a(W)
+        bv[lo:hi] = b(W)
+    # freed before the gaps are sorted
+    del block, W
     if grid is None:
         pos = av[av > 0.0]
         if pos.size == 0:

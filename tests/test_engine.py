@@ -637,9 +637,8 @@ def test_one_step_out_of_the_box_inside_a_long_chunk():
     # 10 seeds in d = 5 step in one chunk of 1,310 steps. Each seed's
     # iterate leaves the box for one step, near iteration 835 to 1,001 as
     # its draws of the two drift rates fall, and is flagged in one record
-    # column of stride 7; the default chunk checks only the span of those
-    # steps row by row, and agrees with a replay whose every chunk is a
-    # single step
+    # column of stride 7; the default chunk agrees with a replay whose
+    # every chunk is a single step
     obj = cg.CallableObjective([lambda w: float(w @ w)] * 2,
                                [_drift_then_jump(0.001), _drift_then_jump(0.0012)], 5)
     ref = cg.ReferenceSolution(w_star=np.zeros(5), f_min=0.0, noise_constant=0.0,
