@@ -2,8 +2,9 @@
 
 Datasets, per-component losses (logistic, least squares, linear, quadratic),
 regularizers including the exp-cosh penalty G, analytic smoothness and
-strong-convexity constants, and a deterministic full-gradient reference
-solver.
+strong-convexity constants, exact Hessians of F where it has one in closed
+form, and a deterministic reference solver that takes Newton steps from
+those Hessians and full-gradient steps elsewhere.
 """
 
 from __future__ import annotations
@@ -227,6 +228,11 @@ class Objective:
     def _base_known_mu(self):
         return None
 
+    def _base_hessian(self, w: np.ndarray):
+        """The (d, d) Hessian of the mean base loss (1/n) sum_i base_i at w,
+        or None when the loss has none in closed form."""
+        return None
+
     # ----- regularizer terms ----------------------------------------------
     def _reg_grad_rows(self, W: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
@@ -266,6 +272,23 @@ class Objective:
         if kind == "norm2_squared":
             return lam
         return lam * (math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0)
+
+    def _hessian(self, w: np.ndarray):
+        """The exact (d, d) Hessian of F at w: the loss's mean base Hessian
+        plus lam times the regularizer's, which is 0 (plain), I
+        (norm2_squared) or diag(e^w + e^-w - 2) (exp_cosh_G). None when the
+        loss has no closed form, and for norm2, whose curvature is unbounded
+        at the origin."""
+        H = self._base_hessian(w)
+        kind = self.regularizer
+        if H is None or kind == "norm2":
+            return None
+        if kind == "norm2_squared":
+            H.flat[:: self.dimension + 1] += self.regularization_weight
+        elif kind == "exp_cosh_G":
+            H.flat[:: self.dimension + 1] += (self.regularization_weight
+                                              * (np.expm1(w) + np.expm1(-w)))
+        return H
 
     # ----- public surface ---------------------------------------------------
     def _rows(self, W, idx=None):
@@ -466,6 +489,15 @@ class LogisticObjective(Objective):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
         return self._max_row_sq / 4.0
 
+    def _base_hessian(self, w):
+        # (1/n) sum_i s_i (1 - s_i) x_i x_i' with s_i = sigmoid(-y_i x_i'w);
+        # 1 - s_i is taken as sigmoid(y_i x_i'w), which keeps its relative
+        # accuracy where s_i rounds to 1
+        margins = self._yX @ w
+        weights = _sigmoid_neg(margins) * _sigmoid_neg(-margins)
+        weights /= self.component_count
+        return np.einsum("ji,ik->jk", self._yX.T * weights, self._yX)
+
 
 class LeastSquaresObjective(Objective):
     """Squared-error components f_i(w) = (a_i' w - b_i)^2."""
@@ -495,6 +527,11 @@ class LeastSquaresObjective(Objective):
     def _base_smoothness(self):
         return 2.0 * self._max_row_sq
 
+    def _base_hessian(self, w):
+        # (2/n) X'X, the same at every w
+        return (np.einsum("ji,ik->jk", self._XT, self.X)
+                * (2.0 / self.component_count))
+
 
 class LinearObjective(Objective):
     """Linear components f_i(w) = c_i' w, usually paired with a regularizer.
@@ -522,6 +559,9 @@ class LinearObjective(Objective):
 
     def _base_smoothness(self):
         return 0.0
+
+    def _base_hessian(self, w):
+        return np.zeros((self.dimension, self.dimension))
 
 
 class QuadraticMeanObjective(Objective):
@@ -561,6 +601,9 @@ class QuadraticMeanObjective(Objective):
     def _base_known_mu(self):
         return self.mu
 
+    def _base_hessian(self, w):
+        return np.diag(np.full(self.dimension, self.mu))
+
 
 class CallableObjective(Objective):
     """Components given directly as (value, gradient) callables.
@@ -595,13 +638,87 @@ class CallableObjective(Objective):
         raise ValueError("a callable objective has no smoothness bound")
 
 
+# the widest F whose Hessian solve_reference forms: a (256, 256) Hessian
+# takes 0.5 MB, and its row-by-row Cholesky solve about 5 ms
+_NEWTON_MAX_DIMENSION = 256
+
+
+def _newton_direction(objective, w, g):
+    """(p, -g'p) for the Newton direction p = -H^-1 g at w, or None when F
+    has no exact Hessian there, d exceeds _NEWTON_MAX_DIMENSION, H is not
+    positive definite, or p is no finite descent direction."""
+    if objective.dimension > _NEWTON_MAX_DIMENSION:
+        return None
+    H = objective._hessian(w)
+    p = None if H is None else _cholesky_solve(H, -g)
+    if p is None:
+        return None
+    decrease = -float(g @ p)
+    return (p, decrease) if 0.0 < decrease < math.inf else None
+
+
+def _cholesky_solve(H, b):
+    """H^-1 b through the Cholesky factor L of H = LL', or None when a pivot
+    is not positive, that is when H is not numerically positive definite.
+    Row by row in numpy: no LAPACK call, whose first use in a process
+    faults in about half a megabyte."""
+    d = H.shape[0]
+    L = np.zeros_like(H)
+    for j in range(d):
+        pivot = H[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > 0.0:
+            return None
+        L[j, j] = math.sqrt(pivot)
+        L[j + 1:, j] = (H[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    z = np.empty(d)
+    for j in range(d):  # L z = b
+        z[j] = (b[j] - L[j, :j] @ z[:j]) / L[j, j]
+    x = np.empty(d)
+    for j in reversed(range(d)):  # L'x = z
+        x[j] = (z[j] - L[j + 1:, j] @ x[j + 1:]) / L[j, j]
+    return x
+
+
+def _line_search(objective, w, fw, direction, decrease, step, grad_norm):
+    """Armijo backtracking from w along direction, whose slope is -decrease:
+    (candidate, its value, step) for the first accepted of 200 trial steps,
+    each half the last, or None."""
+    armijo = 1e-4
+    floor = 16.0 * np.finfo(float).eps * max(abs(fw), 1.0)
+    for _ in range(200):
+        cand = w + step * direction
+        fc = objective.value(cand)
+        if armijo * step * decrease >= floor:
+            ok = math.isfinite(fc) and fc <= fw - armijo * step * decrease
+        else:
+            # the sufficient-decrease term is below the rounding noise
+            # of F, so value comparisons can no longer certify progress
+            # (and can trap the iterate on a lucky-low FP plateau);
+            # certify by the gradient norm instead
+            cand_norm = float(np.linalg.norm(objective.gradient(cand)))
+            ok = math.isfinite(fc) and cand_norm < grad_norm
+        if ok:
+            return cand, fc, step
+        step *= 0.5
+    return None
+
+
 # a trial point may overflow F or its gradient to inf or NaN, which the
 # isfinite test and the norm comparison reject without numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
 def solve_reference(objective: Objective,
                     max_iterations: int = 10 ** 6) -> ReferenceSolution:
-    """Minimize F by full-gradient descent with Armijo backtracking from the
-    origin, to a gradient norm of at most 1e-10.
+    """Minimize F from the origin to a gradient norm of at most 1e-10, by
+    Newton steps where F has an exact Hessian and gradient steps elsewhere,
+    each with Armijo backtracking.
+
+    An iteration first tries the Newton direction -H^-1 g from step 1, when
+    objective._hessian gives H and H gives a finite descent direction. On
+    the quadratic losses (least squares, ridge, quadratic mean) that first
+    step lands on the minimizer up to rounding. Otherwise, or when no step
+    along it is accepted, the iteration steps along -g from twice the last
+    accepted gradient step, so an objective without a Hessian takes the
+    iterates of plain full-gradient descent.
 
     Deterministic: repeated calls with the same inputs produce bit-identical
     output. The noise constant is the mean of ||grad f_i(w_star)||^2 over
@@ -610,7 +727,6 @@ def solve_reference(objective: Objective,
     w = np.zeros(objective.dimension)
     fw = objective.value(w)
     step = 1.0
-    armijo = 1e-4
     iterations = 0
     grad_norm = math.inf
     for iterations in range(max_iterations + 1):
@@ -618,33 +734,21 @@ def solve_reference(objective: Objective,
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= 1e-10:
             break
-        gg = grad_norm * grad_norm
-        step = min(step * 2.0, 1e12)
-        accepted = False
-        floor = 16.0 * np.finfo(float).eps * max(abs(fw), 1.0)
-        for _ in range(200):
-            cand = w - step * g
-            fc = objective.value(cand)
-            if armijo * step * gg >= floor:
-                ok = math.isfinite(fc) and fc <= fw - armijo * step * gg
-            else:
-                # the sufficient-decrease term is below the rounding noise
-                # of F, so value comparisons can no longer certify progress
-                # (and can trap the iterate on a lucky-low FP plateau);
-                # certify by the gradient norm instead
-                cand_norm = float(np.linalg.norm(objective.gradient(cand)))
-                ok = math.isfinite(fc) and cand_norm < grad_norm
-            if ok:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                "line search failed at iteration %d (gradient norm %.3e)"
-                % (iterations, grad_norm)
-            )
-        w = cand
-        fw = fc
+        found = None
+        newton = _newton_direction(objective, w, g)
+        if newton is not None:
+            found = _line_search(objective, w, fw, *newton, 1.0, grad_norm)
+        if found is None:
+            step = min(step * 2.0, 1e12)
+            found = _line_search(objective, w, fw, -g, grad_norm * grad_norm,
+                                 step, grad_norm)
+            if found is None:
+                raise ConvergenceError(
+                    "line search failed at iteration %d (gradient norm %.3e)"
+                    % (iterations, grad_norm)
+                )
+            step = found[2]
+        w, fw = found[:2]
     else:
         raise ConvergenceError(
             "no convergence within %d iterations (gradient norm %.3e); the "

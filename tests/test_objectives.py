@@ -305,6 +305,71 @@ def test_solve_reference_separable_logistic_chases_infimum():
     assert ref.gradient_norm_at_solution <= 1e-10
 
 
+def test_solve_reference_takes_one_newton_step_on_ridge():
+    # the gradient of least squares plus norm2_squared is affine, so the
+    # Newton step from the origin lands on the minimizer up to rounding
+    ref = cg.load_benchmark("ridge").reference
+    assert ref.iterations == 1
+    assert ref.gradient_norm_at_solution <= 1e-12
+
+
+def pipeline_like_logistic(seed, n=50, d=10, lam=0.1):
+    """A logistic runfile objective of the benchmark pipeline's shape:
+    sparse rows of norm at most 1, labels from a noisy planted model,
+    norm2_squared weight lam."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, d)) / np.sqrt(d)
+    X[rng.random(size=X.shape) < 0.3] = 0.0
+    scores = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    data = cg.Dataset(X, np.where(scores >= 0.0, 1.0, -1.0))
+    return cg.LogisticObjective(data, "norm2_squared", lam)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_reference_takes_few_newton_steps_on_logistic(seed):
+    ref = cg.solve_reference(pipeline_like_logistic(seed))
+    assert ref.iterations <= 5
+    assert ref.gradient_norm_at_solution <= 1e-10
+
+
+def test_solve_reference_without_a_hessian_takes_gradient_steps():
+    # the full-gradient path the solver falls back to takes 96 iterations
+    # on ridge from the origin
+    obj = cg.load_benchmark("ridge").objective
+    with mock.patch.object(objectives.Objective, "_hessian", return_value=None):
+        ref = cg.solve_reference(obj)
+    assert ref.iterations == 96
+    assert ref.gradient_norm_at_solution <= 1e-10
+
+
+def test_solve_reference_falls_back_when_no_newton_step_is_accepted():
+    # a Hessian of 1e-300 I sends the Newton step past the float range at
+    # every one of its 200 halvings, so each iteration takes the gradient
+    # step, with the same bits as when there is no Hessian at all
+    data = cg.Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]))
+    obj = cg.LeastSquaresObjective(data, "norm2_squared", 0.5)
+    with mock.patch.object(objectives.Objective, "_hessian", return_value=None):
+        plain = cg.solve_reference(obj)
+    with mock.patch.object(objectives.Objective, "_hessian",
+                           side_effect=lambda w: np.eye(1) * 1e-300):
+        fallback = cg.solve_reference(obj)
+    assert fallback.iterations == plain.iterations == 25
+    assert np.array_equal(fallback.w_star, plain.w_star)
+    assert fallback.f_min == plain.f_min
+
+
+@pytest.mark.parametrize("d", [256, 257])
+def test_solve_reference_forms_no_hessian_past_the_widest_newton_f(d):
+    assert objectives._NEWTON_MAX_DIMENSION == 256
+    centers = np.vstack([np.full(d, 0.5), np.full(d, 1.5)])
+    obj = cg.QuadraticMeanObjective(2.0, centers)
+    with mock.patch.object(objectives.Objective, "_hessian", autospec=True,
+                           side_effect=objectives.Objective._hessian) as spy:
+        ref = cg.solve_reference(obj)
+    assert spy.called == (d == 256)
+    assert np.max(np.abs(ref.w_star - 1.0)) <= 1e-10
+
+
 def test_callable_objective_wraps_functions():
     obj = cg.CallableObjective(
         value_fns=[lambda w: float(w[0] ** 4)],
@@ -792,3 +857,35 @@ def test_logistic_is_accurate_at_large_margins(z):
     loss = math.log1p(math.exp(-z)) if z > 0 else -z + math.log1p(math.exp(z))
     assert obj.value(w) == pytest.approx(loss, rel=1e-14, abs=0.0)
     assert obj.value_rows([0], w[None])[0] == pytest.approx(loss, rel=1e-14, abs=0.0)
+
+
+HESSIAN_KINDS = [kind for kind in OBJECTIVE_KINDS if kind != "callable"]
+
+
+@pytest.mark.parametrize("regularizer", ["plain", "norm2_squared", "exp_cosh_G"])
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_hessian_matches_finite_differences_of_the_gradient(kind, regularizer):
+    rng = np.random.default_rng(23)
+    n, d, step = 7, 4, 1e-5
+    obj = make_objective(kind, rng, n, d, regularizer, 0.3)
+    R = objectives.REGION_RADIUS
+    for w in rng.uniform(-R, R, size=(3, d)):
+        H = obj._hessian(w)
+        assert H.shape == (d, d)
+        scale = max(1.0, float(np.max(np.abs(H))))
+        # symmetric up to the rounding of its sums
+        assert np.max(np.abs(H - H.T)) <= 1e-14 * scale
+        # column k is d grad / d w_k; central differences of the gradient
+        # carry O(step^2) truncation and O(eps / step) rounding error
+        fd = np.column_stack([(obj.gradient(w + e) - obj.gradient(w - e))
+                              / (2.0 * step) for e in step * np.eye(d)])
+        assert np.max(np.abs(H - fd)) <= 1e-6 * scale
+
+
+def test_hessian_is_none_for_norm2_and_callables():
+    rng = np.random.default_rng(29)
+    w = np.full(3, 0.5)
+    for kind in HESSIAN_KINDS:
+        assert make_objective(kind, rng, 5, 3, "norm2", 0.3)._hessian(w) is None
+    for regularizer in REGULARIZERS:
+        assert make_objective("callable", rng, 5, 3, regularizer, 0.3)._hessian(w) is None
