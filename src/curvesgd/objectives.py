@@ -638,17 +638,20 @@ class CallableObjective(Objective):
         raise ValueError("a callable objective has no smoothness bound")
 
 
-# the widest F whose Hessian solve_reference forms: a (256, 256) Hessian
-# takes 0.5 MB, and its row-by-row Cholesky solve about 5 ms
-_NEWTON_MAX_DIMENSION = 256
+# the widest F whose Hessian solve_reference forms. Forming H costs about
+# d gradients, as both pass over the n rows once, so a Newton iteration's
+# cost against a gradient iteration's grows with d and not with n. On
+# seeded logistic and ridge problems up to d = 128, Newton took 0.06 to
+# 0.74 of gradient descent's time at n = 10,000, and at most 1.9 times it
+# where gradient descent took under 0.1 s. At d = 256 to 300 it took up to
+# 5.4 times, 3 s against 0.55 s.
+_NEWTON_MAX_DIMENSION = 128
 
 
 def _newton_direction(objective, w, g):
     """(p, -g'p) for the Newton direction p = -H^-1 g at w, or None when F
-    has no exact Hessian there, d exceeds _NEWTON_MAX_DIMENSION, H is not
-    positive definite, or p is no finite descent direction."""
-    if objective.dimension > _NEWTON_MAX_DIMENSION:
-        return None
+    has no exact Hessian there, H is not positive definite, or p is no
+    finite descent direction."""
     H = objective._hessian(w)
     p = None if H is None else _cholesky_solve(H, -g)
     if p is None:
@@ -664,15 +667,15 @@ def _cholesky_solve(H, b):
     faults in about half a megabyte."""
     d = H.shape[0]
     L = np.zeros_like(H)
-    for j in range(d):
-        pivot = H[j, j] - L[j, :j] @ L[j, :j]
+    z = np.empty(d)
+    for j in range(d):  # column j of L, then row j of L z = b
+        row = L[j, :j]
+        pivot = H[j, j] - row @ row
         if not pivot > 0.0:
             return None
         L[j, j] = math.sqrt(pivot)
-        L[j + 1:, j] = (H[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    z = np.empty(d)
-    for j in range(d):  # L z = b
-        z[j] = (b[j] - L[j, :j] @ z[:j]) / L[j, j]
+        L[j + 1:, j] = (H[j + 1:, j] - L[j + 1:, :j] @ row) / L[j, j]
+        z[j] = (b[j] - row @ z[:j]) / L[j, j]
     x = np.empty(d)
     for j in reversed(range(d)):  # L'x = z
         x[j] = (z[j] - L[j + 1:, j] @ x[j + 1:]) / L[j, j]
@@ -712,13 +715,16 @@ def solve_reference(objective: Objective,
     Newton steps where F has an exact Hessian and gradient steps elsewhere,
     each with Armijo backtracking.
 
-    An iteration first tries the Newton direction -H^-1 g from step 1, when
-    objective._hessian gives H and H gives a finite descent direction. On
-    the quadratic losses (least squares, ridge, quadratic mean) that first
-    step lands on the minimizer up to rounding. Otherwise, or when no step
-    along it is accepted, the iteration steps along -g from twice the last
-    accepted gradient step, so an objective without a Hessian takes the
-    iterates of plain full-gradient descent.
+    While d <= _NEWTON_MAX_DIMENSION and objective._hessian gives H, an
+    iteration first tries the Newton direction -H^-1 g from step 1. On the
+    quadratic losses (least squares, ridge, quadratic mean) that first step
+    lands on the minimizer up to rounding. The first iteration in which H
+    gives no finite descent direction, or no step along it is accepted, ends
+    the Newton steps: it and every later iteration step along -g from twice
+    the last accepted gradient step. So an objective without a Hessian takes
+    the iterates of plain full-gradient descent, and Newton steps that fail
+    cost at most one Hessian and one search of 200 values (and, below the
+    rounding floor, 200 gradients) in the whole solve.
 
     Deterministic: repeated calls with the same inputs produce bit-identical
     output. The noise constant is the mean of ||grad f_i(w_star)||^2 over
@@ -727,6 +733,7 @@ def solve_reference(objective: Objective,
     w = np.zeros(objective.dimension)
     fw = objective.value(w)
     step = 1.0
+    newton = objective.dimension <= _NEWTON_MAX_DIMENSION
     iterations = 0
     grad_norm = math.inf
     for iterations in range(max_iterations + 1):
@@ -735,9 +742,13 @@ def solve_reference(objective: Objective,
         if grad_norm <= 1e-10:
             break
         found = None
-        newton = _newton_direction(objective, w, g)
-        if newton is not None:
-            found = _line_search(objective, w, fw, *newton, 1.0, grad_norm)
+        if newton:
+            direction = _newton_direction(objective, w, g)
+            if direction is not None:
+                found = _line_search(objective, w, fw, *direction, 1.0,
+                                     grad_norm)
+            # the first iteration without an accepted Newton step ends them
+            newton = found is not None
         if found is None:
             step = min(step * 2.0, 1e12)
             found = _line_search(objective, w, fw, -g, grad_norm * grad_norm,

@@ -358,15 +358,15 @@ def test_solve_reference_falls_back_when_no_newton_step_is_accepted():
     assert fallback.f_min == plain.f_min
 
 
-@pytest.mark.parametrize("d", [256, 257])
+@pytest.mark.parametrize("d", [128, 129])
 def test_solve_reference_forms_no_hessian_past_the_widest_newton_f(d):
-    assert objectives._NEWTON_MAX_DIMENSION == 256
+    assert objectives._NEWTON_MAX_DIMENSION == 128
     centers = np.vstack([np.full(d, 0.5), np.full(d, 1.5)])
     obj = cg.QuadraticMeanObjective(2.0, centers)
     with mock.patch.object(objectives.Objective, "_hessian", autospec=True,
                            side_effect=objectives.Objective._hessian) as spy:
         ref = cg.solve_reference(obj)
-    assert spy.called == (d == 256)
+    assert spy.called == (d == 128)
     assert np.max(np.abs(ref.w_star - 1.0)) <= 1e-10
 
 
