@@ -68,18 +68,40 @@ def _like(out, x):
     return out.item() if np.ndim(x) == 0 and out.size == 1 else out
 
 
+def _omega_core(spec: OmegaSpec):
+    """The one home of omega and omega': gauge-only constants, made once, and a map
+    from a checked array x to (omega(x), omega'(x)), None for a part not asked for.
+    A call makes x/r (one entry at least, see _like) and the mask x <= r once, into
+    two full-size buffers at most, and the tangent line only above r, lest it overflow."""
+    r = np.where(np.isinf(spec.r), 1.0, spec.r)  # r = inf is taken as 1
+    scale, slope = 2.0 / (spec.mu * spec.h), 2.0 / (spec.mu * r)
+    knee, tangent, h1 = spec.tau + scale, 2.0 / spec.mu, spec.h - 1.0
+
+    def core(x, value=True, derivative=False):
+        z = np.empty(np.broadcast(x, spec.h, spec.r, spec.mu, spec.tau).shape or (1,))
+        np.divide(x, r, out=z)
+        above, w = ~(x <= spec.r), None
+        if value:
+            w = z ** spec.h
+            w *= scale
+            w += spec.tau
+            np.subtract(z, 1.0, out=w, where=above)  # tau + 2/(mu h) + (2/mu)(z - 1)
+            np.multiply(w, tangent, out=w, where=above)
+            np.add(w, knee, out=w, where=above)
+        if derivative:
+            z **= h1
+            z *= slope
+            np.copyto(z, slope, where=above)
+        return w, (z if derivative else None)
+    return core
+
+
 def omega_eval(spec: OmegaSpec, x):
     """omega(x) for scalar or array x >= 0."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa < 0.0).any():
         raise ValueError("omega is defined for x >= 0")
-    scale = 2.0 / (spec.mu * spec.h)
-    below = xa <= spec.r
-    # the unused tangent part takes z = 1, lest a huge x overflow it
-    z = xa / np.where(np.isinf(spec.r), 1.0, spec.r)
-    out = np.where(below, spec.tau + scale * z ** spec.h, spec.tau + scale
-                   + (2.0 / spec.mu) * (np.where(below, 1.0, z) - 1.0))
-    return _like(out, x)
+    return _like(_omega_core(spec)(xa)[0], x)
 
 
 def omega_derivative(spec: OmegaSpec, x):
@@ -87,9 +109,7 @@ def omega_derivative(spec: OmegaSpec, x):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if (xa <= 0.0).any():
         raise ValueError("omega' is defined for x > 0")
-    r = np.where(np.isinf(spec.r), 1.0, spec.r)  # r = inf is taken as 1
-    slope = 2.0 / (spec.mu * r)
-    return _like(np.where(xa <= spec.r, slope * (xa / r) ** (spec.h - 1.0), slope), x)
+    return _like(_omega_core(spec)(xa, value=False, derivative=True)[1], x)
 
 
 def v_closed_form(spec: OmegaSpec, eta):
@@ -119,11 +139,12 @@ def v_numeric(spec: OmegaSpec, eta):
     ea = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all(ea > 0.0):
         raise ValueError("eta must be positive")
-    bisect, r_inf = np.less(spec.h, 1.0), np.isinf(spec.r)
+    bisect, r_inf, core = np.less(spec.h, 1.0), np.isinf(spec.r), _omega_core(spec)
 
     def step_gap(x):
         x = np.where(bisect, x, 1.0)  # a constant map is probed at x = 1
-        return omega_eval(spec, x) / omega_derivative(spec, x) - x
+        w, d = core(x, derivative=True)
+        return np.subtract(np.divide(w, d, out=w), x, out=w)
 
     x_top = np.where(r_inf, math.exp(700.0), spec.r)
     bottom, top = step_gap(math.exp(-700.0)), step_gap(x_top)
@@ -166,12 +187,12 @@ def c_alpha_brute(spec: OmegaSpec, alpha):
     takes an array of alpha; the grid runs along a new first axis.
     """
     _validate_alpha(spec, alpha)
-    e_max = np.where(np.isinf(spec.r), 1e4 * alpha,
-                     np.maximum(10.0 * spec.r, 4.0 * alpha))
+    e_max = np.where(np.isinf(spec.r), 1e4 * alpha, np.maximum(10.0 * spec.r, 4.0 * alpha))
     grid = np.geomspace(alpha, e_max, 4000)
     grid[0] = alpha
-    ratios = omega_eval(spec, 2.0 * grid) / omega_eval(spec, grid)
-    return _like(np.minimum.accumulate(ratios).max(axis=0), alpha)
+    ratios = omega_eval(spec, 2.0 * grid)  # a fresh array, divided in place
+    ratios /= omega_eval(spec, grid)
+    return _like(np.minimum.accumulate(ratios, axis=0, out=ratios).max(axis=0), alpha)
 
 
 def _validate_alpha(spec: OmegaSpec, alpha):

@@ -102,7 +102,7 @@ def step_size(spec: ScheduleSpec, t):
     as a one-entry array, so it gets the bits of the engine's step at t.
     """
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ta < 0):
+    if not np.all(ta >= 0):
         raise ValueError("t must be nonnegative")
     if spec.kind == "constant":
         out = np.broadcast_to(np.float64(spec.eta0), ta.shape).copy()
@@ -125,7 +125,8 @@ def schedule_v(spec: ScheduleSpec):
 # ---------------------------------------------------------------------------
 # quadrature on a log grid: x = exp(s) - 1 with s evenly spaced on
 # [0, log1p(t)], halved from 2^6 to 2^21 intervals until two successive
-# trapezoid values agree to QUAD_TOL
+# trapezoid values agree to QUAD_TOL; one refinement serves several rules,
+# with each level's nodes evaluated once, and each rule stops at its own level
 
 QUAD_TOL = 1e-8
 QUAD_LEVELS = range(6, 22)
@@ -135,36 +136,53 @@ def _trapezoid(values, ds: float) -> float:
     return float((0.5 * (values[0] + values[-1]) + values[1:-1].sum()) * ds)
 
 
-def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rule) -> float:
-    """Refine rule(ds, n, g, jac) over log grids on [0, t], where n holds
-    the step sizes at the nodes, jac = dx/ds = exp(s) and g = n v(n) jac is
-    the integrand of M in s. Each halving evaluates only the new midpoints;
-    v = None takes the matched schedule's own map."""
+def _M_rule(ds, n, g, jac) -> float:
+    return _trapezoid(g, ds)
+
+
+def _C_rule(ds, n, g, jac) -> float:
+    cum = np.empty_like(g)
+    cum[0] = 0.0
+    np.cumsum(0.5 * (g[1:] + g[:-1]) * ds, out=cum[1:])
+    return _trapezoid(np.exp(cum - cum[-1]) * n * n * jac, ds)
+
+
+def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
+    """The values of rules, each rule(ds, n, g, jac) refined over log grids on
+    [0, t]: n holds the step sizes at the nodes, jac = dx/ds = exp(s) and
+    g = n v(n) jac is M's integrand in s. Each halving evaluates only the new
+    midpoints; v = None takes the matched schedule's own map."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     if t == 0.0:
-        return 0.0
+        return [0.0] * len(rules)
     if v is None:
         v = schedule_v(spec)  # raises for non-matched kinds
     smax = math.log1p(t)
 
-    def nodes(s):
+    def nodes(s, out):
         jac = np.exp(s)
         n = step_size(spec, np.expm1(s))
-        return np.stack((n, n * np.asarray(v(n), dtype=float) * jac, jac))
+        out[0], out[1], out[2] = n, n * np.asarray(v(n), dtype=float) * jac, jac
 
     m = 2 ** QUAD_LEVELS[0]
-    grid = nodes(np.linspace(0.0, smax, m + 1))
-    prev = rule(smax / m, *grid)
+    grid = np.empty((3, m + 1))
+    nodes(np.linspace(0.0, smax, m + 1), grid)
+    values = [rule(smax / m, *grid) for rule in rules]
+    pending = list(range(len(rules)))
     for _ in QUAD_LEVELS[1:]:
         m *= 2
         finer = np.empty((3, m + 1))
         finer[:, 0::2] = grid
         # odd k of k * (smax / m), the nodes np.linspace(0, smax, m + 1) gives
-        finer[:, 1::2] = nodes(np.arange(1, m, 2) * (smax / m))
+        nodes(np.arange(1, m, 2) * (smax / m), finer[:, 1::2])
         grid = finer
-        val = rule(smax / m, *grid)
-        if abs(val - prev) <= QUAD_TOL:
-            return val
-        prev = val
+        for k in list(pending):
+            prev, values[k] = values[k], rules[k](smax / m, *grid)
+            if abs(values[k] - prev) <= QUAD_TOL:
+                pending.remove(k)
+        if not pending:
+            return values
     raise QuadratureError("log-grid trapezoid did not converge "
                           "(max %d intervals)" % m)
 
@@ -175,9 +193,9 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> fl
     v may be omitted for a matched schedule (its own power-law map is used).
     Closed forms exist for matched schedules with the built-in v and for
     constant schedules; every other case, and quadrature=True, takes the
-    log-grid trapezoid.
+    log-grid trapezoid at a finite t, which stops at its own level.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     intrinsic = v is None
     vv = schedule_v(spec) if intrinsic else v  # raises for non-matched kinds
@@ -187,32 +205,22 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> fl
                 math.log(t + spec.delta) - math.log(spec.delta))
         if spec.kind == "constant":
             return t * spec.eta0 * float(vv(spec.eta0))
-    return _log_grid_quadrature(spec, vv, t,
-                                lambda ds, n, g, jac: _trapezoid(g, ds))
+    return _log_grid_quadrature(spec, vv, t, (_M_rule,))[0]
 
 
 def C_of_t(spec: ScheduleSpec, t: float, v=None) -> float:
     """C(t) = exp(-M(t)) * integral over [0, t] of exp(M(x)) n(x)^2 dx.
 
-    Always computed by quadrature (M by a cumulative trapezoid on the same
-    log grid), so it provides an independent check of the closed-form
-    envelope.
+    Always computed by quadrature at a finite t (M by a cumulative trapezoid
+    on the same log grid, in a refinement it may share with M's own), so it
+    is an independent check of the closed-form envelope.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-
-    def rule(ds, n, g, jac):
-        cum = np.empty_like(g)
-        cum[0] = 0.0
-        np.cumsum(0.5 * (g[1:] + g[:-1]) * ds, out=cum[1:])
-        return _trapezoid(np.exp(cum - cum[-1]) * n * n * jac, ds)
-
-    return _log_grid_quadrature(spec, v, t, rule)
+    return _log_grid_quadrature(spec, v, t, (_C_rule,))[0]
 
 
 def c_bar(spec: ScheduleSpec, t: float) -> float:
     """Closed-form envelope C_bar(t) = c (t + delta)^{-h/(2-h)}."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     p = spec.h / (2.0 - spec.h)
     return spec.envelope_constant * (t + spec.delta) ** (-p)

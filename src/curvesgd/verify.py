@@ -28,7 +28,8 @@ from .objectives import (
     regularizer_G_value,
 )
 from .omega import OmegaSpec, c_alpha, c_alpha_brute, v_closed_form, v_numeric
-from .schedule import M_of_t, C_of_t, ScheduleSpec, c_bar, ode_residual
+from .schedule import (M_of_t, ScheduleSpec, _C_rule, _log_grid_quadrature, _M_rule,
+                       c_bar, ode_residual)
 
 CHECK_NAMES = (
     "g_inequality",
@@ -96,27 +97,28 @@ def _smooth_component_objectives():
     ]
 
 
+def _pair_margins(name, margins, pairs, started):
+    """The result of a check whose margins, one array per objective, must
+    stay at or above -1e-10."""
+    worst = min((float(m.min(initial=math.inf)) for m in margins), default=math.inf)
+    passed = not any(np.any(m < -1e-10) for m in margins)
+    detail = "%d pairs x %d objectives, worst margin %.3g" % (pairs, len(margins), worst)
+    return _timed(name, passed, detail, started)
+
+
 def check_co_coercivity(pairs: int = 10_000) -> CheckResult:
     """||g(w) - g(w')||^2 <= L <g(w) - g(w'), w - w'> per smooth component,
     up to a slack of 1e-10; seed 1."""
     started = time.perf_counter()
     rng = np.random.default_rng(1)
-    objectives = _smooth_component_objectives()
-    violations = 0
-    worst = math.inf
-    for label, obj in objectives:
+    margins = []
+    for label, obj in _smooth_component_objectives():
         L = obj.smoothness_bound()
         W, Wp = _pairs(rng, pairs, obj.dimension)
         comps = rng.integers(0, obj.component_count, size=pairs)
         dg = obj.grad_rows(comps, W) - obj.grad_rows(comps, Wp)
-        margin = (L * np.einsum("ij,ij->i", dg, W - Wp)
-                  - np.einsum("ij,ij->i", dg, dg))
-        worst = min(worst, float(margin.min(initial=math.inf)))
-        violations += int(np.count_nonzero(margin < -1e-10))
-    detail = "%d pairs x %d objectives, worst margin %.3g" % (
-        pairs, len(objectives), worst,
-    )
-    return _timed("co_coercivity", violations == 0, detail, started)
+        margins.append(L * np.einsum("ij,ij->i", dg, W - Wp) - np.einsum("ij,ij->i", dg, dg))
+    return _pair_margins("co_coercivity", margins, pairs, started)
 
 
 def check_convexity(pairs: int = 10_000) -> CheckResult:
@@ -127,19 +129,13 @@ def check_convexity(pairs: int = 10_000) -> CheckResult:
     objectives = _smooth_component_objectives()
     blobs = synthesize_dataset(40, 5, seed=21, kind="blobs")
     objectives.append(("logistic+norm", LogisticObjective(blobs, "norm2", 1e-3)))
-    violations = 0
-    worst = math.inf
+    margins = []
     for label, obj in objectives:
         W, Wp = _pairs(rng, pairs, obj.dimension)
         comps = rng.integers(0, obj.component_count, size=pairs)
-        margin = (obj.value_rows(comps, W) - obj.value_rows(comps, Wp)
-                  - np.einsum("ij,ij->i", obj.grad_rows(comps, Wp), W - Wp))
-        worst = min(worst, float(margin.min(initial=math.inf)))
-        violations += int(np.count_nonzero(margin < -1e-10))
-    detail = "%d pairs x %d objectives, worst margin %.3g" % (
-        pairs, len(objectives), worst,
-    )
-    return _timed("convexity", violations == 0, detail, started)
+        margins.append(obj.value_rows(comps, W) - obj.value_rows(comps, Wp)
+                       - np.einsum("ij,ij->i", obj.grad_rows(comps, Wp), W - Wp))
+    return _pair_margins("convexity", margins, pairs, started)
 
 
 def check_v_agreement(eta_points: int = 20) -> CheckResult:
@@ -208,12 +204,10 @@ def check_envelope_dominance(t_grid=(1.0, 10.0, 1e2, 1e3, 1e4)) -> CheckResult:
     for h in (0.25, 0.5, 0.75, 1.0):
         spec = ScheduleSpec.curvature_matched(h=h, beta=1.0, L=2.0)
         for t in t_grid:
-            c_quad = C_of_t(spec, t)
-            gap = c_quad - c_bar(spec, t)
-            worst_gap = max(worst_gap, gap)
-            m_closed = M_of_t(spec, t)
-            m_quad = M_of_t(spec, t, quadrature=True)
-            worst_m = max(worst_m, abs(m_closed - m_quad))
+            # M_of_t(quadrature=True) and C_of_t, from one refinement
+            m_quad, c_quad = _log_grid_quadrature(spec, None, t, (_M_rule, _C_rule))
+            worst_gap = max(worst_gap, c_quad - c_bar(spec, t))
+            worst_m = max(worst_m, abs(M_of_t(spec, t) - m_quad))
     passed = worst_gap <= 0.0 and worst_m <= 1e-6
     detail = "max C - C_bar = %.3g, max |M_quad - M_closed| = %.3g" % (
         worst_gap, worst_m,

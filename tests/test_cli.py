@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import curvesgd as cg
-from curvesgd import verify
+from curvesgd import cli, verify
 from curvesgd.cli import main
 
 
@@ -171,6 +171,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.run")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_one_parser_serves_a_usage_error_and_the_next_command(capsys):
+    # main builds its parser once per process; a usage error on it must
+    # leave the next call as a fresh parser would take it
+    argvs = (["schedule"], ["schedule", "paper-opt:h=0.5,beta=1,L=2", "--t", "0,10"])
+    cli._build_parser.cache_clear()
+    shared = [(main(argv), capsys.readouterr()) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    separate = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        separate.append((main(argv), capsys.readouterr()))
+    assert shared == separate
+    assert [code for code, _ in shared] == [2, 0]
+    assert "the following arguments are required: text" in shared[0][1].err
+    assert shared[1][1].out.startswith("t eta M exp_neg_M C C_bar\n0 ")
 
 
 @pytest.mark.parametrize("dataset", ["synth:linear,n=20,d=3,seed=4",

@@ -289,6 +289,95 @@ def test_batch_of_small_mu_raises_no_runtime_warning():
     assert all(np.all(np.isfinite(b)) for b in big)
 
 
+# omega, omega', v_numeric and c_alpha_brute as they stood before omega and
+# omega' shared one core: each formula spelled out on its own, v_numeric
+# through the two public calls. They are the oracle for the bits below.
+def _oracle_omega(spec, x):
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    scale = 2.0 / (spec.mu * spec.h)
+    below = xa <= spec.r
+    z = xa / np.where(np.isinf(spec.r), 1.0, spec.r)
+    out = np.where(below, spec.tau + scale * z ** spec.h, spec.tau + scale
+                   + (2.0 / spec.mu) * (np.where(below, 1.0, z) - 1.0))
+    return omega._like(out, x)
+
+
+def _oracle_derivative(spec, x):
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    r = np.where(np.isinf(spec.r), 1.0, spec.r)
+    slope = 2.0 / (spec.mu * r)
+    return omega._like(np.where(xa <= spec.r, slope * (xa / r) ** (spec.h - 1.0), slope), x)
+
+
+def _oracle_v_numeric(spec, eta):
+    ea = np.atleast_1d(np.asarray(eta, dtype=float))
+    bisect, r_inf = np.less(spec.h, 1.0), np.isinf(spec.r)
+
+    def step_gap(x):
+        x = np.where(bisect, x, 1.0)
+        return _oracle_omega(spec, x) / _oracle_derivative(spec, x) - x
+
+    x_top = np.where(r_inf, math.exp(700.0), spec.r)
+    top = step_gap(x_top)
+    lo = np.full(np.broadcast_shapes(np.shape(bisect), ea.shape, np.shape(top)), -700.0)
+    half = 0.5 * (np.vectorize(math.log)(x_top) + 700.0)
+    for _ in range(64):
+        mid = lo + half
+        lo = np.where(step_gap(np.exp(mid)) < ea, mid, lo)
+        half *= 0.5
+    x = np.where(ea > top, spec.r, np.exp(lo + half))
+    return omega._like(1.0 / _oracle_derivative(spec, x), eta)
+
+
+def _oracle_c_alpha_brute(spec, alpha):
+    e_max = np.where(np.isinf(spec.r), 1e4 * alpha, np.maximum(10.0 * spec.r, 4.0 * alpha))
+    grid = np.geomspace(alpha, e_max, 4000)
+    grid[0] = alpha
+    ratios = _oracle_omega(spec, 2.0 * grid) / _oracle_omega(spec, grid)
+    return omega._like(np.minimum.accumulate(ratios).max(axis=0), alpha)
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) \
+        and np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_shared_core_keeps_the_bits_of_each_formula():
+    # the mixed batch (r = inf and finite, tau = 0 and > 0, h = 1 and < 1)
+    # as columns and as one gauge at a time, on arrays and on scalars, at x
+    # from below every r to far past it
+    batch, flat = _batch(_MIXED), _batch(_MIXED, column=False)
+    x = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 97), [math.exp(700.0)]))
+    eta = np.geomspace(1e-3, 0.5, 7) * (1.0 + 0.1 * np.arange(len(_MIXED)))[:, None]
+    alpha = 0.25 * np.where(np.isinf(flat.r), 1.0, flat.r)
+    cases = [(batch, x, eta, flat, alpha)]
+    for g, fields in enumerate(_MIXED):
+        spec = cg.OmegaSpec(*fields)
+        cases += [(spec, x, eta[g], spec, alpha[g]), (spec, 3.0, float(eta[g, 3]), spec, alpha[g])]
+    for spec, xs, etas, brute_spec, alphas in cases:
+        assert _same_bits(cg.omega_eval(spec, xs), _oracle_omega(spec, xs))
+        positive = xs[1:] if np.ndim(xs) else xs
+        assert _same_bits(cg.omega_derivative(spec, positive), _oracle_derivative(spec, positive))
+        assert _same_bits(cg.v_numeric(spec, etas), _oracle_v_numeric(spec, etas))
+        assert _same_bits(cg.c_alpha_brute(brute_spec, alphas),
+                          _oracle_c_alpha_brute(brute_spec, alphas))
+
+
+def test_omega_writes_into_at_most_two_full_size_arrays():
+    # x/r and omega' share one buffer and omega takes a second; the mask
+    # x <= r and its complement are an eighth of x each
+    x = np.geomspace(1e-3, 40.0, 200_000)
+    for spec in (cg.OmegaSpec(h=0.3, r=5.0, mu=2.0, tau=0.1), cg.OmegaSpec(h=0.3)):
+        for f, arrays in ((cg.omega_eval, 2), (cg.omega_derivative, 1)):
+            tracemalloc.start()
+            try:
+                f(spec, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (arrays + 0.3) * x.nbytes, (f.__name__, peak / x.nbytes)
+
+
 def test_v_numeric_batch_rejects_one_bad_eta():
     batch = _batch([(0.5, 2.0, 1.0, 0.0), (0.3, math.inf, 2.0, 0.0), (1.0, 2.0, 3.0, 0.0)])
     good = np.tile(np.geomspace(1e-3, 0.9, 5), (3, 1))

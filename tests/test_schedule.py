@@ -1,12 +1,15 @@
 """Step-size schedule math: closed forms, quadrature, envelopes, text form."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import curvesgd as cg
+from curvesgd import schedule
+from curvesgd.schedule import _C_rule, _M_rule, _log_grid_quadrature
 
 
 def matched(h, beta, L, r=math.inf):
@@ -265,6 +268,67 @@ def test_power_law_quadrature_clamps_below_one():
         expected = c * 0.01 * (t if t <= 1.0 else 1.0 + 3.0 * (1.0 - t ** (-1.0 / 3.0)))
         got = cg.M_of_t(spec, t, v=lambda e: c * e, quadrature=True)
         assert got == pytest.approx(expected, abs=2e-8)
+
+
+@pytest.mark.parametrize("user_v", [False, True], ids=["own-v", "user-v"])
+@pytest.mark.parametrize("h", [0.25, 0.5, 0.75, 1.0])
+def test_one_refinement_gives_M_and_C_bits_of_separate_calls(h, user_v):
+    spec = matched(h, 1.0, 2.0)
+    v = (lambda e: 0.3 * np.asarray(e) ** (1.0 - 0.5 * h)) if user_v else None
+    for t in (0.0, 1.0, 10.0, 1e3, 1e4):
+        m, c = _log_grid_quadrature(spec, v, t, (_M_rule, _C_rule))
+        assert m.hex() == cg.M_of_t(spec, t, v=v, quadrature=True).hex()
+        assert c.hex() == cg.C_of_t(spec, t, v=v).hex()
+
+
+def test_each_rule_stops_at_its_own_level():
+    sizes = []
+
+    def capped(ds, n, g, jac):
+        sizes.append(n.size)
+        return float(min(n.size, 257))
+
+    spec = matched(0.25, 1.0, 2.0)
+    m, c, value = _log_grid_quadrature(spec, None, 1e4, (_M_rule, _C_rule, capped))
+    # equal at 257 and 513 nodes, so it stops there while M and C refine on
+    assert value == 257.0 and sizes == [65, 129, 257, 513]
+    assert (m, c) == (cg.M_of_t(spec, 1e4, quadrature=True), cg.C_of_t(spec, 1e4))
+
+
+def test_a_rule_that_never_converges_raises_beside_one_that_does(monkeypatch):
+    monkeypatch.setattr(schedule, "QUAD_LEVELS", range(6, 9))
+    grows = lambda ds, n, g, jac: float(n.size)
+    with pytest.raises(cg.QuadratureError,
+                       match=r"^log-grid trapezoid did not converge \(max 256 intervals\)$"):
+        _log_grid_quadrature(matched(0.5, 1.0, 2.0), None, 10.0, (_M_rule, grows))
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+def test_quadrature_rejects_a_non_finite_time_before_refining(t):
+    spec, constant = matched(0.5, 1.0, 2.0), cg.ScheduleSpec.constant(0.1)
+    calls = (lambda: cg.C_of_t(spec, t), lambda: cg.M_of_t(spec, t, quadrature=True),
+             lambda: cg.C_of_t(constant, t, v=lambda e: e),
+             lambda: cg.M_of_t(constant, t, v=lambda e: e, quadrature=True))
+    # no node is evaluated: the refinement never starts
+    with mock.patch.object(schedule, "step_size", side_effect=AssertionError):
+        for call in calls:
+            with pytest.raises(ValueError, match="and finite$" if t > 0 else "^t must be nonnegative"):
+                call()
+    # the closed form of M is defined at t = inf
+    assert cg.M_of_t(spec, math.inf) == math.inf
+
+
+def test_nan_time_is_rejected_as_negative_time_is():
+    spec = matched(0.5, 1.0, 2.0)
+    calls = [lambda: cg.M_of_t(spec, math.nan), lambda: cg.c_bar(spec, math.nan),
+             lambda: cg.exp_neg_M(spec, math.nan), lambda: cg.ode_residual(spec, math.nan),
+             lambda: cg.M_of_t(cg.ScheduleSpec.constant(0.3), math.nan, v=lambda e: e)]
+    for kind in (cg.ScheduleSpec.constant(0.3), cg.ScheduleSpec.power_law(0.1, 0.5), spec):
+        calls += [lambda kind=kind: cg.step_size(kind, math.nan),
+                  lambda kind=kind: cg.step_size(kind, np.array([1.0, math.nan]))]
+    for call in calls:
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            call()
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
