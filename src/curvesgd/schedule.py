@@ -123,10 +123,9 @@ def schedule_v(spec: ScheduleSpec):
 
 
 # ---------------------------------------------------------------------------
-# quadrature on a log grid: x = exp(s) - 1 with s evenly spaced on
-# [0, log1p(t)], halved from 2^6 to 2^21 intervals until two successive
-# trapezoid values agree to QUAD_TOL; one refinement serves several rules,
-# with each level's nodes evaluated once, and each rule stops at its own level
+# quadrature on a log grid: x = exp(s) - 1 with s evenly spaced on [0, log1p(t)],
+# halved from 2^6 to 2^21 intervals until two successive trapezoid values agree to
+# QUAD_TOL. Rules refined together share each node; each stops at its own level.
 
 QUAD_TOL = 1e-8
 QUAD_LEVELS = range(6, 22)
@@ -193,7 +192,8 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> fl
     v may be omitted for a matched schedule (its own power-law map is used).
     Closed forms exist for matched schedules with the built-in v and for
     constant schedules; every other case, and quadrature=True, takes the
-    log-grid trapezoid at a finite t, which stops at its own level.
+    log-grid trapezoid at a finite t. It may share its refinement with C's
+    rule, and it stops at its own level there, with the value it has alone.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
