@@ -174,16 +174,18 @@ class Objective:
 
     Each component is base_i(w) + lam * reg(w): the regularizer is applied
     per component, so a stochastic gradient always carries the regularizer
-    gradient. A loss supplies ``_gather``, which looks up the component data
-    of some indices, two row-local hooks, ``_base_values(W, out, tmp)`` and
-    ``_base_grad_gathered(data, W, out)``, and ``_base_smoothness``; every
-    value and gradient of the public surface is built from them. The
-    gradient kernel ``_grad_gathered(data, W, out, tmp)`` adds lam times
-    the regularizer gradient in place. The engine gathers the data of many
-    steps at once and calls the same kernel once per step, with buffers it
-    reuses; grad_rows and gradient call it with fresh ones. The constants
-    these paths multiply by are 0-d arrays made once. Instances are
-    immutable after construction and safe to share across threads.
+    gradient. A loss supplies five hooks: ``_gather`` looks up the component
+    data of some indices, the row-local ``_base_values(W, out, tmp)`` takes
+    every component and ``_base_values_gathered(data, W)`` and
+    ``_base_grad_gathered(data, W, out)`` the component each row names, and
+    ``_base_smoothness``; every value and gradient of the public surface is
+    built from them. The gradient kernel ``_grad_gathered(data, W, out,
+    tmp)`` adds lam times the regularizer gradient in place. The engine
+    gathers the data of many steps at once and calls the same kernel once
+    per step, with buffers it reuses; grad_rows and gradient call it with
+    fresh ones. The constants these paths multiply by are 0-d arrays made
+    once. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
@@ -210,6 +212,11 @@ class Objective:
     def _gather(self, idx: np.ndarray) -> tuple:
         """The component data of every index in idx, as a tuple of arrays
         whose leading axes are those of idx, e.g. (X[idx], y[idx])."""
+        raise NotImplementedError
+
+    def _base_values_gathered(self, data: tuple, W: np.ndarray) -> np.ndarray:
+        """A new (rows,) array whose entry k is base_i(W[k]) for the component
+        i whose data is row k of each array of data, from it and W[k] alone."""
         raise NotImplementedError
 
     def _base_grad_gathered(self, data: tuple, W: np.ndarray,
@@ -343,12 +350,15 @@ class Objective:
     def value_rows(self, idx, W) -> np.ndarray:
         """Component values row by row: entry k is f_{idx[k]}(W[k]).
 
-        Row-local like grad_rows, and taken in blocks like value_many. Each
-        block evaluates every component at its rows, so a call costs as
-        much as value_many on the same rows.
+        Row-local like grad_rows, and built like it: one gather and one
+        kernel that evaluates only the component each row names, so a call
+        costs about what grad_rows costs on the same rows.
         """
         W, idx = self._rows(W, idx)
-        return self._block_values(W, idx)
+        out = self._base_values_gathered(self._gather(idx), W)
+        if self.regularization_weight:
+            out += self.regularization_weight * self._reg_value_rows(W)
+        return out
 
     def value_many(self, W) -> np.ndarray:
         """F row by row: entry k is F(W[k]), the mean of the n component
@@ -361,22 +371,21 @@ class Objective:
         do not depend on how many there are.
         """
         W, _ = self._rows(W)
-        return self._block_values(W, None)
+        return self._block_values(W)
 
-    def _block_values(self, W, idx):
+    def _block_values(self, W):
         # blocks of rows, each a (rows, n) array of base values reduced to
-        # the component idx[k] of each row, or to the row mean when idx is
-        # None; a call of several blocks splits them into one contiguous
-        # share per worker, the calling thread taking the first and helper
-        # threads that live for the call the others. A share writes only
-        # its own rows of out, from their own weights, so the bits do not
-        # depend on the number of workers.
+        # the row mean; a call of several blocks splits them into one
+        # contiguous share per worker, the calling thread taking the first
+        # and helper threads that live for the call the others. A share
+        # writes only its own rows of out, from their own weights, so the
+        # bits do not depend on the number of workers.
         out = np.empty(W.shape[0])
         rows = max(1, _BLOCK_TERMS // self.component_count)
         blocks = -(-W.shape[0] // rows)
         shares = 1 if blocks < 2 else min(blocks, _worker_count())
         if shares < 2:
-            self._value_share(W, idx, out, rows, 0, W.shape[0])
+            self._value_share(W, out, rows, 0, W.shape[0])
             return out
         # imported here, as most calls evaluate a single block
         from concurrent.futures import ThreadPoolExecutor
@@ -386,14 +395,14 @@ class Objective:
         # so every share runs in a copy of the caller's context
         with ThreadPoolExecutor(shares - 1) as pool:
             pending = [pool.submit(contextvars.copy_context().run,
-                                   self._value_share, W, idx, out, rows, lo, hi)
+                                   self._value_share, W, out, rows, lo, hi)
                        for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            self._value_share(W, idx, out, rows, 0, cuts[1])
+            self._value_share(W, out, rows, 0, cuts[1])
             for future in pending:
                 future.result()
         return out
 
-    def _value_share(self, W, idx, out, rows, start, stop):
+    def _value_share(self, W, out, rows, start, stop):
         # rows start:stop of out, one block of at most `rows` rows at a
         # time, in two scratch arrays reused across the share's blocks
         n = self.component_count
@@ -406,11 +415,8 @@ class Objective:
             block = W[lo:hi]
             vals = out[lo:hi]
             self._base_values(block, base, tmp)
-            if idx is None:
-                base.sum(axis=1, out=vals)
-                vals /= n
-            else:
-                vals[:] = base[np.arange(hi - lo), idx[lo:hi]]
+            base.sum(axis=1, out=vals)
+            vals /= n
             if self.regularization_weight:
                 vals += self.regularization_weight * self._reg_value_rows(block)
 
@@ -419,7 +425,7 @@ class Objective:
         through its block loop."""
         W, _ = self._rows(np.asarray(w, dtype=float)[None])
         out = np.empty(1)
-        self._value_share(W, None, out, 1, 0, 1)
+        self._value_share(W, out, 1, 0, 1)
         return float(out[0])
 
     def gradient(self, w) -> np.ndarray:
@@ -480,6 +486,11 @@ class LogisticObjective(Objective):
     def _gather(self, idx):
         return (self._yX[idx],)
 
+    def _base_values_gathered(self, data, W):
+        m = -np.einsum("ij,ij->i", data[0], W)
+        _softplus_inplace(m, np.empty_like(m))
+        return m
+
     def _base_grad_gathered(self, data, W, out):
         yXi, = data
         s = _sigmoid_neg(np.einsum("ij,ij->i", yXi, W))
@@ -516,6 +527,10 @@ class LeastSquaresObjective(Objective):
 
     def _gather(self, idx):
         return self.X[idx], self.y[idx]
+
+    def _base_values_gathered(self, data, W):
+        r = np.einsum("ij,ij->i", data[0], W) - data[1]
+        return np.multiply(r, r, r)
 
     def _base_grad_gathered(self, data, W, out):
         Xi, yi = data
@@ -554,6 +569,9 @@ class LinearObjective(Objective):
     def _gather(self, idx):
         return (self.C[idx],)
 
+    def _base_values_gathered(self, data, W):
+        return np.einsum("ij,ij->i", data[0], W)
+
     def _base_grad_gathered(self, data, W, out):
         return data[0]
 
@@ -589,6 +607,10 @@ class QuadraticMeanObjective(Objective):
 
     def _gather(self, idx):
         return (self.centers[idx],)
+
+    def _base_values_gathered(self, data, W):
+        D = W - data[0]
+        return np.einsum("ij,ij->i", D, D) * (0.5 * self.mu)
 
     def _base_grad_gathered(self, data, W, out):
         centers, = data
@@ -627,6 +649,9 @@ class CallableObjective(Objective):
 
     def _gather(self, idx):
         return (idx,)
+
+    def _base_values_gathered(self, data, W):
+        return np.array([float(self._values[i](w)) for i, w in zip(*data, W)])
 
     def _base_grad_gathered(self, data, W, out):
         idx, = data

@@ -45,13 +45,14 @@ class OmegaSpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not np.all((0.0 < self.h) & (self.h <= 1.0)):
+        # asarray(...).all() reduces a scalar's bool and a batch's array alike
+        if not np.asarray((0.0 < self.h) & (self.h <= 1.0)).all():
             raise ValueError("h must lie in (0, 1]")
-        if not np.all(self.r > 0.0):
+        if not np.asarray(self.r > 0.0).all():
             raise ValueError("r must be positive (math.inf allowed)")
-        if not np.all((0.0 < self.mu) & (self.mu < math.inf)):
+        if not np.asarray((0.0 < self.mu) & (self.mu < math.inf)).all():
             raise ValueError("mu must be positive and finite")
-        if not np.all((0.0 <= self.tau) & (self.tau < math.inf)):
+        if not np.asarray((0.0 <= self.tau) & (self.tau < math.inf)).all():
             raise ValueError("tau must be nonnegative and finite")
 
     @property

@@ -102,16 +102,23 @@ def step_size(spec: ScheduleSpec, t):
     as a one-entry array, so it gets the bits of the engine's step at t.
     """
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(ta >= 0):
+    if not (ta >= 0).all():
         raise ValueError("t must be nonnegative")
-    if spec.kind == "constant":
-        out = np.broadcast_to(np.float64(spec.eta0), ta.shape).copy()
-    elif spec.kind == "power_law":
-        out = spec.scale * np.maximum(ta, 1.0) ** (-1.0 / (2.0 - spec.h))
-    else:
-        k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
-        out = k * (ta + spec.delta) ** (-1.0 / (2.0 - spec.h))
+    out = _step_map(spec)(ta)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _step_map(spec: ScheduleSpec):
+    """The one home of each kind's formula: a map from a float array of
+    times t >= 0, unchecked, to their steps, its constants computed once."""
+    if spec.kind == "constant":
+        return lambda t: np.full(t.shape, spec.eta0)
+    p = -1.0 / (2.0 - spec.h)
+    if spec.kind == "power_law":
+        return lambda t: spec.scale * np.maximum(t, 1.0) ** p
+    k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
+    delta = spec.delta
+    return lambda t: k * (t + delta) ** p
 
 
 def schedule_v(spec: ScheduleSpec):
@@ -158,10 +165,11 @@ def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
     if v is None:
         v = schedule_v(spec)  # raises for non-matched kinds
     smax = math.log1p(t)
+    step = _step_map(spec)
 
-    def nodes(s, out):
+    def nodes(s, out):  # s >= 0, so every expm1(s) is a valid time
         jac = np.exp(s)
-        n = step_size(spec, np.expm1(s))
+        n = step(np.expm1(s))
         out[0], out[1], out[2] = n, n * np.asarray(v(n), dtype=float) * jac, jac
 
     m = 2 ** QUAD_LEVELS[0]

@@ -664,6 +664,56 @@ def test_squared_distance_of_many_blocks_matches_one_block():
     assert np.array_equal(Y, np.einsum("ij,ij->i", diff, diff))
 
 
+def test_value_rows_call_only_the_component_each_row_names():
+    calls = []
+
+    def component(i):
+        def value(w):
+            calls.append(i)
+            return i * float(w[0])
+        return value
+
+    obj = cg.CallableObjective([component(i) for i in range(6)],
+                               [lambda w: w] * 6, 1)
+    idx = np.array([3, 0, 5, 3])
+    V = obj.value_rows(idx, np.arange(4.0)[:, None])
+    assert calls == [3, 0, 5, 3]
+    assert np.array_equal(V, [0.0, 0.0, 10.0, 9.0])
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 4), (40, 5)])
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_value_rows_match_the_every_component_kernel(kind, regularizer, n, d):
+    rng = np.random.default_rng(1000 * n + d)
+    X, y = make_data(kind, rng, n, d)
+    obj = build_objective(kind, X, y, regularizer, 0.3)
+    rows = 2 * n + 3
+    W = rng.uniform(-2.0, 2.0, size=(rows, d))
+    W[1] = 0.0
+    idx = rng.integers(0, n, size=rows)
+    V = obj.value_rows(idx, W)
+    # the (rows, n) kernel behind value_many, at the entry each row names
+    base = np.empty((rows, n))
+    obj._base_values(W, base, np.empty(base.shape))
+    base, reg = base[np.arange(rows), idx], 0.3 * obj._reg_value_rows(W)
+    # rtol applies to the size of the terms summed, since a sum that cancels
+    # keeps no relative accuracy: the row dot of a linear or least-squares
+    # value, and its sum with the regularizer
+    dot = np.abs(X[idx] * W).sum(axis=1)
+    if kind == "least_squares":
+        dot = (dot + np.abs(y[idx])) ** 2
+    scale = np.abs(base) + np.abs(reg) + (dot if kind in ("linear", "least_squares") else 0.0)
+    assert np.all(np.abs(V - (base + reg)) <= 1e-13 * scale)
+    # a row has its bits whatever the other rows hold and wherever it stands
+    perm = rng.permutation(rows)
+    mixed = obj.value_rows(np.concatenate([idx, idx[perm]]),
+                           np.vstack([rng.uniform(-2.0, 2.0, size=W.shape), W[perm]]))
+    assert np.array_equal(mixed[rows:], V[perm])
+    empty = obj.value_rows(np.array([], dtype=int), np.empty((0, d)))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
 def test_value_is_the_one_row_case_of_value_many():
     rng = np.random.default_rng(11)
     for kind in OBJECTIVE_KINDS:

@@ -3,6 +3,7 @@ estimators."""
 
 import contextlib
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -70,6 +71,26 @@ def test_spec_rejects_non_finite_mu_and_tau():
         with pytest.raises(ValueError):
             cg.OmegaSpec(**{"h": 0.5, "r": 2.0, **kwargs})
     assert cg.OmegaSpec(h=0.5, r=math.inf, mu=2.0, tau=0.1).r == math.inf
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("h", 0.0), ("h", 1.5), ("h", math.nan), ("r", 0.0), ("r", -1.0), ("r", math.nan),
+    ("mu", 0.0), ("mu", math.inf), ("mu", math.nan),
+    ("tau", -0.1), ("tau", math.inf), ("tau", math.nan)])
+def test_spec_names_the_field_out_of_range_for_a_scalar_and_a_batch(field, bad):
+    messages = {"h": "h must lie in (0, 1]", "r": "r must be positive (math.inf allowed)",
+                "mu": "mu must be positive and finite",
+                "tau": "tau must be nonnegative and finite"}
+    good = {"h": 0.5, "r": 2.0, "mu": 1.0, "tau": 0.1}
+    with pytest.raises(ValueError, match="^%s$" % re.escape(messages[field])):
+        cg.OmegaSpec(**{**good, field: bad})
+    # a batch with one bad entry among good ones
+    batch = {key: np.full(4, value) for key, value in good.items()}
+    batch[field][2] = bad
+    with pytest.raises(ValueError, match="^%s$" % re.escape(messages[field])):
+        cg.OmegaSpec(**batch)
+    batch[field][2] = good[field]
+    assert cg.OmegaSpec(**batch).h.shape == (4,)
 
 
 def test_c1_at_breakpoint():

@@ -258,6 +258,41 @@ def test_step_size_rejects_negative_time_for_every_kind():
             cg.step_size(spec, np.array([1.0, -1.0]))
 
 
+def inline_step_size(spec, t):
+    """step_size with each kind's formula written out inline, its constants
+    recomputed on every call: the oracle whose bits the step map keeps."""
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    if spec.kind == "constant":
+        out = np.broadcast_to(np.float64(spec.eta0), ta.shape).copy()
+    elif spec.kind == "power_law":
+        out = spec.scale * np.maximum(ta, 1.0) ** (-1.0 / (2.0 - spec.h))
+    else:
+        k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
+        out = k * (ta + spec.delta) ** (-1.0 / (2.0 - spec.h))
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+@pytest.mark.parametrize("text", [
+    "const:0.01", "power:scale=0.1,h=0.3", "paper-opt:h=0.5,beta=1.0,L=2.0",
+    "paper-opt:h=0.7,beta=0.3,L=5.0,r=2"])
+def test_step_map_keeps_the_bits_of_the_inline_formulas(text):
+    spec = cg.parse_schedule(text)
+    times = [0.0, 0.5, 1.0, 10.0, 1e6]
+    for t in times:
+        assert cg.step_size(spec, t).hex() == inline_step_size(spec, t).hex(), t
+    grid = np.array(times)
+    assert cg.step_size(spec, grid).tobytes() == inline_step_size(spec, grid).tobytes()
+    # the quadrature builds one map per refinement; with the oracle in its
+    # place every node, so M and C, must come out the same
+    v = None if spec.kind == "curvature_matched" else (lambda e: 0.5 * np.asarray(e) ** 0.6)
+    oracle = lambda s: (lambda t: inline_step_size(s, t))
+    for t in (1.0, 10.0, 1e3):
+        with mock.patch.object(schedule, "_step_map", oracle):
+            m, c = cg.M_of_t(spec, t, v=v, quadrature=True), cg.C_of_t(spec, t, v=v)
+        assert cg.M_of_t(spec, t, v=v, quadrature=True).hex() == m.hex(), t
+        assert cg.C_of_t(spec, t, v=v).hex() == c.hex(), t
+
+
 def test_power_law_quadrature_clamps_below_one():
     # n(x) = 0.1 for x <= 1 and 0.1 x^(-2/3) beyond; with v(e) = c e the
     # integrand is c n^2, so M(t) = c 0.01 t up to 1 and
@@ -310,7 +345,7 @@ def test_quadrature_rejects_a_non_finite_time_before_refining(t):
              lambda: cg.C_of_t(constant, t, v=lambda e: e),
              lambda: cg.M_of_t(constant, t, v=lambda e: e, quadrature=True))
     # no node is evaluated: the refinement never starts
-    with mock.patch.object(schedule, "step_size", side_effect=AssertionError):
+    with mock.patch.object(schedule, "_step_map", side_effect=AssertionError):
         for call in calls:
             with pytest.raises(ValueError, match="and finite$" if t > 0 else "^t must be nonnegative"):
                 call()
