@@ -2,9 +2,10 @@
 
 Datasets, per-component losses (logistic, least squares, linear, quadratic),
 regularizers including the exp-cosh penalty G, analytic smoothness and
-strong-convexity constants, exact Hessians of F where it has one in closed
-form, and a deterministic reference solver that takes Newton steps from
-those Hessians and full-gradient steps elsewhere.
+strong-convexity constants, exact Hessian-vector products of F, and a
+deterministic reference solver that takes Newton steps, solved by
+conjugate gradients on those products, where F has them and full-gradient
+steps elsewhere.
 """
 
 from __future__ import annotations
@@ -235,9 +236,10 @@ class Objective:
     def _base_known_mu(self):
         return None
 
-    def _base_hessian(self, w: np.ndarray):
-        """The (d, d) Hessian of the mean base loss (1/n) sum_i base_i at w,
-        or None when the loss has none in closed form."""
+    def _base_hessian_product(self, w: np.ndarray):
+        """The map v -> H v for the Hessian H of the mean base loss
+        (1/n) sum_i base_i at w, or None when the loss has none in closed
+        form."""
         return None
 
     # ----- regularizer terms ----------------------------------------------
@@ -280,22 +282,23 @@ class Objective:
             return lam
         return lam * (math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0)
 
-    def _hessian(self, w: np.ndarray):
-        """The exact (d, d) Hessian of F at w: the loss's mean base Hessian
-        plus lam times the regularizer's, which is 0 (plain), I
-        (norm2_squared) or diag(e^w + e^-w - 2) (exp_cosh_G). None when the
-        loss has no closed form, and for norm2, whose curvature is unbounded
-        at the origin."""
-        H = self._base_hessian(w)
+    def _hessian_product(self, w: np.ndarray):
+        """The map v -> H v for the exact Hessian H of F at w: the loss's
+        mean base product plus lam times the regularizer's, which is 0
+        (plain, or a zero weight), v (norm2_squared) or
+        (e^w + e^-w - 2) * v (exp_cosh_G). None when the loss has no closed
+        form, and for norm2 with lam > 0, whose curvature is unbounded at
+        the origin."""
+        base = self._base_hessian_product(w)
         kind = self.regularizer
-        if H is None or kind == "norm2":
+        if base is None or kind == "plain" or not self.regularization_weight:
+            return base
+        if kind == "norm2":
             return None
-        if kind == "norm2_squared":
-            H.flat[:: self.dimension + 1] += self.regularization_weight
-        elif kind == "exp_cosh_G":
-            H.flat[:: self.dimension + 1] += (self.regularization_weight
-                                              * (np.expm1(w) + np.expm1(-w)))
-        return H
+        diag = self.regularization_weight
+        if kind == "exp_cosh_G":
+            diag = diag * (np.expm1(w) + np.expm1(-w))
+        return lambda v: base(v) + diag * v
 
     # ----- public surface ---------------------------------------------------
     def _rows(self, W, idx=None):
@@ -500,14 +503,15 @@ class LogisticObjective(Objective):
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
         return self._max_row_sq / 4.0
 
-    def _base_hessian(self, w):
-        # (1/n) sum_i s_i (1 - s_i) x_i x_i' with s_i = sigmoid(-y_i x_i'w);
+    def _base_hessian_product(self, w):
+        # (1/n) sum_i s_i (1 - s_i) x_i x_i' v with s_i = sigmoid(-y_i x_i'w);
         # 1 - s_i is taken as sigmoid(y_i x_i'w), which keeps its relative
         # accuracy where s_i rounds to 1
-        margins = self._yX @ w
+        margins = np.einsum("ij,j->i", self._yX, w)
         weights = _sigmoid_neg(margins) * _sigmoid_neg(-margins)
         weights /= self.component_count
-        return np.einsum("ji,ik->jk", self._yX.T * weights, self._yX)
+        return lambda v: np.einsum(
+            "i,ij->j", weights * np.einsum("ij,j->i", self._yX, v), self._yX)
 
 
 class LeastSquaresObjective(Objective):
@@ -542,10 +546,11 @@ class LeastSquaresObjective(Objective):
     def _base_smoothness(self):
         return 2.0 * self._max_row_sq
 
-    def _base_hessian(self, w):
-        # (2/n) X'X, the same at every w
-        return (np.einsum("ji,ik->jk", self._XT, self.X)
-                * (2.0 / self.component_count))
+    def _base_hessian_product(self, w):
+        # (2/n) X'X v, the same map at every w
+        scale = 2.0 / self.component_count
+        return lambda v: np.einsum(
+            "i,ij->j", np.einsum("ij,j->i", self.X, v), self.X) * scale
 
 
 class LinearObjective(Objective):
@@ -578,8 +583,8 @@ class LinearObjective(Objective):
     def _base_smoothness(self):
         return 0.0
 
-    def _base_hessian(self, w):
-        return np.zeros((self.dimension, self.dimension))
+    def _base_hessian_product(self, w):
+        return np.zeros_like  # v -> 0
 
 
 class QuadraticMeanObjective(Objective):
@@ -623,8 +628,8 @@ class QuadraticMeanObjective(Objective):
     def _base_known_mu(self):
         return self.mu
 
-    def _base_hessian(self, w):
-        return np.diag(np.full(self.dimension, self.mu))
+    def _base_hessian_product(self, w):
+        return lambda v: self.mu * v
 
 
 class CallableObjective(Objective):
@@ -663,48 +668,36 @@ class CallableObjective(Objective):
         raise ValueError("a callable objective has no smoothness bound")
 
 
-# the widest F whose Hessian solve_reference forms. Forming H costs about
-# d gradients, as both pass over the n rows once, so a Newton iteration's
-# cost against a gradient iteration's grows with d and not with n. On
-# seeded logistic and ridge problems up to d = 128, Newton took 0.06 to
-# 0.74 of gradient descent's time at n = 10,000, and at most 1.9 times it
-# where gradient descent took under 0.1 s. At d = 256 to 300 it took up to
-# 5.4 times, 3 s against 0.55 s.
-_NEWTON_MAX_DIMENSION = 128
+def _newton_direction(objective, w, g, grad_norm):
+    """(p, -g'p) for the Newton direction p at w, or None when F has no
+    exact Hessian there or p is no finite descent direction.
 
-
-def _newton_direction(objective, w, g):
-    """(p, -g'p) for the Newton direction p = -H^-1 g at w, or None when F
-    has no exact Hessian there, H is not positive definite, or p is no
-    finite descent direction."""
-    H = objective._hessian(w)
-    p = None if H is None else _cholesky_solve(H, -g)
-    if p is None:
+    p solves H p = -g by conjugate gradients from p = 0 on the products
+    objective._hessian_product gives: at most d products, stopping once the
+    residual norm is at most 16 eps grad_norm (grad_norm = ||g||), the
+    relative rounding floor that _line_search puts on F. A direction of nonpositive curvature ends the
+    solve with the p reached so far, which is 0, so None, at the first."""
+    product = objective._hessian_product(w)
+    if product is None:
         return None
+    floor = 16.0 * np.finfo(float).eps * grad_norm
+    p = np.zeros_like(g)
+    q = r = -g  # the search direction and the residual -g - H p
+    rr = float(r @ r)
+    for _ in range(objective.dimension):
+        Hq = product(q)
+        curvature = float(q @ Hq)
+        if not curvature > 0.0:
+            break
+        alpha = rr / curvature
+        p = p + alpha * q
+        r = r - alpha * Hq
+        rr, last = float(r @ r), rr
+        if math.sqrt(rr) <= floor:
+            break
+        q = r + (rr / last) * q
     decrease = -float(g @ p)
     return (p, decrease) if 0.0 < decrease < math.inf else None
-
-
-def _cholesky_solve(H, b):
-    """H^-1 b through the Cholesky factor L of H = LL', or None when a pivot
-    is not positive, that is when H is not numerically positive definite.
-    Row by row in numpy: no LAPACK call, whose first use in a process
-    faults in about half a megabyte."""
-    d = H.shape[0]
-    L = np.zeros_like(H)
-    z = np.empty(d)
-    for j in range(d):  # column j of L, then row j of L z = b
-        row = L[j, :j]
-        pivot = H[j, j] - row @ row
-        if not pivot > 0.0:
-            return None
-        L[j, j] = math.sqrt(pivot)
-        L[j + 1:, j] = (H[j + 1:, j] - L[j + 1:, :j] @ row) / L[j, j]
-        z[j] = (b[j] - row @ z[:j]) / L[j, j]
-    x = np.empty(d)
-    for j in reversed(range(d)):  # L'x = z
-        x[j] = (z[j] - L[j + 1:, j] @ x[j + 1:]) / L[j, j]
-    return x
 
 
 def _line_search(objective, w, fw, direction, decrease, step, grad_norm):
@@ -740,15 +733,18 @@ def solve_reference(objective: Objective,
     Newton steps where F has an exact Hessian and gradient steps elsewhere,
     each with Armijo backtracking.
 
-    While d <= _NEWTON_MAX_DIMENSION and objective._hessian gives H, an
-    iteration first tries the Newton direction -H^-1 g from step 1. On the
-    quadratic losses (least squares, ridge, quadratic mean) that first step
-    lands on the minimizer up to rounding. The first iteration in which H
-    gives no finite descent direction, or no step along it is accepted, ends
-    the Newton steps: it and every later iteration step along -g from twice
-    the last accepted gradient step. So an objective without a Hessian takes
-    the iterates of plain full-gradient descent, and Newton steps that fail
-    cost at most one Hessian and one search of 200 values (and, below the
+    While objective._hessian_product gives the map v -> H v, an iteration
+    first tries the Newton direction p, H p = -g, from step 1. Conjugate
+    gradients solve for p with at most d products and stop once the
+    residual is at most 16 eps ||g||, so no (d, d) matrix is formed at any
+    d. On the quadratic losses (least squares, ridge, quadratic mean) that
+    first step lands on the minimizer up to rounding. The first iteration
+    in which the products give no finite descent direction, or no step
+    along it is accepted, ends the Newton steps: it and every later
+    iteration step along -g from twice the last accepted gradient step. So
+    an objective without a Hessian takes the iterates of plain
+    full-gradient descent, and Newton steps that fail cost at most one
+    conjugate-gradient solve and one search of 200 values (and, below the
     rounding floor, 200 gradients) in the whole solve.
 
     Deterministic: repeated calls with the same inputs produce bit-identical
@@ -758,7 +754,7 @@ def solve_reference(objective: Objective,
     w = np.zeros(objective.dimension)
     fw = objective.value(w)
     step = 1.0
-    newton = objective.dimension <= _NEWTON_MAX_DIMENSION
+    newton = True
     iterations = 0
     grad_norm = math.inf
     for iterations in range(max_iterations + 1):
@@ -768,7 +764,7 @@ def solve_reference(objective: Objective,
             break
         found = None
         if newton:
-            direction = _newton_direction(objective, w, g)
+            direction = _newton_direction(objective, w, g, grad_norm)
             if direction is not None:
                 found = _line_search(objective, w, fw, *direction, 1.0,
                                      grad_norm)

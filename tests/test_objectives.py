@@ -336,7 +336,8 @@ def test_solve_reference_without_a_hessian_takes_gradient_steps():
     # the full-gradient path the solver falls back to takes 96 iterations
     # on ridge from the origin
     obj = cg.load_benchmark("ridge").objective
-    with mock.patch.object(objectives.Objective, "_hessian", return_value=None):
+    with mock.patch.object(objectives.Objective, "_hessian_product",
+                           return_value=None):
         ref = cg.solve_reference(obj)
     assert ref.iterations == 96
     assert ref.gradient_norm_at_solution <= 1e-10
@@ -348,26 +349,64 @@ def test_solve_reference_falls_back_when_no_newton_step_is_accepted():
     # step, with the same bits as when there is no Hessian at all
     data = cg.Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]))
     obj = cg.LeastSquaresObjective(data, "norm2_squared", 0.5)
-    with mock.patch.object(objectives.Objective, "_hessian", return_value=None):
+    with mock.patch.object(objectives.Objective, "_hessian_product",
+                           return_value=None):
         plain = cg.solve_reference(obj)
-    with mock.patch.object(objectives.Objective, "_hessian",
-                           side_effect=lambda w: np.eye(1) * 1e-300):
+    with mock.patch.object(objectives.Objective, "_hessian_product",
+                           side_effect=lambda w: lambda v: v * 1e-300):
         fallback = cg.solve_reference(obj)
     assert fallback.iterations == plain.iterations == 25
     assert np.array_equal(fallback.w_star, plain.w_star)
     assert fallback.f_min == plain.f_min
 
 
-@pytest.mark.parametrize("d", [128, 129])
-def test_solve_reference_forms_no_hessian_past_the_widest_newton_f(d):
-    assert objectives._NEWTON_MAX_DIMENSION == 128
-    centers = np.vstack([np.full(d, 0.5), np.full(d, 1.5)])
-    obj = cg.QuadraticMeanObjective(2.0, centers)
-    with mock.patch.object(objectives.Objective, "_hessian", autospec=True,
-                           side_effect=objectives.Objective._hessian) as spy:
+def solve_counting_products(obj):
+    """solve_reference(obj), and the number of Hessian-vector products
+    each of its conjugate-gradient solves made."""
+    solves = []
+    hessian_product = objectives.Objective._hessian_product
+
+    def counted(self, w):
+        product = hessian_product(self, w)
+        solves.append(0)
+
+        def count(v):
+            solves[-1] += 1
+            return product(v)
+        return count
+    with mock.patch.object(objectives.Objective, "_hessian_product", counted):
         ref = cg.solve_reference(obj)
-    assert spy.called == (d == 128)
+    return ref, solves
+
+
+@pytest.mark.parametrize("d", [128, 129, 1024])
+def test_solve_reference_takes_one_newton_step_on_a_wide_quadratic_mean(d):
+    # the Hessian is 2 I at every d, so conjugate gradients solve the
+    # Newton system in one product and the first step lands on the mean
+    centers = np.vstack([np.full(d, 0.5), np.full(d, 1.5)])
+    ref, solves = solve_counting_products(cg.QuadraticMeanObjective(2.0, centers))
+    assert ref.iterations == 1 and solves == [1]
     assert np.max(np.abs(ref.w_star - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, d, regularizer, lam, max_iterations, max_products", [
+    # 1.5 times the 4, 6 and 11 iterations and 70, 219 and 1,666 products
+    # measured on seed 3; gradient descent takes 34, 41 and 1,152 iterations
+    (100, 129, "norm2_squared", 1.0, 6, 105),
+    (200, 512, "norm2_squared", 0.1, 9, 328),
+    (100, 256, "exp_cosh_G", 0.1, 16, 2499),
+])
+def test_solve_reference_takes_newton_steps_past_d_128(
+        n, d, regularizer, lam, max_iterations, max_products):
+    data = cg.dataio.load_dataset("synth:blobs,n=%d,d=%d,seed=3" % (n, d))
+    ref, solves = solve_counting_products(
+        cg.LogisticObjective(data, regularizer, lam))
+    assert ref.gradient_norm_at_solution <= 1e-10
+    # every iteration solved for a Newton direction, each in at most d
+    # products
+    assert len(solves) == ref.iterations <= max_iterations
+    assert sum(solves) <= max_products
+    assert max(solves) <= d
 
 
 def test_callable_objective_wraps_functions():
@@ -914,28 +953,49 @@ HESSIAN_KINDS = [kind for kind in OBJECTIVE_KINDS if kind != "callable"]
 
 @pytest.mark.parametrize("regularizer", ["plain", "norm2_squared", "exp_cosh_G"])
 @pytest.mark.parametrize("kind", HESSIAN_KINDS)
-def test_hessian_matches_finite_differences_of_the_gradient(kind, regularizer):
+def test_hessian_product_matches_finite_differences_of_the_gradient(kind, regularizer):
     rng = np.random.default_rng(23)
     n, d, step = 7, 4, 1e-5
     obj = make_objective(kind, rng, n, d, regularizer, 0.3)
     R = objectives.REGION_RADIUS
     for w in rng.uniform(-R, R, size=(3, d)):
-        H = obj._hessian(w)
+        product = obj._hessian_product(w)
+        # the columns H e_k
+        H = np.column_stack([product(e) for e in np.eye(d)])
         assert H.shape == (d, d)
         scale = max(1.0, float(np.max(np.abs(H))))
         # symmetric up to the rounding of its sums
         assert np.max(np.abs(H - H.T)) <= 1e-14 * scale
-        # column k is d grad / d w_k; central differences of the gradient
-        # carry O(step^2) truncation and O(eps / step) rounding error
-        fd = np.column_stack([(obj.gradient(w + e) - obj.gradient(w - e))
-                              / (2.0 * step) for e in step * np.eye(d)])
-        assert np.max(np.abs(H - fd)) <= 1e-6 * scale
+        # H v is the derivative of the gradient along v; central
+        # differences carry O(step^2) truncation and O(eps / step) rounding
+        # error
+        for v in rng.standard_normal(size=(3, d)):
+            v /= np.linalg.norm(v)
+            fd = (obj.gradient(w + step * v) - obj.gradient(w - step * v)) / (2.0 * step)
+            assert np.max(np.abs(product(v) - fd)) <= 1e-6 * scale
 
 
-def test_hessian_is_none_for_norm2_and_callables():
+def test_hessian_product_is_none_for_norm2_and_callables():
     rng = np.random.default_rng(29)
     w = np.full(3, 0.5)
     for kind in HESSIAN_KINDS:
-        assert make_objective(kind, rng, 5, 3, "norm2", 0.3)._hessian(w) is None
+        assert make_objective(kind, rng, 5, 3, "norm2", 0.3)._hessian_product(w) is None
     for regularizer in REGULARIZERS:
-        assert make_objective("callable", rng, 5, 3, regularizer, 0.3)._hessian(w) is None
+        assert make_objective("callable", rng, 5, 3, regularizer,
+                              0.3)._hessian_product(w) is None
+
+
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", HESSIAN_KINDS)
+def test_solve_reference_treats_a_zero_weight_as_plain(kind, regularizer):
+    # a zero weight adds no regularizer term to values, gradients or
+    # Hessian products, so every regularizer takes plain's iterates
+    rng = np.random.default_rng(31)
+    X, y = make_data(kind, rng, 40, 3)
+    if kind == "linear":
+        X -= X.mean(axis=0)  # components whose mean slope is 0
+    plain = cg.solve_reference(build_objective(kind, X, y, "plain", 0.0))
+    ref = cg.solve_reference(build_objective(kind, X, y, regularizer, 0.0))
+    assert ref.iterations == plain.iterations
+    assert np.array_equal(ref.w_star, plain.w_star)
+    assert ref.f_min == plain.f_min
