@@ -131,8 +131,14 @@ def schedule_v(spec: ScheduleSpec):
 
 # ---------------------------------------------------------------------------
 # quadrature on a log grid: x = exp(s) - 1 with s evenly spaced on [0, log1p(t)],
-# halved from 2^6 to 2^21 intervals until two successive trapezoid values agree to
-# QUAD_TOL. Rules refined together share each node; each stops at its own level.
+# halved from 2^6 to 2^21 intervals. Each level gives a rule's trapezoid value T
+# and its Richardson value R = T + (T - T_prev) / 3, of composite Simpson accuracy
+# on the same nodes. A rule stops at the first level where its T or its R agrees
+# with the previous level's to QUAD_TOL, and returns the value that agreed (T if
+# both). On a smooth integrand R agrees levels earlier; where the integrand has a
+# kink (a power law's clamp at t = 1) R gains little, the T test usually stops
+# first and the value keeps the plain trapezoid's bits. Rules refined together
+# share each node; each stops at its own level.
 
 QUAD_TOL = 1e-8
 QUAD_LEVELS = range(6, 22)
@@ -156,8 +162,10 @@ def _C_rule(ds, n, g, jac) -> float:
 def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
     """The values of rules, each rule(ds, n, g, jac) refined over log grids on
     [0, t]: n holds the step sizes at the nodes, jac = dx/ds = exp(s) and
-    g = n v(n) jac is M's integrand in s. Each halving evaluates only the new
-    midpoints; v = None takes the matched schedule's own map."""
+    g = n v(n) jac is M's integrand in s. Each rule's value is the trapezoid
+    or Richardson value that first agreed with its predecessor (see above).
+    Each halving evaluates only the new midpoints; v = None takes the matched
+    schedule's own map."""
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be nonnegative and finite")
     if t == 0.0:
@@ -176,6 +184,7 @@ def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
     grid = np.empty((3, m + 1))
     nodes(np.linspace(0.0, smax, m + 1), grid)
     values = [rule(smax / m, *grid) for rule in rules]
+    richardson = [math.inf] * len(rules)  # none before the second level
     pending = list(range(len(rules)))
     for _ in QUAD_LEVELS[1:]:
         m *= 2
@@ -186,7 +195,11 @@ def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
         grid = finer
         for k in list(pending):
             prev, values[k] = values[k], rules[k](smax / m, *grid)
+            prev_r, richardson[k] = richardson[k], values[k] + (values[k] - prev) / 3.0
             if abs(values[k] - prev) <= QUAD_TOL:
+                pending.remove(k)
+            elif abs(richardson[k] - prev_r) <= QUAD_TOL:
+                values[k] = richardson[k]
                 pending.remove(k)
         if not pending:
             return values
@@ -200,8 +213,10 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> fl
     v may be omitted for a matched schedule (its own power-law map is used).
     Closed forms exist for matched schedules with the built-in v and for
     constant schedules; every other case, and quadrature=True, takes the
-    log-grid trapezoid at a finite t. It may share its refinement with C's
-    rule, and it stops at its own level there, with the value it has alone.
+    log-grid quadrature at a finite t: the trapezoid or Richardson value that
+    first agrees with the previous level's to QUAD_TOL. It may share its
+    refinement with C's rule, and it stops at its own level there, with the
+    value it has alone.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
@@ -221,7 +236,9 @@ def C_of_t(spec: ScheduleSpec, t: float, v=None) -> float:
 
     Always computed by quadrature at a finite t (M by a cumulative trapezoid
     on the same log grid, in a refinement it may share with M's own), so it
-    is an independent check of the closed-form envelope.
+    is an independent check of the closed-form envelope. Like M, it is the
+    trapezoid or Richardson value of C that first agrees with the previous
+    level's to the absolute QUAD_TOL.
     """
     return _log_grid_quadrature(spec, v, t, (_C_rule,))[0]
 

@@ -119,6 +119,16 @@ def test_C_constant_step_closed_form():
     assert cg.C_of_t(spec, 0.0) == 0.0
 
 
+def test_C_constant_step_closed_form_at_large_t():
+    # a plain trapezoid needs 2^20 intervals at t = 1e4 and fails to converge
+    # within 2^21 at t = 1e6; the Richardson values agree long before
+    v = lambda e: 0.3 * e
+    for t in (1e4, 1e6):
+        expected = (1.0 - math.exp(-0.3 * 0.05 * 0.05 * t)) / 0.3
+        assert cg.C_of_t(cg.ScheduleSpec.constant(0.05), t, v=v) == pytest.approx(
+            expected, abs=2e-8)
+
+
 def test_c_bar_linear_case():
     # h = 1, beta = mu/2: C_bar(t) = (4/mu)^2 / (t + 8L/mu)
     mu, L = 2.0, 1.0
@@ -299,10 +309,88 @@ def test_power_law_quadrature_clamps_below_one():
     # c 0.01 (1 + 3 (1 - t^(-1/3))) after
     spec = cg.ScheduleSpec.power_law(0.1, 0.5)
     c = 0.7
-    for t in (0.25, 1.0, 8.0, 1e3):
+    for t in (0.25, 1.0, 1.5, 3.0, 8.0, 1e3, 1e5, 1e7):
         expected = c * 0.01 * (t if t <= 1.0 else 1.0 + 3.0 * (1.0 - t ** (-1.0 / 3.0)))
         got = cg.M_of_t(spec, t, v=lambda e: c * e, quadrature=True)
         assert got == pytest.approx(expected, abs=2e-8)
+
+
+def count_nodes(call):
+    """call()'s result and the number of nodes at which its refinements
+    evaluated the step map."""
+    real, nodes = schedule._step_map, [0]
+
+    def spy(spec):
+        step = real(spec)
+
+        def counted(t):
+            nodes[0] += t.size
+            return step(t)
+        return counted
+
+    with mock.patch.object(schedule, "_step_map", spy):
+        return call(), nodes[0]
+
+
+def plain_trapezoid_quadrature(spec, v, t, rule):
+    """_log_grid_quadrature of one rule as it stood when a rule stopped only
+    on two agreeing trapezoid values, with its node count: the oracle for the
+    levels and bits below."""
+    smax = math.log1p(t)
+    step = schedule._step_map(spec)
+
+    def nodes(s, out):
+        jac = np.exp(s)
+        n = step(np.expm1(s))
+        out[0], out[1], out[2] = n, n * np.asarray(v(n), dtype=float) * jac, jac
+
+    m = 2 ** schedule.QUAD_LEVELS[0]
+    grid = np.empty((3, m + 1))
+    nodes(np.linspace(0.0, smax, m + 1), grid)
+    value = rule(smax / m, *grid)
+    for _ in schedule.QUAD_LEVELS[1:]:
+        m *= 2
+        finer = np.empty((3, m + 1))
+        finer[:, 0::2] = grid
+        nodes(np.arange(1, m, 2) * (smax / m), finer[:, 1::2])
+        grid = finer
+        prev, value = value, rule(smax / m, *grid)
+        if abs(value - prev) <= schedule.QUAD_TOL:
+            return value, m + 1
+    raise cg.QuadratureError("oracle did not converge")
+
+
+@pytest.mark.parametrize("h", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_kinked_power_law_takes_no_more_nodes_than_the_plain_trapezoid(h):
+    # the clamp at t = 1 kinks the integrand, so Richardson values gain
+    # little there and the plain test often stops first; wherever it does,
+    # the value keeps the plain trapezoid's bits
+    spec, v = cg.ScheduleSpec.power_law(0.1, h), (lambda e: 0.7 * e)
+    for t in (0.25, 1.0, 1.5, 3.0, 8.0, 1e3, 1e5, 1e7):
+        for rule in (_M_rule, _C_rule):
+            (value,), nodes = count_nodes(lambda: _log_grid_quadrature(spec, v, t, (rule,)))
+            plain, plain_nodes = plain_trapezoid_quadrature(spec, v, t, rule)
+            assert nodes <= plain_nodes, (t, rule)
+            if nodes == plain_nodes:
+                assert value.hex() == plain.hex(), (t, rule)
+    if h == 0.5:
+        # M at t = 8 stops on the plain test at 2,049 nodes
+        m, nodes = count_nodes(lambda: cg.M_of_t(spec, 8.0, v=v, quadrature=True))
+        plain, plain_nodes = plain_trapezoid_quadrature(spec, v, 8.0, _M_rule)
+        assert nodes == plain_nodes == 2049 and m.hex() == plain.hex()
+
+
+@pytest.mark.parametrize("h", [0.25, 0.5, 0.75, 1.0])
+def test_matched_envelope_stops_on_agreeing_richardson_values(h):
+    # a plain trapezoid needs up to 2^15 intervals here and leaves M 3.2e-9
+    # from its closed form; the Richardson values agree within 2^10 and
+    # land within 1e-9
+    spec = matched(h, 1.0, 2.0)
+    for t in (1.0, 10.0, 1e3, 1e4):
+        (m, _), nodes = count_nodes(
+            lambda: _log_grid_quadrature(spec, None, t, (_M_rule, _C_rule)))
+        assert nodes <= 2 ** 10 + 1, t
+        assert abs(m - cg.M_of_t(spec, t)) <= 1e-9, t
 
 
 @pytest.mark.parametrize("user_v", [False, True], ids=["own-v", "user-v"])
