@@ -90,11 +90,11 @@ def exp_cosh_problem() -> Benchmark:
     exactly 4*G and the minimizer is the origin with gradient noise 100.
     G is not strongly convex (its second derivative vanishes at 0), which
     is the regime diminishing steps with h = 1/2 are built for. The
-    schedule constant beta comes from the fourth-power lower bound
-    G(w) >= ||w||^4 / (36 d), giving mu = 4 * sqrt(lambda / (12 d)) on this
-    problem; the looser dimension-free constant lambda / (9 d) also
-    certifies curvature 1/2 but would slow the schedule by a factor of
-    about 5 for no accuracy gain.
+    schedule constant comes from G(w) >= sum_i w_i^4 / 12 >= ||w||^4 / (12 d)
+    (cosh's series has no negative terms), so mu = 4 * sqrt(lambda / (12 d))
+    around the minimizer 0. The looser lambda / (9 d) also certifies
+    curvature 1/2 but would slow the schedule by a factor of about 5 for no
+    accuracy gain.
     """
     lam, d, n = 4.0, 1, 10
     slopes = np.array([[10.0]] * (n // 2) + [[-10.0]] * (n // 2))

@@ -89,7 +89,8 @@ def _constant(value) -> np.ndarray:
 
 
 def _g_terms(w: np.ndarray) -> np.ndarray:
-    # expm1(w) + expm1(-w) equals e^w + e^-w - 2 with full precision near 0
+    # cancels twice near 0, where G is O(w^4): against the series, the
+    # relative error is 1.5e-6 at w = 1e-3, 4.4e-4 at 1e-4 and 1.3 at 1e-5
     return np.expm1(w) + np.expm1(-w) - w * w
 
 
@@ -119,6 +120,44 @@ def _g_gradient(w, out, scratch):
     np.subtract(out, scratch, out)
     np.add(w, w, scratch)
     return np.subtract(out, scratch, out)
+
+
+def _norm2_gradient(W, out, scratch):
+    # a zero row takes the subgradient 0, valid at the kink
+    out.fill(0.0)
+    nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+    return np.divide(W, nrm, out=out, where=nrm != 0.0)
+
+
+@dataclass(frozen=True)
+class _Regularizer:
+    """What one regularizer adds to each component, per unit of weight."""
+
+    values: object  # W -> (rows,) array of reg(W[k])
+    # (W, out, scratch) -> the gradient at each row of W in out, or W itself,
+    # which callers scale; scratch, distinct from out, may be overwritten
+    gradient: object
+    hessian_diagonal: object  # w -> the Hessian's diagonal at w, or None
+    box_bound: float  # Hessian bound on the REGION_RADIUS box
+    mu: float  # strong-convexity modulus
+
+
+# every regularizer but plain, which adds no term
+_REGULARIZER_TERMS = {
+    "norm2": _Regularizer(
+        values=lambda W: np.linalg.norm(W, axis=1), gradient=_norm2_gradient,
+        # the curvature of ||w|| is unbounded at the origin
+        hessian_diagonal=None, box_bound=math.inf, mu=0.0),
+    "norm2_squared": _Regularizer(
+        values=lambda W: 0.5 * np.einsum("ij,ij->i", W, W),
+        gradient=lambda W, out, scratch: W,
+        hessian_diagonal=lambda w: 1.0, box_bound=1.0, mu=1.0),
+    "exp_cosh_G": _Regularizer(
+        values=regularizer_G_value, gradient=_g_gradient,
+        hessian_diagonal=lambda w: np.expm1(w) + np.expm1(-w),
+        box_bound=math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0,
+        mu=0.0),
+}
 
 
 def _softplus_inplace(m, tmp):
@@ -180,7 +219,8 @@ class Objective:
     every component and ``_base_values_gathered(data, W)`` and
     ``_base_grad_gathered(data, W, out)`` the component each row names, and
     ``_base_smoothness``; every value and gradient of the public surface is
-    built from them. The gradient kernel ``_grad_gathered(data, W, out,
+    built from them. What each regularizer adds is one row of
+    _REGULARIZER_TERMS. The gradient kernel ``_grad_gathered(data, W, out,
     tmp)`` adds lam times the regularizer gradient in place. The engine
     gathers the data of many steps at once and calls the same kernel once
     per step, with buffers it reuses; grad_rows and gradient call it with
@@ -202,6 +242,9 @@ class Objective:
         self.regularizer = regularizer
         self.regularization_weight = float(lam)
         self._lam = _constant(self.regularization_weight)
+        # the regularizer's row of _REGULARIZER_TERMS, or None when it adds
+        # no term: plain, or a zero weight
+        self._reg = _REGULARIZER_TERMS.get(regularizer) if lam else None
 
     # ----- subclass hooks -------------------------------------------------
     def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -242,62 +285,17 @@ class Objective:
         form."""
         return None
 
-    # ----- regularizer terms ----------------------------------------------
-    def _reg_grad_rows(self, W: np.ndarray, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
-        # the regularizer gradient at each row of W, written into out, or W
-        # itself for norm2_squared, which callers scale into their own
-        # array; scratch, of W's shape and distinct from out, may be
-        # overwritten
-        kind = self.regularizer
-        if kind == "norm2_squared":
-            return W
-        if kind == "exp_cosh_G":
-            return _g_gradient(W, out, scratch)
-        # a zero row of norm2 takes the subgradient 0, valid at the kink
-        out.fill(0.0)
-        if kind == "norm2":
-            nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-            np.divide(W, nrm, out=out, where=nrm != 0.0)
-        return out
-
-    def _reg_value_rows(self, W: np.ndarray) -> np.ndarray:
-        kind = self.regularizer
-        if kind == "plain":
-            return np.zeros(W.shape[0])
-        if kind == "norm2":
-            return np.linalg.norm(W, axis=1)
-        if kind == "norm2_squared":
-            return 0.5 * np.einsum("ij,ij->i", W, W)
-        return regularizer_G_value(W)
-
-    def _reg_hessian_bound(self) -> float:
-        kind = self.regularizer
-        lam = self.regularization_weight
-        if kind == "plain" or lam == 0.0:
-            return 0.0
-        if kind == "norm2":
-            return math.inf  # curvature of ||w|| is unbounded at the origin
-        if kind == "norm2_squared":
-            return lam
-        return lam * (math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0)
-
     def _hessian_product(self, w: np.ndarray):
         """The map v -> H v for the exact Hessian H of F at w: the loss's
-        mean base product plus lam times the regularizer's, which is 0
-        (plain, or a zero weight), v (norm2_squared) or
-        (e^w + e^-w - 2) * v (exp_cosh_G). None when the loss has no closed
-        form, and for norm2 with lam > 0, whose curvature is unbounded at
-        the origin."""
+        mean base product plus lam times the regularizer's diagonal. None
+        when the loss has no closed form, and for norm2 with lam > 0, whose
+        curvature is unbounded at the origin."""
         base = self._base_hessian_product(w)
-        kind = self.regularizer
-        if base is None or kind == "plain" or not self.regularization_weight:
+        if base is None or self._reg is None:
             return base
-        if kind == "norm2":
+        if self._reg.hessian_diagonal is None:
             return None
-        diag = self.regularization_weight
-        if kind == "exp_cosh_G":
-            diag = diag * (np.expm1(w) + np.expm1(-w))
+        diag = self.regularization_weight * self._reg.hessian_diagonal(w)
         return lambda v: base(v) + diag * v
 
     # ----- public surface ---------------------------------------------------
@@ -343,11 +341,11 @@ class Objective:
         # out, or what the loss returned when no regularizer term is added;
         # tmp is scratch of W's shape. The engine calls this once per step,
         # with buffers it reuses.
-        if not self.regularization_weight:
+        if self._reg is None:
             return self._base_grad_gathered(data, W, out)
         # lam times the regularizer term goes into tmp first, with out as
         # its scratch, and the loss's gradient into out after it
-        np.multiply(self._reg_grad_rows(W, tmp, out), self._lam, tmp)
+        np.multiply(self._reg.gradient(W, tmp, out), self._lam, tmp)
         return np.add(self._base_grad_gathered(data, W, out), tmp, out)
 
     def value_rows(self, idx, W) -> np.ndarray:
@@ -359,8 +357,8 @@ class Objective:
         """
         W, idx = self._rows(W, idx)
         out = self._base_values_gathered(self._gather(idx), W)
-        if self.regularization_weight:
-            out += self.regularization_weight * self._reg_value_rows(W)
+        if self._reg is not None:
+            out += self.regularization_weight * self._reg.values(W)
         return out
 
     def value_many(self, W) -> np.ndarray:
@@ -420,8 +418,8 @@ class Objective:
             self._base_values(block, base, tmp)
             base.sum(axis=1, out=vals)
             vals /= n
-            if self.regularization_weight:
-                vals += self.regularization_weight * self._reg_value_rows(block)
+            if self._reg is not None:
+                vals += self.regularization_weight * self._reg.values(block)
 
     def value(self, w) -> float:
         """F(w), computed as the one-row case of value_many, straight
@@ -444,10 +442,9 @@ class Objective:
             total += self._base_grad_gathered(
                 self._gather(idx), block, np.empty(block.shape)).sum(axis=0)
         g = total / n
-        if self.regularization_weight:
+        if self._reg is not None:
             # every component carries the same regularizer gradient
-            reg = self._reg_grad_rows(W, np.empty(W.shape),
-                                      np.empty(W.shape))[0]
+            reg = self._reg.gradient(W, np.empty(W.shape), np.empty(W.shape))[0]
             g = g + self.regularization_weight * reg
         return g
 
@@ -455,8 +452,8 @@ class Objective:
     def known_mu(self):
         """Analytic strong-convexity constant when one is available."""
         mu = self._base_known_mu() or 0.0
-        if self.regularizer == "norm2_squared":
-            mu += self.regularization_weight
+        if self._reg is not None:
+            mu += self._reg.mu * self.regularization_weight
         return mu if mu > 0 else None
 
     def smoothness_bound(self) -> float:
@@ -465,7 +462,8 @@ class Objective:
         Valid on the box {w : ||w||_inf <= REGION_RADIUS}. The exp-cosh
         regularizer is smooth only on bounded regions, hence the box.
         """
-        return self._base_smoothness() + self._reg_hessian_bound()
+        reg = 0.0 if self._reg is None else self._reg.box_bound
+        return self._base_smoothness() + self.regularization_weight * reg
 
 
 class LogisticObjective(Objective):

@@ -735,7 +735,9 @@ def test_value_rows_match_the_every_component_kernel(kind, regularizer, n, d):
     # the (rows, n) kernel behind value_many, at the entry each row names
     base = np.empty((rows, n))
     obj._base_values(W, base, np.empty(base.shape))
-    base, reg = base[np.arange(rows), idx], 0.3 * obj._reg_value_rows(W)
+    base = base[np.arange(rows), idx]
+    # the regularizer's term, which plain does not add
+    reg = np.zeros(rows) if obj._reg is None else 0.3 * obj._reg.values(W)
     # rtol applies to the size of the terms summed, since a sum that cancels
     # keeps no relative accuracy: the row dot of a linear or least-squares
     # value, and its sum with the regularizer
@@ -985,17 +987,19 @@ def test_hessian_product_is_none_for_norm2_and_callables():
                               0.3)._hessian_product(w) is None
 
 
-@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("regularizer, lam",
+                         [(r, 0.0) for r in REGULARIZERS] + [("plain", 0.3)],
+                         ids=[*REGULARIZERS, "plain-0.3"])
 @pytest.mark.parametrize("kind", HESSIAN_KINDS)
-def test_solve_reference_treats_a_zero_weight_as_plain(kind, regularizer):
-    # a zero weight adds no regularizer term to values, gradients or
-    # Hessian products, so every regularizer takes plain's iterates
+def test_solve_reference_treats_a_zero_weight_as_plain(kind, regularizer, lam):
+    # a zero weight, like plain at any weight, adds no regularizer term to
+    # values, gradients or Hessian products, so it takes plain's iterates
     rng = np.random.default_rng(31)
     X, y = make_data(kind, rng, 40, 3)
     if kind == "linear":
         X -= X.mean(axis=0)  # components whose mean slope is 0
     plain = cg.solve_reference(build_objective(kind, X, y, "plain", 0.0))
-    ref = cg.solve_reference(build_objective(kind, X, y, regularizer, 0.0))
+    ref = cg.solve_reference(build_objective(kind, X, y, regularizer, lam))
     assert ref.iterations == plain.iterations
     assert np.array_equal(ref.w_star, plain.w_star)
     assert ref.f_min == plain.f_min
