@@ -157,7 +157,8 @@ def synthesize_dataset(n: int, d: int, seed: int, kind: str,
         X = rng.standard_normal((n, d))
         planted = rng.standard_normal(d)
         return Dataset(X, X @ planted, planted_weights=planted)
-    raise ValueError("unknown synthetic kind %r (blobs or linear)" % (kind,))
+    raise ValueError("unknown synthetic kind %r (%s)"
+                     % (kind, " or ".join(_SYNTH_KINDS)))
 
 
 def parse_seed(value) -> int:
@@ -175,7 +176,8 @@ def _finite(text: str) -> float:
     return value
 
 
-# synth: spec field -> value parser; separation is optional
+# synth: spec kinds, and field -> value parser; separation is optional
+_SYNTH_KINDS = ("blobs", "linear")
 SYNTH_FIELDS = {"n": int, "d": int, "seed": parse_seed, "separation": _finite}
 
 
@@ -187,9 +189,9 @@ def load_dataset(source: str) -> Dataset:
         return load_libsvm(source)
     kind, _, body = source[len("synth:"):].partition(",")
     where = "synth spec %r" % (source,)
-    if kind.strip() not in ("blobs", "linear"):
-        raise ValueError("%s must name its kind first (blobs or linear), "
-                         "got %r" % (where, kind))
+    if kind.strip() not in _SYNTH_KINDS:
+        raise ValueError("%s must name its kind first (%s), got %r"
+                         % (where, " or ".join(_SYNTH_KINDS), kind))
     fields = parse_fields(comma_entries(body, where), SYNTH_FIELDS, where,
                           optional=("separation",))
     return synthesize_dataset(kind=kind.strip(), **fields)

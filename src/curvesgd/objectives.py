@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGULARIZERS = ("plain", "norm2", "norm2_squared", "exp_cosh_G")
-
 # the box ||w||_inf <= REGION_RADIUS shared by smoothness_bound's L (so the
 # matched schedules), the engine's region check and estimate_delta's samples
 REGION_RADIUS = 3.0
@@ -158,6 +156,7 @@ _REGULARIZER_TERMS = {
         box_bound=math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0,
         mu=0.0),
 }
+REGULARIZERS = ("plain",) + tuple(_REGULARIZER_TERMS)
 
 
 def _softplus_inplace(m, tmp):
@@ -214,20 +213,26 @@ class Objective:
 
     Each component is base_i(w) + lam * reg(w): the regularizer is applied
     per component, so a stochastic gradient always carries the regularizer
-    gradient. A loss supplies five hooks: ``_gather`` looks up the component
-    data of some indices, the row-local ``_base_values(W, out, tmp)`` takes
-    every component and ``_base_values_gathered(data, W)`` and
-    ``_base_grad_gathered(data, W, out)`` the component each row names, and
-    ``_base_smoothness``; every value and gradient of the public surface is
-    built from them. What each regularizer adds is one row of
-    _REGULARIZER_TERMS. The gradient kernel ``_grad_gathered(data, W, out,
-    tmp)`` adds lam times the regularizer gradient in place. The engine
-    gathers the data of many steps at once and calls the same kernel once
-    per step, with buffers it reuses; grad_rows and gradient call it with
-    fresh ones. The constants these paths multiply by are 0-d arrays made
-    once. Instances are immutable after construction and safe to share
-    across threads.
+    gradient. A loss supplies four kernels, the hooks that depend on w:
+    ``_gather`` looks up the component data of some indices, the row-local
+    ``_base_values(W, out, tmp)`` takes every component and
+    ``_base_values_gathered(data, W)`` and ``_base_grad_gathered(data, W,
+    out)`` the component each row names; every value and gradient of the
+    public surface is built from them. Its two constants, ``_base_L`` and
+    ``_base_mu``, are set when it is built. What each regularizer adds is
+    one row of _REGULARIZER_TERMS. The gradient kernel
+    ``_grad_gathered(data, W, out, tmp)`` adds lam times the regularizer
+    gradient in place. The engine gathers the data of many steps at once and
+    calls the same kernel once per step, with buffers it reuses; grad_rows
+    and gradient call it with fresh ones. The constants these paths multiply
+    by are 0-d arrays made once. Instances are immutable after construction
+    and safe to share across threads.
     """
+
+    # a bound on the base component Hessian that holds everywhere, so it takes
+    # no radius, and the base loss's strong-convexity modulus; None if it has none
+    _base_L = None
+    _base_mu = None
 
     def __init__(self, n: int, d: int, regularizer: str = "plain", lam: float = 0.0):
         if regularizer not in REGULARIZERS:
@@ -271,13 +276,6 @@ class Objective:
         shape, or, when the gradient does not depend on W, an array of data
         returned as it is."""
         raise NotImplementedError
-
-    def _base_smoothness(self) -> float:
-        """Bound on the base component Hessian, valid everywhere."""
-        raise NotImplementedError
-
-    def _base_known_mu(self):
-        return None
 
     def _base_hessian_product(self, w: np.ndarray):
         """The map v -> H v for the Hessian H of the mean base loss
@@ -451,7 +449,7 @@ class Objective:
     @property
     def known_mu(self):
         """Analytic strong-convexity constant when one is available."""
-        mu = self._base_known_mu() or 0.0
+        mu = self._base_mu or 0.0
         if self._reg is not None:
             mu += self._reg.mu * self.regularization_weight
         return mu if mu > 0 else None
@@ -462,8 +460,10 @@ class Objective:
         Valid on the box {w : ||w||_inf <= REGION_RADIUS}. The exp-cosh
         regularizer is smooth only on bounded regions, hence the box.
         """
+        if self._base_L is None:
+            raise ValueError("%s has no smoothness bound" % type(self).__name__)
         reg = 0.0 if self._reg is None else self._reg.box_bound
-        return self._base_smoothness() + self.regularization_weight * reg
+        return self._base_L + self.regularization_weight * reg
 
 
 class LogisticObjective(Objective):
@@ -475,7 +475,8 @@ class LogisticObjective(Objective):
         super().__init__(dataset.size, dataset.dimension, regularizer, lam)
         self.X = dataset.X
         self.y = dataset.y
-        self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
+        # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
+        self._base_L = float(np.max(np.einsum("ij,ij->i", self.X, self.X))) / 4.0
         # y_i x_i, and -y_i x_i transposed for the margins -y_i x_i'w
         self._yX = self.y[:, None] * self.X
         self._neg_yX_T = (-self._yX).T.copy()
@@ -497,10 +498,6 @@ class LogisticObjective(Objective):
         s = _sigmoid_neg(np.einsum("ij,ij->i", yXi, W))
         return np.multiply(np.negative(s, s)[:, None], yXi, out)
 
-    def _base_smoothness(self):
-        # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
-        return self._max_row_sq / 4.0
-
     def _base_hessian_product(self, w):
         # (1/n) sum_i s_i (1 - s_i) x_i x_i' v with s_i = sigmoid(-y_i x_i'w);
         # 1 - s_i is taken as sigmoid(y_i x_i'w), which keeps its relative
@@ -520,7 +517,7 @@ class LeastSquaresObjective(Objective):
         self.X = dataset.X
         self.y = dataset.y
         self._XT = self.X.T.copy()
-        self._max_row_sq = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
+        self._base_L = 2.0 * float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
 
     def _base_values(self, W, out, tmp):
         np.einsum("kj,ji->ki", W, self._XT, out=out)
@@ -541,9 +538,6 @@ class LeastSquaresObjective(Objective):
         np.add(r, r, r)
         return np.multiply(r[:, None], Xi, out)
 
-    def _base_smoothness(self):
-        return 2.0 * self._max_row_sq
-
     def _base_hessian_product(self, w):
         # (2/n) X'X v, the same map at every w
         scale = 2.0 / self.component_count
@@ -558,10 +552,14 @@ class LinearObjective(Objective):
     origin is the exact minimizer for the exp-cosh regularizer.
     """
 
+    _base_L = 0.0
+
     def __init__(self, C, regularizer: str = "plain", lam: float = 0.0):
         C = np.asarray(C, dtype=float)
         if C.ndim != 2:
             raise ValueError("C must be a 2-d array of component gradients")
+        if not np.all(np.isfinite(C)):
+            raise ValueError("C must be finite")
         super().__init__(C.shape[0], C.shape[1], regularizer, lam)
         self.C = C
         self._CT = C.T.copy()
@@ -578,9 +576,6 @@ class LinearObjective(Objective):
     def _base_grad_gathered(self, data, W, out):
         return data[0]
 
-    def _base_smoothness(self):
-        return 0.0
-
     def _base_hessian_product(self, w):
         return np.zeros_like  # v -> 0
 
@@ -596,10 +591,12 @@ class QuadraticMeanObjective(Objective):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2:
             raise ValueError("centers must be a 2-d array")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
         if not (0.0 < mu < math.inf):
             raise ValueError("mu must be positive and finite")
         super().__init__(centers.shape[0], centers.shape[1], regularizer, lam)
-        self.mu = float(mu)
+        self.mu = self._base_L = self._base_mu = float(mu)
         self._mu = _constant(mu)
         self.centers = centers
 
@@ -619,12 +616,6 @@ class QuadraticMeanObjective(Objective):
         centers, = data
         np.subtract(W, centers, out)
         return np.multiply(out, self._mu, out)
-
-    def _base_smoothness(self):
-        return self.mu
-
-    def _base_known_mu(self):
-        return self.mu
 
     def _base_hessian_product(self, w):
         return lambda v: self.mu * v
@@ -661,9 +652,6 @@ class CallableObjective(Objective):
         for k in range(W.shape[0]):
             out[k] = self._grads[int(idx[k])](W[k])
         return out
-
-    def _base_smoothness(self):
-        raise ValueError("a callable objective has no smoothness bound")
 
 
 def _newton_direction(objective, w, g, grad_norm):
@@ -785,9 +773,15 @@ def solve_reference(objective: Objective,
             "minimizer may be unattained or non-unique, e.g. unregularized "
             "separable logistic" % (max_iterations, grad_norm)
         )
+    # ||grad f_i(w)||^2 in gradient's blocks of components: no (n, d) array
     n = objective.component_count
-    G = objective.grad_rows(np.arange(n), np.tile(w, (n, 1)))
-    noise = float(np.mean(np.einsum("ij,ij->i", G, G)))
+    rows = max(1, _BLOCK_TERMS // objective.dimension)
+    squares = np.empty(n)
+    for lo in range(0, n, rows):
+        idx = np.arange(lo, min(lo + rows, n))
+        G = objective.grad_rows(idx, np.tile(w, (idx.size, 1)))
+        np.einsum("ij,ij->i", G, G, out=squares[lo:lo + idx.size])
+    noise = float(np.mean(squares))
     return ReferenceSolution(
         w_star=w,
         f_min=fw,

@@ -223,6 +223,23 @@ def test_smoothness_bounds():
     R = objectives.REGION_RADIUS
     expected = 2.0 + (math.exp(R) + math.exp(-R) - 2.0)
     assert obj_g.smoothness_bound() == pytest.approx(expected)
+    # a linear loss has no curvature, so only lam times the box bound is left
+    box = objectives._REGULARIZER_TERMS["exp_cosh_G"].box_bound
+    assert cg.LinearObjective(data.X, "exp_cosh_G", 0.3).smoothness_bound() == 0.3 * box
+    assert cg.LinearObjective(data.X).smoothness_bound() == 0.0
+    assert cg.QuadraticMeanObjective(3.0, data.X).smoothness_bound() == 3.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("make, name", [
+    (lambda rows: cg.LinearObjective(rows), "C"),
+    (lambda rows: cg.QuadraticMeanObjective(1.0, rows), "centers"),
+], ids=["linear", "quadratic-mean"])
+def test_component_data_must_be_finite(make, name, bad):
+    # a non-finite row used to be accepted and fail only in solve_reference,
+    # as a line search that failed at a gradient norm of inf or nan
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        make(np.array([[bad], [1.0]]))
 
 
 def test_known_mu_tracks_strong_convexity():
@@ -286,6 +303,24 @@ def test_benchmark_schedule_and_run_share_the_one_box(name):
                           iterations=1)
     assert b.region_radius == objectives.REGION_RADIUS == config.region_radius
     assert b.schedule.L == b.objective.smoothness_bound()
+
+
+def test_solve_reference_noise_pass_holds_no_n_by_d_array():
+    # 20,000 x 100 ridge: the design matrix is 16 MB, and the noise pass
+    # used to hold four 16 MB arrays at once
+    data = cg.synthesize_dataset(20_000, 100, 1, "linear")
+    obj = cg.LeastSquaresObjective(data, "norm2_squared", 1.0)
+    tracemalloc.start()
+    try:
+        ref = cg.solve_reference(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.X.nbytes // 4, peak
+    # the blocks keep the bits of one call over every component
+    n = obj.component_count
+    G = obj.grad_rows(np.arange(n), np.tile(ref.w_star, (n, 1)))
+    assert ref.noise_constant == float(np.mean(np.einsum("ij,ij->i", G, G)))
 
 
 def test_solve_reference_reports_divergence():
@@ -418,7 +453,82 @@ def test_callable_objective_wraps_functions():
     w = np.array([0.5])
     assert obj.value(w) == pytest.approx(0.0625)
     assert obj.gradient(w)[0] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CallableObjective has no smoothness bound"):
+        obj.smoothness_bound()
+
+
+class PseudoHuberObjective(cg.Objective):
+    """f_i(w) = sqrt(1 + r_i^2) - 1 with r_i = x_i'w - y_i: a loss written
+    to the Objective contract, four kernels and _base_L."""
+
+    def __init__(self, dataset, regularizer="plain", lam=0.0):
+        super().__init__(dataset.size, dataset.dimension, regularizer, lam)
+        self.X, self.y = dataset.X, dataset.y
+        # the component Hessian x_i x_i' / (1 + r_i^2)^(3/2) is at most ||x_i||^2
+        self._base_L = float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
+
+    def _gather(self, idx):
+        return self.X[idx], self.y[idx]
+
+    def _base_values(self, W, out, tmp):
+        np.einsum("kj,ij->ki", W, self.X, out=out)
+        np.subtract(out, self.y, out=out)
+        np.subtract(np.hypot(1.0, out, out=out), 1.0, out=out)
+
+    def _base_values_gathered(self, data, W):
+        return np.hypot(1.0, np.einsum("ij,ij->i", data[0], W) - data[1]) - 1.0
+
+    def _base_grad_gathered(self, data, W, out):
+        r = np.einsum("ij,ij->i", data[0], W) - data[1]
+        return np.multiply((r / np.hypot(1.0, r))[:, None], data[0], out)
+
+
+@pytest.mark.parametrize("regularizer, lam", [("plain", 0.0), ("norm2_squared", 0.5)])
+def test_a_loss_written_to_the_contract_runs_end_to_end(regularizer, lam):
+    rng = np.random.default_rng(3)
+    data = cg.synthesize_dataset(40, 3, 4, "linear")
+    obj = PseudoHuberObjective(data, regularizer, lam)
+    W = rng.uniform(-2.0, 2.0, size=(5, 3))
+    idx = rng.integers(0, 40, size=5)
+    r = np.einsum("ij,kj->ki", data.X, W) - data.y
+    reg = 0.5 * lam * np.einsum("ij,ij->i", W, W)
+    values = np.sqrt(1.0 + r * r) - 1.0 + reg[:, None]
+    assert np.allclose(obj.value_many(W), values.mean(axis=1), rtol=1e-13)
+    assert np.allclose(obj.value_rows(idx, W), values[np.arange(5), idx], rtol=1e-13)
+    # component gradients against central differences of value_rows
+    G = obj.grad_rows(idx, W)
+    step = 1e-6
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = step
+        fd = (obj.value_rows(idx, W + e) - obj.value_rows(idx, W - e)) / (2.0 * step)
+        assert np.allclose(fd, G[:, k], rtol=1e-6, atol=1e-8)
+    L = float(np.max(np.einsum("ij,ij->i", data.X, data.X))) + lam
+    assert obj.smoothness_bound() == L
+    assert obj.known_mu == (lam or None)
+    # the loss has no Hessian hook, so the solve takes gradient steps
+    assert obj._hessian_product(np.zeros(3)) is None
+    ref = cg.solve_reference(obj)
+    assert ref.gradient_norm_at_solution <= 1e-10
+    if regularizer == "plain":
+        # noiseless targets: the planted weights fit every component
+        assert np.allclose(ref.w_star, data.planted_weights, atol=1e-9)
+        assert ref.f_min == pytest.approx(0.0, abs=1e-18)
+    schedule = cg.ScheduleSpec.curvature_matched(h=1.0, beta=0.25, L=L)
+    config = cg.RunConfig(objective=obj, schedule=schedule, w0=np.zeros(3),
+                          iterations=400, record_stride=100, seed=0, reference=ref)
+    sweep = cg.multi_seed_sweep(config, seeds=range(2))
+    assert np.all(np.isfinite(sweep.F)) and not sweep.violation_count.any()
+    assert np.all(sweep.Y[:, -1] < sweep.Y[:, 0])
+
+
+def test_a_loss_without_a_smoothness_constant_is_named():
+    class BareObjective(cg.Objective):
+        pass
+
+    obj = BareObjective(2, 1)
+    assert obj.known_mu is None
+    with pytest.raises(ValueError, match="^BareObjective has no smoothness bound$"):
         obj.smoothness_bound()
 
 
