@@ -17,14 +17,7 @@ from .dataio import (build_objective, execute_runfile, parse_seed,
                      read_runfile, resolve_reference)
 from .engine import EngineError
 from .omega import fit_curvature
-from .schedule import (
-    C_of_t,
-    M_of_t,
-    c_bar,
-    exp_neg_M,
-    parse_schedule,
-    step_size,
-)
+from .schedule import _KINDS, parse_schedule, step_size
 from .verify import verify_all
 
 
@@ -131,29 +124,15 @@ def _cmd_schedule(args) -> int:
     try:
         times = [float(v) for v in args.t.split(",") if v.strip()]
     except ValueError:
-        print("error: --t expects comma-separated numbers", file=sys.stderr)
-        return 2
+        raise ValueError("--t expects comma-separated numbers") from None
     if not times:
-        print("error: --t expects at least one time", file=sys.stderr)
-        return 2
+        raise ValueError("--t expects at least one time")
     if not all(map(math.isfinite, times)):
-        print("error: --t expects finite times", file=sys.stderr)
-        return 2
-
-    matched = spec.kind == "curvature_matched"
-    if matched:
-        print("t eta M exp_neg_M C C_bar")
-    else:
-        print("t eta")
+        raise ValueError("--t expects finite times")
+    columns = {"t": lambda spec, t: t, "eta": step_size, **_KINDS[spec.kind].columns}
+    print(" ".join(columns))
     for t in times:
-        step = step_size(spec, t)
-        if matched:
-            print("%.10g %.10g %.10g %.10g %.10g %.10g" % (
-                t, step, M_of_t(spec, t), exp_neg_M(spec, t),
-                C_of_t(spec, t), c_bar(spec, t),
-            ))
-        else:
-            print("%.10g %.10g" % (t, step))
+        print(" ".join("%.10g" % f(spec, t) for f in columns.values()))
     return 0
 
 

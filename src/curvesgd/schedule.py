@@ -1,6 +1,7 @@
 """Step-size schedules and the decay envelope they earn.
 
-Three schedule kinds share one spec type:
+Three schedule kinds share one spec type, each one row of _KINDS (its text
+form, constructor, step map and closed forms):
 
 * constant: eta_t = eta,
 * power_law: eta_t = scale / t^{1/(2-h)} for t >= 1 (the experiment grid),
@@ -19,7 +20,7 @@ solves C_bar = 2 sqrt(-C_bar') / v(sqrt(-C_bar')) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class ScheduleSpec:
     """One step-size schedule. Use the classmethod constructors."""
 
     kind: str
-    eta0: float = math.nan       # constant
+    eta: float = math.nan        # constant
     scale: float = math.nan      # power_law
     h: float = math.nan          # power_law, curvature_matched
     beta: float = math.nan       # curvature_matched
@@ -44,7 +45,7 @@ class ScheduleSpec:
     def constant(cls, eta: float) -> "ScheduleSpec":
         if not (0.0 < eta < math.inf):
             raise ValueError("constant step size must be positive and finite")
-        return cls(kind="constant", eta0=float(eta))
+        return cls(kind="constant", eta=float(eta))
 
     @classmethod
     def power_law(cls, scale: float, h: float) -> "ScheduleSpec":
@@ -65,8 +66,12 @@ class ScheduleSpec:
             raise ValueError("L must be positive and finite")
         if not (r > 0.0):
             raise ValueError("r must be positive (math.inf allowed)")
-        return cls(kind="curvature_matched", h=float(h), beta=float(beta),
+        spec = cls(kind="curvature_matched", h=float(h), beta=float(beta),
                    L=float(L), r=float(r))
+        if not (0.0 < spec.delta < math.inf and 0.0 < step_size(spec, 0.0) < math.inf):
+            raise ValueError("delta = %r: beta, L and r must give a positive, finite "
+                             "delta and first step" % spec.delta)
+        return spec
 
     @property
     def delta(self) -> float:
@@ -109,24 +114,24 @@ def step_size(spec: ScheduleSpec, t):
 
 
 def _step_map(spec: ScheduleSpec):
-    """The one home of each kind's formula: a map from a float array of
-    times t >= 0, unchecked, to their steps, its constants computed once."""
-    if spec.kind == "constant":
-        return lambda t: np.full(t.shape, spec.eta0)
+    """Build the step map of spec's row: float times t >= 0, unchecked, to steps."""
+    return _KINDS[spec.kind].step_map(spec)
+
+
+def _matched_steps(spec: ScheduleSpec):
     p = -1.0 / (2.0 - spec.h)
-    if spec.kind == "power_law":
-        return lambda t: spec.scale * np.maximum(t, 1.0) ** p
     k = (2.0 / (spec.beta * (2.0 - spec.h))) ** (1.0 / (2.0 - spec.h))
     delta = spec.delta
     return lambda t: k * (t + delta) ** p
 
 
 def schedule_v(spec: ScheduleSpec):
-    """The contraction map v(eta) = beta h eta^{1-h} built into a matched
-    schedule."""
-    spec._require("curvature_matched")
-    b, h = spec.beta, spec.h
-    return lambda e: b * h * np.asarray(e, dtype=float) ** (1.0 - h)
+    """The contraction map v(eta) = beta h eta^{1-h} of a matched schedule."""
+    own = _KINDS[spec.kind].v  # None in the other kinds' rows
+    if own is None:
+        raise ValueError("operation requires a curvature_matched schedule, got "
+                         + spec.kind)
+    return own(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +175,7 @@ def _log_grid_quadrature(spec: ScheduleSpec, v, t: float, rules) -> list:
         raise ValueError("t must be nonnegative and finite")
     if t == 0.0:
         return [0.0] * len(rules)
-    if v is None:
-        v = schedule_v(spec)  # raises for non-matched kinds
+    v = schedule_v(spec) if v is None else v  # raises for kinds without one
     smax = math.log1p(t)
     step = _step_map(spec)
 
@@ -211,23 +215,19 @@ def M_of_t(spec: ScheduleSpec, t: float, v=None, quadrature: bool = False) -> fl
     """M(t) = integral over [0, t] of n(x) v(n(x)) dx; M(0) = 0.
 
     v may be omitted for a matched schedule (its own power-law map is used).
-    Closed forms exist for matched schedules with the built-in v and for
-    constant schedules; every other case, and quadrature=True, takes the
-    log-grid quadrature at a finite t: the trapezoid or Richardson value that
-    first agrees with the previous level's to QUAD_TOL. It may share its
-    refinement with C's rule, and it stops at its own level there, with the
-    value it has alone.
+    The closed forms, each kind's M in _KINDS, are the matched one with the
+    built-in v and the constant one with any v; every other case, and
+    quadrature=True, takes the log-grid quadrature at a finite t: the
+    trapezoid or Richardson value that first agrees with the previous
+    level's to QUAD_TOL. It may share its refinement with C's rule, and it
+    stops at its own level there, with the value it has alone.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
-    intrinsic = v is None
-    vv = schedule_v(spec) if intrinsic else v  # raises for non-matched kinds
-    if not quadrature:
-        if spec.kind == "curvature_matched" and intrinsic:
-            return (2.0 * spec.h / (2.0 - spec.h)) * (
-                math.log(t + spec.delta) - math.log(spec.delta))
-        if spec.kind == "constant":
-            return t * spec.eta0 * float(vv(spec.eta0))
+    kind = _KINDS[spec.kind]
+    vv = schedule_v(spec) if v is None else v  # raises for kinds without one
+    if not quadrature and kind.M is not None and (v is None or kind.v is None):
+        return kind.M(spec, t, vv)
     return _log_grid_quadrature(spec, vv, t, (_M_rule,))[0]
 
 
@@ -296,6 +296,40 @@ def rate_bound_constants(spec: ScheduleSpec, noise_constant: float,
     return a, b
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """One schedule kind; None where it has no closed form."""
+
+    tag: str  # `<tag>:<fields>`
+    fields: tuple  # in text order, named as in the constructor and the spec
+    bare: bool  # the body is the one field's bare value, as in const:0.01
+    build: object  # the ScheduleSpec constructor, which checks the ranges
+    step_map: object  # spec -> map from a float array of times t >= 0 to steps
+    M: object = None  # (spec, t, v) -> M(t), for the own v if any, else any v
+    v: object = None  # spec -> the kind's own contraction map
+    columns: dict = field(default_factory=dict)  # `schedule` column -> f(spec, t)
+
+
+_KINDS = {
+    "constant": _Kind(
+        tag="const", fields=("eta",), bare=True, build=ScheduleSpec.constant,
+        step_map=lambda spec: lambda t: np.full(t.shape, spec.eta),
+        M=lambda spec, t, v: t * spec.eta * float(v(spec.eta))),
+    "power_law": _Kind(
+        tag="power", fields=("scale", "h"), bare=False, build=ScheduleSpec.power_law,
+        step_map=lambda spec: lambda t: spec.scale * np.maximum(t, 1.0) ** (
+            -1.0 / (2.0 - spec.h))),
+    "curvature_matched": _Kind(
+        tag="paper-opt", fields=("h", "beta", "L", "r"), bare=False,
+        build=ScheduleSpec.curvature_matched, step_map=_matched_steps,
+        M=lambda spec, t, v: (2.0 * spec.h / (2.0 - spec.h)) * (
+            math.log(t + spec.delta) - math.log(spec.delta)),
+        v=lambda spec: lambda e: spec.beta * spec.h * np.asarray(e, dtype=float) ** (
+            1.0 - spec.h),
+        columns={"M": M_of_t, "exp_neg_M": exp_neg_M, "C": C_of_t, "C_bar": c_bar}),
+}
+
+
 # ---------------------------------------------------------------------------
 # text form
 
@@ -335,26 +369,17 @@ def comma_entries(body: str, context: str) -> list:
     return entries
 
 
-# schedule kind -> (text tag, fields in text order, named as in the kind's
-# constructor); a const: body is the bare step, not eta=<step>
-SCHEDULE_TEXT = {
-    "constant": ("const", ("eta",)),
-    "power_law": ("power", ("scale", "h")),
-    "curvature_matched": ("paper-opt", ("h", "beta", "L", "r")),
-}
-
-
 def format_schedule(spec: ScheduleSpec) -> str:
     """Canonical text form; floats use repr so parsing is bit-exact."""
-    tag, fields = SCHEDULE_TEXT[spec.kind]
-    if spec.kind == "constant":
-        return "%s:%r" % (tag, spec.eta0)
-    return "%s:%s" % (tag, ",".join("%s=%r" % (field, getattr(spec, field))
-                                    for field in fields))
+    kind = _KINDS[spec.kind]
+    if kind.bare:
+        return "%s:%r" % (kind.tag, getattr(spec, kind.fields[0]))
+    return "%s:%s" % (kind.tag, ",".join("%s=%r" % (name, getattr(spec, name))
+                                         for name in kind.fields))
 
 
 def parse_schedule(text: str) -> ScheduleSpec:
-    """Parse the compact text form `<tag>:<fields>` of SCHEDULE_TEXT:
+    """Parse the compact text form `<tag>:<fields>` of a row of _KINDS:
 
     const:0.01
     power:scale=0.1,h=0.25
@@ -366,13 +391,13 @@ def parse_schedule(text: str) -> ScheduleSpec:
     text = text.strip()
     where = "schedule %r" % (text,)
     tag, _, body = text.partition(":")
-    kind = {t: k for k, (t, _) in SCHEDULE_TEXT.items()}.get(tag.strip())
+    kind = next((k for k in _KINDS.values() if k.tag == tag.strip()), None)
     if kind is None:
         raise ValueError("%s: unknown kind %r" % (where, tag.strip()))
-    if kind == "constant":
-        entries = [(where + ": ", "eta", body.strip())]
+    if kind.bare:
+        entries = [(where + ": ", kind.fields[0], body.strip())]
     else:
         entries = comma_entries(body, where)
-    values = parse_fields(entries, dict.fromkeys(SCHEDULE_TEXT[kind][1], float),
+    values = parse_fields(entries, dict.fromkeys(kind.fields, float),
                           where, optional=("r",))
-    return getattr(ScheduleSpec, kind)(**values)
+    return kind.build(**values)

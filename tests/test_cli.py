@@ -82,6 +82,9 @@ def test_schedule_rejects_non_finite_times(capsys):
     ("lambda = 0.5", "lambda = inf", "lambda"),
     ("const:0.01", "const:nan", "constant step size"),
     ("const:0.01", "paper-opt:h=0.5,beta=1,L=1,r=nan", "r must be positive"),
+    # delta = inf once ran with steps of 0, and delta = 0 diverged at step 0
+    ("const:0.01", "paper-opt:h=1,beta=1e-300,L=1e300", "delta = inf"),
+    ("const:0.01", "paper-opt:h=1,beta=1e300,L=1e-300", "delta = 0.0"),
 ])
 def test_run_rejects_non_finite_runfile_values(tmp_path, capsys, old, new, field):
     path = write_runfile(tmp_path, BASE_RUNFILE.replace(old, new))

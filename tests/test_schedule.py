@@ -1,5 +1,6 @@
 """Step-size schedule math: closed forms, quadrature, envelopes, text form."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import curvesgd as cg
-from curvesgd import schedule
+from curvesgd import cli, schedule
 from curvesgd.schedule import _C_rule, _M_rule, _log_grid_quadrature
 
 
@@ -214,6 +215,10 @@ def test_parse_schedule_rejects_malformed():
         "power:scale=inf,h=0.5",
         "paper-opt:h=1,beta=nan,L=1",
         "paper-opt:h=0.5,beta=1,L=1,r=nan",
+        "paper-opt:h=1,beta=1e-300,L=1e300",   # delta overflows to inf
+        "paper-opt:h=1,beta=1e300,L=1e-300",   # delta underflows to 0
+        "paper-opt:h=1,beta=1,L=1,r=1e-320",   # 1/r, so delta, is inf
+        "paper-opt:h=0.5,beta=1e-320,L=1e-13", # finite delta, first step inf
     ]
     for text in bad:
         with pytest.raises(ValueError):
@@ -273,7 +278,7 @@ def inline_step_size(spec, t):
     recomputed on every call: the oracle whose bits the step map keeps."""
     ta = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.kind == "constant":
-        out = np.broadcast_to(np.float64(spec.eta0), ta.shape).copy()
+        out = np.broadcast_to(np.float64(spec.eta), ta.shape).copy()
     elif spec.kind == "power_law":
         out = spec.scale * np.maximum(ta, 1.0) ** (-1.0 / (2.0 - spec.h))
     else:
@@ -457,15 +462,79 @@ def test_nan_time_is_rejected_as_negative_time_is():
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
                      allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def matched_or_none(h, beta, L, r):
+    """The matched spec, or None where beta, L and r give a delta or a first
+    step that is not positive and finite, which the constructor refuses."""
+    try:
+        return matched(h, beta, L, r)
+    except ValueError:
+        return None
+
+
 schedules = st.one_of(
     st.builds(cg.ScheduleSpec.constant, positive),
     st.builds(cg.ScheduleSpec.power_law, positive, unit),
-    st.builds(cg.ScheduleSpec.curvature_matched,
-              unit.filter(lambda h: h > 0.0), positive, positive,
-              st.one_of(positive, st.just(math.inf))),
+    st.builds(matched_or_none, unit.filter(lambda h: h > 0.0), positive, positive,
+              st.one_of(positive, st.just(math.inf))).filter(lambda s: s is not None),
 )
 
 
 @given(schedules)
 def test_parse_format_round_trip_property(spec):
     assert cg.parse_schedule(cg.format_schedule(spec)) == spec
+
+
+@pytest.mark.parametrize("spec", [cg.ScheduleSpec.constant(0.3),
+                                  cg.ScheduleSpec.power_law(0.1, 0.5)])
+def test_matched_only_operations_are_input_errors_on_other_kinds(spec):
+    calls = [lambda: schedule.schedule_v(spec), lambda: cg.c_bar(spec, 1.0),
+             lambda: cg.ode_residual(spec, 1.0), lambda: cg.rate_bound(spec, 1.0, 1.0, 1.0),
+             lambda: cg.rate_bound_constants(spec, 1.0, 1.0), lambda: cg.M_of_t(spec, 1.0),
+             lambda: spec.delta, lambda: spec.envelope_constant]
+    for call in calls:
+        with pytest.raises(ValueError, match="^operation requires a curvature_matched "
+                           "schedule, got %s$" % spec.kind):
+            call()
+
+
+def test_a_new_kind_is_one_row(capsys):
+    # a throwaway kind, decay:scale=<s> with steps s / (1 + t), that reuses
+    # the scale field: its row is the only edit it needs
+    decay = schedule._Kind(
+        tag="decay", fields=("scale",), bare=False,
+        build=lambda scale: cg.ScheduleSpec(kind="decay", scale=float(scale)),
+        step_map=lambda spec: lambda t: spec.scale / (1.0 + t))
+    with mock.patch.dict(schedule._KINDS, decay=decay):
+        spec = cg.parse_schedule("decay:scale=0.5")
+        assert spec == cg.ScheduleSpec(kind="decay", scale=0.5)
+        assert cg.format_schedule(spec) == "decay:scale=0.5"
+        assert cg.parse_schedule(cg.format_schedule(spec)) == spec
+
+        times = np.array([0.0, 0.5, 1.0, 10.0, 1e4, 1e6])
+        assert cg.step_size(spec, times).tobytes() == (0.5 / (1.0 + times)).tobytes()
+        assert cg.step_size(spec, 10.0) == 0.5 / 11.0
+
+        # with v(e) = c e and u = x / (1 + x), M(t) = c s^2 u(t) and
+        # C(t) = (1 - exp(-M(t))) / c
+        c = 0.7
+        for t in (0.5, 10.0, 1e4):
+            m = c * 0.25 * t / (1.0 + t)
+            assert cg.M_of_t(spec, t, v=lambda e: c * e, quadrature=True) == \
+                pytest.approx(m, abs=1e-8)
+            assert cg.C_of_t(spec, t, v=lambda e: c * e) == \
+                pytest.approx(-math.expm1(-m) / c, abs=1e-8)
+
+        bench = cg.benchmarks.ridge_regression_problem()
+        config = cg.RunConfig(objective=bench.objective, schedule=spec, w0=np.zeros(10),
+                              iterations=200, record_stride=20, seed=0,
+                              reference=bench.reference)
+        sweep = cg.multi_seed_sweep(config, seeds=(3, 4))
+        assert sweep.eta.tobytes() == (0.5 / (1.0 + sweep.t.astype(float))).tobytes()
+        for k, seed in enumerate((3, 4)):
+            alone = cg.sgd_run(dataclasses.replace(config, seed=seed))
+            assert sweep.traces[k].Y.tobytes() == alone.Y.tobytes()
+
+        assert cli.main(["schedule", "decay:scale=0.5", "--t", "0,1,3"]) == 0
+    assert capsys.readouterr().out == "t eta\n0 0.5\n1 0.25\n3 0.125\n"
