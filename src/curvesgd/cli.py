@@ -130,9 +130,9 @@ def _cmd_schedule(args) -> int:
     if not all(map(math.isfinite, times)):
         raise ValueError("--t expects finite times")
     columns = {"t": lambda spec, t: t, "eta": step_size, **_KINDS[spec.kind].columns}
-    print(" ".join(columns))
-    for t in times:
-        print(" ".join("%.10g" % f(spec, t) for f in columns.values()))
+    # every row is computed before the header, so a bad time prints nothing
+    rows = [" ".join("%.10g" % f(spec, t) for f in columns.values()) for t in times]
+    print("\n".join([" ".join(columns)] + rows))
     return 0
 
 

@@ -26,20 +26,22 @@ REGION_RADIUS = 3.0
 # the temporaries in cache
 _BLOCK_TERMS = 1 << 16
 
-# the most workers a value call splits its blocks between: the width at
-# which the threaded blocks were measured. Each worker holds two blocks of
-# scratch (about 1 MB), and the affinity mask does not see a CPU quota.
-_MAX_WORKERS = 2
+
+def _row_blocks(count: int, width: int, terms=None) -> list:
+    """The (lo, hi) bounds of the blocks that cover count rows of width
+    terms: max(1, terms // width) rows each (terms defaults to _BLOCK_TERMS),
+    the last fewer. No rows make one empty block, so blocks[0] sizes scratch."""
+    rows = max(1, (_BLOCK_TERMS if terms is None else terms) // width)
+    return [(lo, min(lo + rows, count)) for lo in range(0, max(count, 1), rows)]
 
 
 def _worker_count() -> int:
-    """The CPUs this process may run on, at most _MAX_WORKERS: the calling
-    thread and the helper threads of a call split its value blocks."""
+    """The CPUs this process may run on, by its affinity mask, which does not
+    see a CPU quota; with two or more, value blocks split into two halves."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
+        return os.cpu_count() or 1
 
 
 class ConvergenceError(RuntimeError):
@@ -199,10 +201,9 @@ class ReferenceSolution:
         made; the bits do not depend on the block size."""
         W = np.asarray(W)
         out = np.empty(W.shape[0])
-        rows = max(1, _BLOCK_TERMS // W.shape[1])
-        diff = np.empty((min(rows, W.shape[0]), W.shape[1]))
-        for lo in range(0, W.shape[0], rows):
-            hi = min(lo + rows, W.shape[0])
+        blocks = _row_blocks(*W.shape)
+        diff = np.empty((blocks[0][1], W.shape[1]))
+        for lo, hi in blocks:
             part = np.subtract(W[lo:hi], self.w_star, diff[: hi - lo])
             np.einsum("ij,ij->i", part, part, out=out[lo:hi])
         return out
@@ -365,54 +366,47 @@ class Objective:
 
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
-        in blocks of about _BLOCK_TERMS (row, component) terms, and a call of
-        several blocks runs them on every CPU the process may use; the bits
-        do not depend on how many there are.
+        in blocks of about _BLOCK_TERMS (row, component) terms. On two or
+        more CPUs a call of several blocks splits them into two halves, the
+        second run by one helper thread; the bits do not depend on the split.
         """
         W, _ = self._rows(W)
         return self._block_values(W)
 
     def _block_values(self, W):
-        # blocks of rows, each a (rows, n) array of base values reduced to
-        # the row mean; a call of several blocks splits them into one
-        # contiguous share per worker, the calling thread taking the first
-        # and helper threads that live for the call the others. A share
-        # writes only its own rows of out, from their own weights, so the
-        # bits do not depend on the number of workers.
+        # blocks of rows, each a (rows, n) array of base values reduced to the
+        # row mean. On two or more CPUs a call of several blocks runs the second
+        # half of them on one helper thread that lives for the call. A half
+        # writes only its own rows of out, so the bits do not depend on the split.
         out = np.empty(W.shape[0])
-        rows = max(1, _BLOCK_TERMS // self.component_count)
-        blocks = -(-W.shape[0] // rows)
-        shares = 1 if blocks < 2 else min(blocks, _worker_count())
-        if shares < 2:
-            self._value_share(W, out, rows, 0, W.shape[0])
+        blocks = _row_blocks(W.shape[0], self.component_count)
+        half = len(blocks) // 2
+        if not half or _worker_count() < 2:
+            self._value_share(W, out, blocks)
             return out
         # imported here, as most calls evaluate a single block
         from concurrent.futures import ThreadPoolExecutor
-        cuts = [rows * (blocks * k // shares) for k in range(shares)] + [W.shape[0]]
-        # leaving the with block waits for every share, so none writes into
-        # out after the call; numpy's errstate lives in a context variable,
-        # so every share runs in a copy of the caller's context
-        with ThreadPoolExecutor(shares - 1) as pool:
-            pending = [pool.submit(contextvars.copy_context().run,
-                                   self._value_share, W, out, rows, lo, hi)
-                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            self._value_share(W, out, rows, 0, cuts[1])
-            for future in pending:
-                future.result()
+        # leaving the with block waits for the helper, so it does not write
+        # into out after the call; numpy's errstate lives in a context
+        # variable, so the helper runs in a copy of the caller's context
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(contextvars.copy_context().run,
+                                 self._value_share, W, out, blocks[half:])
+            self._value_share(W, out, blocks[:half])
+            second.result()
         return out
 
-    def _value_share(self, W, out, rows, start, stop):
-        # rows start:stop of out, one block of at most `rows` rows at a
-        # time, in two scratch arrays reused across the share's blocks
+    def _value_share(self, W, out, blocks):
+        # the rows of out in blocks, consecutive (lo, hi) bounds, through
+        # two scratch arrays sized to the first block and reused
         n = self.component_count
-        base = np.empty((min(rows, stop - start), n))
+        lo, hi = blocks[0]
+        base = np.empty((hi - lo, n))
         tmp = np.empty(base.shape)
-        for lo in range(start, stop, rows):
-            hi = min(lo + rows, stop)
-            if hi - lo < base.shape[0]:  # the share's last, shorter block
+        for lo, hi in blocks:
+            if hi - lo < base.shape[0]:  # the last, shorter block
                 base, tmp = base[: hi - lo], tmp[: hi - lo]
-            block = W[lo:hi]
-            vals = out[lo:hi]
+            block, vals = W[lo:hi], out[lo:hi]
             self._base_values(block, base, tmp)
             base.sum(axis=1, out=vals)
             vals /= n
@@ -424,7 +418,7 @@ class Objective:
         through its block loop."""
         W, _ = self._rows(np.asarray(w, dtype=float)[None])
         out = np.empty(1)
-        self._value_share(W, out, 1, 0, 1)
+        self._value_share(W, out, _row_blocks(1, self.component_count))
         return float(out[0])
 
     def gradient(self, w) -> np.ndarray:
@@ -432,13 +426,11 @@ class Objective:
         blocks of components like the rows of value_many."""
         W, _ = self._rows(np.asarray(w, dtype=float)[None])
         n, d = self.component_count, self.dimension
-        rows = max(1, _BLOCK_TERMS // d)
         total = np.zeros(d)
-        for lo in range(0, n, rows):
-            idx = np.arange(lo, min(lo + rows, n))
-            block = W.repeat(idx.size, axis=0)
-            total += self._base_grad_gathered(
-                self._gather(idx), block, np.empty(block.shape)).sum(axis=0)
+        for lo, hi in _row_blocks(n, d):
+            block = W.repeat(hi - lo, axis=0)
+            total += self._base_grad_gathered(self._gather(np.arange(lo, hi)), block,
+                                              np.empty(block.shape)).sum(axis=0)
         g = total / n
         if self._reg is not None:
             # every component carries the same regularizer gradient
@@ -626,7 +618,8 @@ class CallableObjective(Objective):
 
     Handy for one-off test objectives such as F(w) = w^4 in one dimension.
     The callables take one weight vector, so the row hooks loop over rows;
-    a value call of several blocks calls them from several threads at once.
+    on two or more CPUs, a value call of several blocks calls them from two
+    threads at once, one for each half of its blocks.
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,
@@ -775,12 +768,10 @@ def solve_reference(objective: Objective,
         )
     # ||grad f_i(w)||^2 in gradient's blocks of components: no (n, d) array
     n = objective.component_count
-    rows = max(1, _BLOCK_TERMS // objective.dimension)
     squares = np.empty(n)
-    for lo in range(0, n, rows):
-        idx = np.arange(lo, min(lo + rows, n))
-        G = objective.grad_rows(idx, np.tile(w, (idx.size, 1)))
-        np.einsum("ij,ij->i", G, G, out=squares[lo:lo + idx.size])
+    for lo, hi in _row_blocks(n, objective.dimension):
+        G = objective.grad_rows(np.arange(lo, hi), np.tile(w, (hi - lo, 1)))
+        np.einsum("ij,ij->i", G, G, out=squares[lo:hi])
     noise = float(np.mean(squares))
     return ReferenceSolution(
         w_star=w,

@@ -29,7 +29,8 @@ from .objectives import REGION_RADIUS
 
 # (sample, coordinate) terms per block of estimate_delta's draw: 4 MB, two
 # blocks of 100,000 samples at d = 10. Smaller blocks make more value_many
-# calls, and each call of several value blocks starts a helper thread.
+# calls, and each call of several value blocks on two or more CPUs starts a
+# helper thread for the second half of its value blocks.
 _SAMPLE_TERMS = 8 * objectives._BLOCK_TERMS
 
 
@@ -302,12 +303,11 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
     # formula of rng.uniform(-R, R), and rng.random fills the blocks from
     # the same stream, so the points are the bits of one uniform draw
     rng = np.random.default_rng(seed)
-    rows = max(1, _SAMPLE_TERMS // dimension)
-    block = np.empty((min(rows, n_samples), dimension))
+    blocks = objectives._row_blocks(n_samples, dimension, _SAMPLE_TERMS)
+    block = np.empty((blocks[0][1], dimension))
     av = np.empty(n_samples)
     bv = np.empty(n_samples)
-    for lo in range(0, n_samples, rows):
-        hi = min(lo + rows, n_samples)
+    for lo, hi in blocks:
         W = block[: hi - lo]
         rng.random(out=W)
         W *= 2.0 * REGION_RADIUS

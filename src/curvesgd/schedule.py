@@ -71,6 +71,13 @@ class ScheduleSpec:
         if not (0.0 < spec.delta < math.inf and 0.0 < step_size(spec, 0.0) < math.inf):
             raise ValueError("delta = %r: beta, L and r must give a positive, finite "
                              "delta and first step" % spec.delta)
+        try:  # raises where beta h underflows to 0 or the power overflows
+            finite = spec.envelope_constant < math.inf
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError("beta = %r, h = %r: the envelope constant "
+                             "(2/(beta h))^(2/(2-h)) overflows" % (spec.beta, spec.h))
         return spec
 
     @property

@@ -61,6 +61,8 @@ def test_schedule_rejects_bad_text(capsys):
     ("power:scale=inf,h=0.5", "scale"),
     ("paper-opt:h=1,beta=nan,L=1", "beta"),
     ("paper-opt:h=0.5,beta=1,L=1,r=nan", "r must be positive"),
+    # delta = 4e100 and the first step are finite, the envelope constant not
+    ("paper-opt:h=1,beta=1e-200,L=1e-100", "beta = 1e-200, h = 1.0"),
 ])
 def test_schedule_rejects_non_finite_values(capsys, text, field):
     rc = main(["schedule", text, "--t", "0,1"])
@@ -75,6 +77,15 @@ def test_schedule_rejects_non_finite_times(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "finite" in captured.err and "nan" not in captured.out
+
+
+def test_schedule_prints_nothing_unless_every_row_computes(capsys):
+    # the row at t = 1 computes, the one at t = -2 does not
+    rc = main(["schedule", "const:0.1", "--t", "1,-2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: t must be nonnegative\n"
 
 
 @pytest.mark.parametrize("old, new, field", [

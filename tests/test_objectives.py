@@ -911,12 +911,15 @@ def test_value_blocks_keep_their_bits_on_any_worker_count(kind):
         assert np.array_equal(V1, V4), regularizer
 
 
-def test_value_blocks_of_full_size_keep_their_bits_on_any_worker_count():
-    # 4,000 rows of 50 logistic components: four blocks of 1,310 rows
+@pytest.mark.parametrize("rows, blocks", [(3000, 3), (4000, 4), (50_000, 39)])
+def test_value_blocks_of_full_size_keep_their_bits_on_any_worker_count(rows, blocks):
+    # rows of 50 logistic components in blocks of 1,310 rows, the last one
+    # shorter: an odd split, an even one, and estimate-curvature's shape
     rng = np.random.default_rng(8)
     obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
-    W = rng.uniform(-3.0, 3.0, size=(4000, 10))
-    idx = rng.integers(0, 50, size=4000)
+    assert len(objectives._row_blocks(rows, 50)) == blocks
+    W = rng.uniform(-3.0, 3.0, size=(rows, 10))
+    idx = rng.integers(0, 50, size=rows)
     with _workers(1):
         F1, V1 = obj.value_many(W), obj.value_rows(idx, W)
     with _workers(4):
@@ -976,20 +979,25 @@ def test_no_thread_outlives_a_multi_block_call():
     assert threading.enumerate() == before
 
 
-def test_one_block_calls_start_no_thread():
+def _recording_executors(made):
+    """ThreadPoolExecutor patched to append each executor it makes to made."""
     import concurrent.futures
-    made = []
     executor = concurrent.futures.ThreadPoolExecutor
 
     def recording_executor(*args, **kwargs):
         made.append(executor(*args, **kwargs))
         return made[-1]
 
+    return mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
+                             recording_executor)
+
+
+def test_one_block_calls_start_no_thread():
+    made = []
     rng = np.random.default_rng(9)
     obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
     W = rng.uniform(-3.0, 3.0, size=(1310, 10))
-    with _workers(4), mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
-                                        recording_executor):
+    with _workers(4), _recording_executors(made):
         obj.value_many(W)
         obj.value_rows(np.zeros(1310, dtype=int), W)
         obj.value(W[0])
@@ -999,10 +1007,18 @@ def test_one_block_calls_start_no_thread():
         assert len(made) == 1
 
 
-def test_worker_count_is_the_allowed_cpus_at_most_the_cap():
+def test_worker_count_is_the_allowed_cpus():
+    made = []
+    rng = np.random.default_rng(13)
+    obj = make_objective("least_squares", rng, 4, 2, "plain", 0.0)
+    W = rng.uniform(-1.0, 1.0, size=(30, 2))
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(64)),
                            create=True):
-        assert objectives._worker_count() == objectives._MAX_WORKERS
+        assert objectives._worker_count() == 64
+        # however many CPUs, a call of several blocks makes one helper
+        with _recording_executors(made), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
+            obj.value_many(W)
+        assert len(made) == 1 and made[0]._max_workers == 1
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
         assert objectives._worker_count() == 1
 

@@ -611,14 +611,14 @@ def test_estimate_delta_rejects_a_bad_count(field, value):
 def test_fit_curvature_scratch_memory_is_about_one_sample_block():
     # ridge has d = 10, so its 100,000 samples come in two blocks of
     # _SAMPLE_TERMS terms, drawn into one buffer. Beside that buffer the fit
-    # holds the value blocks' scratch (two blocks of _BLOCK_TERMS terms per
-    # worker), the gaps a and b of every sample, and a block's value_many
-    # output and gap, each shorter than the samples; sorting the gaps
-    # afterwards takes five sample-size vectors and no buffer
+    # holds the value blocks' scratch (two blocks of _BLOCK_TERMS terms in
+    # each of the two halves), the gaps a and b of every sample, and a
+    # block's value_many output and gap, each shorter than the samples;
+    # sorting the gaps afterwards takes five sample-size vectors and no buffer
     b = cg.load_benchmark("ridge")
     d, n = b.objective.dimension, 100_000
     block_bytes = (omega._SAMPLE_TERMS // d) * d * 8
-    value_bytes = objectives._MAX_WORKERS * 2 * objectives._BLOCK_TERMS * 8
+    value_bytes = 2 * 2 * objectives._BLOCK_TERMS * 8
     sample_bytes = n * 8
     cg.fit_curvature(b.objective, b.reference, seed=1)
     tracemalloc.start()

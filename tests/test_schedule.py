@@ -219,6 +219,8 @@ def test_parse_schedule_rejects_malformed():
         "paper-opt:h=1,beta=1e300,L=1e-300",   # delta underflows to 0
         "paper-opt:h=1,beta=1,L=1,r=1e-320",   # 1/r, so delta, is inf
         "paper-opt:h=0.5,beta=1e-320,L=1e-13", # finite delta, first step inf
+        "paper-opt:h=1,beta=1e-200,L=1e-100",  # envelope constant overflows
+        "paper-opt:h=1e-200,beta=1e-200,L=1e-100",  # beta h underflows to 0
     ]
     for text in bad:
         with pytest.raises(ValueError):
