@@ -10,9 +10,7 @@ steps elsewhere.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +31,6 @@ def _row_blocks(count: int, width: int, terms=None) -> list:
     the last fewer. No rows make one empty block, so blocks[0] sizes scratch."""
     rows = max(1, (_BLOCK_TERMS if terms is None else terms) // width)
     return [(lo, min(lo + rows, count)) for lo in range(0, max(count, 1), rows)]
-
-
-def _worker_count() -> int:
-    """The CPUs this process may run on, by its affinity mask, which does not
-    see a CPU quota; with two or more, value blocks split into two halves."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 class ConvergenceError(RuntimeError):
@@ -366,34 +355,12 @@ class Objective:
 
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
-        in blocks of about _BLOCK_TERMS (row, component) terms. On two or
-        more CPUs a call of several blocks splits them into two halves, the
-        second run by one helper thread; the bits do not depend on the split.
+        in blocks of about _BLOCK_TERMS (row, component) terms, one after
+        another on the calling thread.
         """
         W, _ = self._rows(W)
-        return self._block_values(W)
-
-    def _block_values(self, W):
-        # blocks of rows, each a (rows, n) array of base values reduced to the
-        # row mean. On two or more CPUs a call of several blocks runs the second
-        # half of them on one helper thread that lives for the call. A half
-        # writes only its own rows of out, so the bits do not depend on the split.
         out = np.empty(W.shape[0])
-        blocks = _row_blocks(W.shape[0], self.component_count)
-        half = len(blocks) // 2
-        if not half or _worker_count() < 2:
-            self._value_share(W, out, blocks)
-            return out
-        # imported here, as most calls evaluate a single block
-        from concurrent.futures import ThreadPoolExecutor
-        # leaving the with block waits for the helper, so it does not write
-        # into out after the call; numpy's errstate lives in a context
-        # variable, so the helper runs in a copy of the caller's context
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(contextvars.copy_context().run,
-                                 self._value_share, W, out, blocks[half:])
-            self._value_share(W, out, blocks[:half])
-            second.result()
+        self._value_share(W, out, _row_blocks(W.shape[0], self.component_count))
         return out
 
     def _value_share(self, W, out, blocks):
@@ -617,9 +584,7 @@ class CallableObjective(Objective):
     """Components given directly as (value, gradient) callables.
 
     Handy for one-off test objectives such as F(w) = w^4 in one dimension.
-    The callables take one weight vector, so the row hooks loop over rows;
-    on two or more CPUs, a value call of several blocks calls them from two
-    threads at once, one for each half of its blocks.
+    The callables take one weight vector, so the row hooks loop over rows.
     """
 
     def __init__(self, value_fns, grad_fns, dimension: int,

@@ -27,13 +27,6 @@ import numpy as np
 from . import objectives
 from .objectives import REGION_RADIUS
 
-# (sample, coordinate) terms per block of estimate_delta's draw: 4 MB, two
-# blocks of 100,000 samples at d = 10. Smaller blocks make more value_many
-# calls, and each call of several value blocks on two or more CPUs starts a
-# helper thread for the second half of its value blocks.
-_SAMPLE_TERMS = 8 * objectives._BLOCK_TERMS
-
-
 @dataclass(frozen=True)
 class OmegaSpec:
     """Parameters (h, r, mu, tau) of one gauge or, as arrays that broadcast
@@ -292,10 +285,11 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
 
     The samples are the bits of default_rng(seed).uniform over an
     (n_samples, dimension) array, drawn in consecutive blocks of rows into
-    one reused buffer of at most _SAMPLE_TERMS terms, so no sample-size
-    matrix is held. a and b see each block in turn; they must compute each
-    row from that row alone and must not keep the block, which the next
-    draw overwrites. dimension and n_samples must be integers of at least 1.
+    one reused buffer of at most objectives._BLOCK_TERMS terms, so no
+    sample-size matrix is held. a and b see each block in turn; they must
+    compute each row from that row alone and must not keep the block, which
+    the next draw overwrites. dimension and n_samples must be integers of at
+    least 1.
     """
     dimension = _positive_int("dimension", dimension)
     n_samples = _positive_int("n_samples", n_samples)
@@ -303,7 +297,7 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
     # formula of rng.uniform(-R, R), and rng.random fills the blocks from
     # the same stream, so the points are the bits of one uniform draw
     rng = np.random.default_rng(seed)
-    blocks = objectives._row_blocks(n_samples, dimension, _SAMPLE_TERMS)
+    blocks = objectives._row_blocks(n_samples, dimension)
     block = np.empty((blocks[0][1], dimension))
     av = np.empty(n_samples)
     bv = np.empty(n_samples)
@@ -320,16 +314,21 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
         pos = av[av > 0.0]
         if pos.size == 0:
             raise ValueError("no sample produced a positive gap value")
-        grid = np.geomspace(*np.quantile(pos, [0.001, 0.999]), 48)
+        # pos is a copy, so the quantiles may reorder it instead of copying it
+        grid = np.geomspace(*np.quantile(pos, [0.001, 0.999],
+                                         overwrite_input=True), 48)
+        del pos
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be positive and strictly increasing")
     rho = np.full(grid.size, math.nan)
     counts = np.zeros(grid.size, dtype=int)
-    # sorted once, NaN last; each band's members lie well inside the window
-    # eps +- 2 tol, where the exact test |av - eps| <= tol picks them out
+    # sorted once in place, NaN last; each band's members lie well inside the
+    # window eps +- 2 tol, where the exact test |av - eps| <= tol picks them
+    # out, and order maps them back to their distances in bv. Tied gaps are
+    # equal, so the mask picks the same distances however ties are ordered
     order = np.argsort(av)
-    av, bv = av[order], bv[order]
+    av.sort()
     tol = 0.02 * grid
     lows = av.searchsorted(grid - 2.0 * tol)
     highs = av.searchsorted(grid + 2.0 * tol, side="right")
@@ -337,7 +336,7 @@ def estimate_delta(a, b, dimension: int, grid=None, n_samples: int = 100_000,
         mask = np.abs(av[lo:hi] - eps) <= tol[k]
         counts[k] = int(np.count_nonzero(mask))
         if counts[k]:
-            rho[k] = float(bv[lo:hi][mask].max())
+            rho[k] = float(bv[order[lo:hi][mask]].max())
     delta = _upper_concave_majorant(grid, rho)
     fitted = _fit_low_decade_slope(grid, delta)
     return DeltaEstimate(

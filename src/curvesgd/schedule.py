@@ -72,12 +72,12 @@ class ScheduleSpec:
             raise ValueError("delta = %r: beta, L and r must give a positive, finite "
                              "delta and first step" % spec.delta)
         try:  # raises where beta h underflows to 0 or the power overflows
-            finite = spec.envelope_constant < math.inf
+            in_range = 0.0 < spec.envelope_constant < math.inf
         except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise ValueError("beta = %r, h = %r: the envelope constant "
-                             "(2/(beta h))^(2/(2-h)) overflows" % (spec.beta, spec.h))
+            in_range = False
+        if not in_range:
+            raise ValueError("beta = %r, h = %r: the envelope constant (2/(beta h))"
+                             "^(2/(2-h)) overflows or underflows" % (spec.beta, spec.h))
         return spec
 
     @property

@@ -63,6 +63,8 @@ def test_schedule_rejects_bad_text(capsys):
     ("paper-opt:h=0.5,beta=1,L=1,r=nan", "r must be positive"),
     # delta = 4e100 and the first step are finite, the envelope constant not
     ("paper-opt:h=1,beta=1e-200,L=1e-100", "beta = 1e-200, h = 1.0"),
+    # the envelope constant underflows to 0, once a C_bar column of zeros
+    ("paper-opt:h=1,beta=1e300,L=1e300", "overflows or underflows"),
 ])
 def test_schedule_rejects_non_finite_values(capsys, text, field):
     rc = main(["schedule", text, "--t", "0,1"])

@@ -1,7 +1,6 @@
 """Unit tests for the finite-sum objectives and the reference solver."""
 
 import math
-import os
 import re
 import threading
 import tracemalloc
@@ -888,53 +887,23 @@ def test_value_many_matches_component_mean(d):
                 assert F[k] == pytest.approx(mean, rel=1e-13), (kind, regularizer)
 
 
-def _workers(count):
-    """The CPUs the value blocks may use, patched to count."""
-    return mock.patch.object(objectives, "_worker_count", lambda: count)
+def _no_thread_starts():
+    """threading.Thread.start patched to fail the test at any thread start."""
+    def refuse(thread):
+        raise AssertionError("thread started: %r" % (thread,))
 
-
-@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-def test_value_blocks_keep_their_bits_on_any_worker_count(kind):
-    # 40 rows in blocks of 3: fourteen blocks, split between 1 or 4 workers
-    rng = np.random.default_rng(7)
-    for regularizer in REGULARIZERS:
-        obj = make_objective(kind, rng, 5, 4, regularizer, 0.3)
-        W = rng.uniform(-2.0, 2.0, size=(40, 4))
-        W[5] = 0.0
-        idx = rng.integers(0, 5, size=40)
-        results = []
-        for count in (1, 4):
-            with _workers(count), mock.patch.object(objectives, "_BLOCK_TERMS", 15):
-                results.append((obj.value_many(W), obj.value_rows(idx, W)))
-        (F1, V1), (F4, V4) = results
-        assert np.array_equal(F1, F4), regularizer
-        assert np.array_equal(V1, V4), regularizer
-
-
-@pytest.mark.parametrize("rows, blocks", [(3000, 3), (4000, 4), (50_000, 39)])
-def test_value_blocks_of_full_size_keep_their_bits_on_any_worker_count(rows, blocks):
-    # rows of 50 logistic components in blocks of 1,310 rows, the last one
-    # shorter: an odd split, an even one, and estimate-curvature's shape
-    rng = np.random.default_rng(8)
-    obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
-    assert len(objectives._row_blocks(rows, 50)) == blocks
-    W = rng.uniform(-3.0, 3.0, size=(rows, 10))
-    idx = rng.integers(0, 50, size=rows)
-    with _workers(1):
-        F1, V1 = obj.value_many(W), obj.value_rows(idx, W)
-    with _workers(4):
-        assert np.array_equal(obj.value_many(W), F1)
-        assert np.array_equal(obj.value_rows(idx, W), V1)
+    return mock.patch.object(threading.Thread, "start", refuse)
 
 
 @pytest.mark.filterwarnings("error")
-def test_threaded_values_keep_the_callers_errstate():
+def test_value_blocks_keep_the_callers_errstate():
     # exp_cosh overflows to inf at |w| past 709.78; the caller's errstate
-    # must hold in every share, as a warning raised in a helper thread fails
-    # the call
+    # must hold in every one of the ten blocks, as a warning raised in any
+    # block fails the call
     obj = cg.LinearObjective(np.ones((3, 2)), "exp_cosh_G", 0.5)
     W = np.full((30, 2), 800.0)
-    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 9):
+    with _no_thread_starts(), mock.patch.object(objectives, "_BLOCK_TERMS", 9):
+        assert len(objectives._row_blocks(30, 3)) == 10
         with np.errstate(over="ignore"):
             F = obj.value_many(W)
             V = obj.value_rows(np.zeros(30, dtype=int), W)
@@ -943,11 +912,11 @@ def test_threaded_values_keep_the_callers_errstate():
             obj.value_many(W)
 
 
-@pytest.mark.parametrize("share", ["first", "last"])
-def test_an_exception_in_a_share_propagates_unchanged(share):
-    # 40 rows in blocks of 3, in four shares: the first rows are the calling
-    # thread's share, the last rows a helper thread's
-    bad = (lambda x: x < -0.9) if share == "first" else (lambda x: x > 1.0)
+@pytest.mark.parametrize("block", ["first", "last"])
+def test_an_exception_in_any_value_block_propagates_unchanged(block):
+    # 40 rows in blocks of 3: the bad row is in the first block or is the
+    # last block's one row
+    bad = (lambda x: x < -0.9) if block == "first" else (lambda x: x > 1.95)
     raised = []
 
     def value(w):
@@ -958,108 +927,88 @@ def test_an_exception_in_a_share_propagates_unchanged(share):
 
     obj = cg.CallableObjective([value], [lambda w: w], 1)
     W = np.linspace(-1.0, 2.0, 40)[:, None]
-    before = threading.enumerate()
-    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 3):
+    with _no_thread_starts(), mock.patch.object(objectives, "_BLOCK_TERMS", 3):
         with pytest.raises(ValueError) as err:
             obj.value_many(W)
     assert err.value is raised[0][0]
-    assert (raised[0][1] == threading.get_ident()) == (share == "first")
-    # leaving the call waited for every helper, whichever share raised
-    assert threading.enumerate() == before
+    assert raised[0][1] == threading.get_ident()
 
 
-def test_no_thread_outlives_a_multi_block_call():
+def test_value_calls_of_many_blocks_start_no_thread():
+    # 30 rows in blocks of 2, and a full-size 50,000-row call of 39 blocks
     rng = np.random.default_rng(11)
     obj = make_objective("least_squares", rng, 4, 2, "norm2", 0.3)
     W = rng.uniform(-1.0, 1.0, size=(30, 2))
-    before = threading.enumerate()
-    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
-        obj.value_many(W)
-        obj.value_rows(np.zeros(30, dtype=int), W)
-    assert threading.enumerate() == before
-
-
-def _recording_executors(made):
-    """ThreadPoolExecutor patched to append each executor it makes to made."""
-    import concurrent.futures
-    executor = concurrent.futures.ThreadPoolExecutor
-
-    def recording_executor(*args, **kwargs):
-        made.append(executor(*args, **kwargs))
-        return made[-1]
-
-    return mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
-                             recording_executor)
-
-
-def test_one_block_calls_start_no_thread():
-    made = []
-    rng = np.random.default_rng(9)
-    obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
-    W = rng.uniform(-3.0, 3.0, size=(1310, 10))
-    with _workers(4), _recording_executors(made):
-        obj.value_many(W)
-        obj.value_rows(np.zeros(1310, dtype=int), W)
-        obj.value(W[0])
-        obj.gradient(W[0])
-        assert made == []
-        obj.value_many(np.vstack([W, W[:1]]))
-        assert len(made) == 1
-
-
-def test_worker_count_is_the_allowed_cpus():
-    made = []
-    rng = np.random.default_rng(13)
-    obj = make_objective("least_squares", rng, 4, 2, "plain", 0.0)
-    W = rng.uniform(-1.0, 1.0, size=(30, 2))
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(64)),
-                           create=True):
-        assert objectives._worker_count() == 64
-        # however many CPUs, a call of several blocks makes one helper
-        with _recording_executors(made), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
+    wide = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
+    W_wide = rng.uniform(-3.0, 3.0, size=(50_000, 10))
+    assert len(objectives._row_blocks(50_000, 50)) == 39
+    with _no_thread_starts():
+        with mock.patch.object(objectives, "_BLOCK_TERMS", 8):
             obj.value_many(W)
-        assert len(made) == 1 and made[0]._max_workers == 1
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-        assert objectives._worker_count() == 1
+            obj.value_rows(np.zeros(30, dtype=int), W)
+        wide.value_many(W_wide)
+        wide.value(W_wide[0])
+        wide.gradient(W_wide[0])
 
 
-def test_a_value_call_inside_a_share_gets_its_own_helpers():
-    # each component value makes a call of several blocks itself; were it
-    # to wait on threads that the outer call occupies, it could wait forever
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_value_blocks_keep_their_bits_on_any_block_size(kind):
+    # 40 rows of 5 components in one block, or in blocks of 3: fourteen
+    # blocks, the last one row
+    rng = np.random.default_rng(7)
+    for regularizer in REGULARIZERS:
+        obj = make_objective(kind, rng, 5, 4, regularizer, 0.3)
+        W = rng.uniform(-2.0, 2.0, size=(40, 4))
+        W[5] = 0.0
+        idx = rng.integers(0, 5, size=40)
+        F, V = obj.value_many(W), obj.value_rows(idx, W)
+        with _no_thread_starts(), mock.patch.object(objectives, "_BLOCK_TERMS", 15):
+            assert len(objectives._row_blocks(40, 5)) == 14
+            assert np.array_equal(obj.value_many(W), F), regularizer
+            assert np.array_equal(obj.value_rows(idx, W), V), regularizer
+
+
+@pytest.mark.parametrize("rows, blocks", [(3000, 3), (4000, 4), (50_000, 39)])
+def test_value_blocks_of_full_size_keep_their_bits_in_one_block(rows, blocks):
+    # rows of 50 logistic components in blocks of 1,310 rows, the last one
+    # shorter, against one block of every row: an odd count, an even one,
+    # and estimate-curvature's shape
+    rng = np.random.default_rng(8)
+    obj = make_objective("logistic", rng, 50, 10, "norm2_squared", 0.1)
+    assert len(objectives._row_blocks(rows, 50)) == blocks
+    W = rng.uniform(-3.0, 3.0, size=(rows, 10))
+    idx = rng.integers(0, 50, size=rows)
+    F, V = obj.value_many(W), obj.value_rows(idx, W)
+    with mock.patch.object(objectives, "_BLOCK_TERMS", 10 ** 9):
+        assert len(objectives._row_blocks(rows, 50)) == 1
+        assert np.array_equal(obj.value_many(W), F)
+        assert np.array_equal(obj.value_rows(idx, W), V)
+
+
+def test_a_value_call_inside_a_value_block_gets_the_same_bits():
+    # each component value makes a call of twelve blocks itself, so two
+    # calls run their blocks at once on one thread; neither may disturb the
+    # other's scratch or output
     rng = np.random.default_rng(10)
     inner = make_objective("least_squares", rng, 4, 2, "plain", 0.0)
     inner_W = rng.uniform(-1.0, 1.0, size=(12, 2))
-    obj = cg.CallableObjective(
-        [lambda w: float(w[0] + inner.value_many(inner_W).sum())],
-        [lambda w: w], 1)
+    inner_F = inner.value_many(inner_W)
+    seen = []
+
+    def value(w):
+        seen.append(inner.value_many(inner_W))
+        return float(w[0] + seen[-1].sum())
+
+    obj = cg.CallableObjective([value], [lambda w: w], 1)
     W = np.linspace(-1.0, 1.0, 16)[:, None]
-    results = []
-    with _workers(4), mock.patch.object(objectives, "_BLOCK_TERMS", 4):
-        with _workers(1):
-            expected = obj.value_many(W)
-        worker = threading.Thread(target=lambda: results.append(obj.value_many(W)))
-        worker.start()
-        worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert np.array_equal(results[0], expected)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_after_a_threaded_call_gets_the_same_bits():
-    rng = np.random.default_rng(12)
-    obj = make_objective("linear", rng, 4, 3, "plain", 0.0)
-    W = rng.uniform(-1.0, 1.0, size=(20, 3))
-    with _workers(2), mock.patch.object(objectives, "_BLOCK_TERMS", 8):
-        expected = obj.value_many(W)
-        pid = os.fork()
-        if pid == 0:
-            ok = False
-            try:
-                ok = np.array_equal(obj.value_many(W), expected)
-            finally:
-                os._exit(0 if ok else 1)
-        _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    with _no_thread_starts(), mock.patch.object(objectives, "_BLOCK_TERMS", 4):
+        assert len(objectives._row_blocks(16, 1)) == 4
+        assert len(objectives._row_blocks(12, 4)) == 12
+        expected = [obj.value_many(W[k : k + 1])[0] for k in range(16)]
+        F = obj.value_many(W)
+    assert np.array_equal(F, expected)
+    assert len(seen) == 32
+    assert all(np.array_equal(s, inner_F) for s in seen)
 
 
 @pytest.mark.parametrize("z", [-40.0, -37.0, -30.0, 30.0, 37.0, 40.0])

@@ -530,6 +530,40 @@ def test_estimate_delta_bands_match_the_band_loop():
         assert np.array_equal(est.rho_values, rho, equal_nan=True), case
 
 
+def test_estimate_delta_blocks_match_the_band_loop_on_tied_gaps():
+    # 5,000 samples in blocks of 64 rows; the gaps are multiples of 1/64,
+    # so most are tied with others of distinct distances, and some are
+    # -0.0, +0.0 or NaN. The distances each band reads go through the sort
+    # order of the gaps, so a tie broken the other way must not change them
+    n, d = 5000, 3
+    seen_a, seen_b = [], []
+
+    def a(W):
+        gaps = np.floor(np.abs(W[:, 0]) * 64.0) / 64.0
+        gaps[W[:, 1] < -2.0] = -0.0
+        gaps[W[:, 2] > 2.5] = math.nan
+        seen_a.append(gaps)
+        return gaps
+
+    def b(W):
+        seen_b.append(np.einsum("ij,ij->i", W, W))
+        return seen_b[-1]
+
+    with _sample_rows(64, d):
+        est = estimate_delta(a, b, d, n_samples=n, seed=4)
+    av, bv = np.concatenate(seen_a), np.concatenate(seen_b)
+    assert len(seen_a) == 79
+    assert np.any(np.signbit(av) & (av == 0.0)) and np.any(~np.signbit(av) & (av == 0.0))
+    assert np.any(np.isnan(av)) and np.unique(av[av > 0.0]).size < 200
+    pos = av[av > 0.0]
+    grid = np.geomspace(*np.quantile(pos, [0.001, 0.999]), 48)
+    assert np.array_equal(est.epsilon_grid, grid)
+    rho, counts = _band_loop(av, bv, grid)
+    assert np.array_equal(est.band_counts, counts)
+    assert np.array_equal(est.rho_values, rho, equal_nan=True)
+    assert counts.max() > 100
+
+
 def test_estimate_delta_draws_the_region_radius_box():
     n, d, seed = 1000, 4, 5
     seen = []
@@ -546,8 +580,9 @@ def test_estimate_delta_draws_the_region_radius_box():
 
 
 def _sample_rows(rows, dimension):
-    """estimate_delta's sample block, patched to `rows` rows."""
-    return mock.patch.object(omega, "_SAMPLE_TERMS", rows * dimension)
+    """estimate_delta's sample block, patched to `rows` rows; the value
+    blocks inside each sample block shrink with it."""
+    return mock.patch.object(objectives, "_BLOCK_TERMS", rows * dimension)
 
 
 def _delta_arrays(est):
@@ -576,7 +611,7 @@ def test_sample_blocks_do_not_change_a_bit(name):
 
 
 @pytest.mark.parametrize("n, d, rows, blocks", [
-    (1003, 4, 7, 144), (1003, 4, None, 1), (100_000, 10, None, 2)])
+    (1003, 4, 7, 144), (1003, 4, None, 1), (100_000, 10, None, 16)])
 def test_sample_blocks_are_one_uniform_draw_in_order(n, d, rows, blocks):
     # b sees consecutive blocks of equal rows, the last one shorter, which
     # together are the bits of one uniform draw
@@ -590,7 +625,7 @@ def test_sample_blocks_are_one_uniform_draw_in_order(n, d, rows, blocks):
     with _sample_rows(rows, d) if rows else contextlib.nullcontext():
         estimate_delta(lambda W: np.einsum("ij,ij->i", W, W), b, d,
                        n_samples=n, seed=seed)
-        block = omega._SAMPLE_TERMS // d
+        block = objectives._BLOCK_TERMS // d
     assert len(seen) == blocks
     assert {len(W) for W in seen[:-1]} <= {block} and 0 < len(seen[-1]) <= block
     expected = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, d))
@@ -609,16 +644,16 @@ def test_estimate_delta_rejects_a_bad_count(field, value):
 
 
 def test_fit_curvature_scratch_memory_is_about_one_sample_block():
-    # ridge has d = 10, so its 100,000 samples come in two blocks of
-    # _SAMPLE_TERMS terms, drawn into one buffer. Beside that buffer the fit
-    # holds the value blocks' scratch (two blocks of _BLOCK_TERMS terms in
-    # each of the two halves), the gaps a and b of every sample, and a
-    # block's value_many output and gap, each shorter than the samples;
-    # sorting the gaps afterwards takes five sample-size vectors and no buffer
+    # ridge has d = 10, so its 100,000 samples come in sixteen blocks of
+    # _BLOCK_TERMS terms, drawn into one buffer. Beside that buffer the fit
+    # holds one value block's scratch (two arrays of _BLOCK_TERMS terms),
+    # the gaps a and b of every sample, and a block's value_many output and
+    # gap, each much shorter than the samples; the quantiles of the positive
+    # gaps, and then their sort order, take one more sample-size vector
     b = cg.load_benchmark("ridge")
     d, n = b.objective.dimension, 100_000
-    block_bytes = (omega._SAMPLE_TERMS // d) * d * 8
-    value_bytes = 2 * 2 * objectives._BLOCK_TERMS * 8
+    block_bytes = (objectives._BLOCK_TERMS // d) * d * 8
+    value_bytes = 2 * objectives._BLOCK_TERMS * 8
     sample_bytes = n * 8
     cg.fit_curvature(b.objective, b.reference, seed=1)
     tracemalloc.start()
@@ -629,7 +664,7 @@ def test_fit_curvature_scratch_memory_is_about_one_sample_block():
     finally:
         tracemalloc.stop()
     scratch = peak - before
-    assert scratch < block_bytes + value_bytes + 4 * sample_bytes, (
+    assert scratch < block_bytes + value_bytes + 3 * sample_bytes, (
         scratch, block_bytes)
 
 

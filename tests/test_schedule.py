@@ -221,10 +221,21 @@ def test_parse_schedule_rejects_malformed():
         "paper-opt:h=0.5,beta=1e-320,L=1e-13", # finite delta, first step inf
         "paper-opt:h=1,beta=1e-200,L=1e-100",  # envelope constant overflows
         "paper-opt:h=1e-200,beta=1e-200,L=1e-100",  # beta h underflows to 0
+        "paper-opt:h=1,beta=1e300,L=1e300",    # envelope constant underflows to 0
     ]
     for text in bad:
         with pytest.raises(ValueError):
             cg.parse_schedule(text)
+
+
+@pytest.mark.parametrize("beta, L", [(1e300, 1e300), (1e-200, 1e-100)])
+def test_curvature_matched_rejects_an_envelope_constant_out_of_range(beta, L):
+    # at h = 1, c = (2/beta)^2: 4e-600 underflows to 0 and 4e400 overflows,
+    # though delta and the first step are finite; the zero once gave a C_bar
+    # column of zeros and an ArithmeticError in ode_residual
+    assert 0.0 < 4.0 * L / beta < math.inf
+    with pytest.raises(ValueError, match="overflows or underflows"):
+        cg.ScheduleSpec.curvature_matched(h=1.0, beta=beta, L=L)
 
 
 def test_schedule_constructor_validation():
