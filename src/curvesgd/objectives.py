@@ -25,11 +25,11 @@ REGION_RADIUS = 3.0
 _BLOCK_TERMS = 1 << 16
 
 
-def _row_blocks(count: int, width: int, terms=None) -> list:
+def _row_blocks(count: int, width: int) -> list:
     """The (lo, hi) bounds of the blocks that cover count rows of width
-    terms: max(1, terms // width) rows each (terms defaults to _BLOCK_TERMS),
-    the last fewer. No rows make one empty block, so blocks[0] sizes scratch."""
-    rows = max(1, (_BLOCK_TERMS if terms is None else terms) // width)
+    terms: max(1, _BLOCK_TERMS // width) rows each, the last fewer. No rows
+    make one empty block, so blocks[0] sizes scratch."""
+    rows = max(1, _BLOCK_TERMS // width)
     return [(lo, min(lo + rows, count)) for lo in range(0, max(count, 1), rows)]
 
 
@@ -161,11 +161,11 @@ def _softplus_inplace(m, tmp):
     np.add(m, tmp, out=m)
 
 
-def _sigmoid_neg(z):
-    """1 / (1 + e^z) to full relative accuracy for every z: with
-    e = exp(-|z|) it is e / (1 + e) for z > 0 and 1 / (1 + e) otherwise,
-    the numerator being exp(-max(z, 0))."""
-    return np.exp(-np.maximum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+def _sigmoid(m):
+    """1 / (1 + e^-m) to full relative accuracy for every m: with
+    e = exp(-|m|) it is e / (1 + e) for m < 0 and 1 / (1 + e) otherwise,
+    the numerator being exp(min(m, 0))."""
+    return np.exp(np.minimum(m, 0.0)) / (1.0 + np.exp(-np.abs(m)))
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,10 @@ class Objective:
     ``_base_values_gathered(data, W)`` and ``_base_grad_gathered(data, W,
     out)`` the component each row names; every value and gradient of the
     public surface is built from them. Its two constants, ``_base_L`` and
-    ``_base_mu``, are set when it is built. What each regularizer adds is
-    one row of _REGULARIZER_TERMS. The gradient kernel
+    ``_base_mu``, are set when it is built. The logistic, least-squares and
+    linear losses share one set of kernels, _MarginObjective's, and give
+    only their loss of the margin a_i'w and its slope. What each
+    regularizer adds is one row of _REGULARIZER_TERMS. The gradient kernel
     ``_grad_gathered(data, W, out, tmp)`` adds lam times the regularizer
     gradient in place. The engine gathers the data of many steps at once and
     calls the same kernel once per step, with buffers it reuses; grad_rows
@@ -356,19 +358,15 @@ class Objective:
         Like grad_rows, each row is computed from its own weights alone, so
         a row has the same bits whatever the other rows hold. Rows are taken
         in blocks of about _BLOCK_TERMS (row, component) terms, one after
-        another on the calling thread.
+        another on the calling thread, through two scratch arrays sized to
+        the first block and reused. This is the one value loop: value is
+        its one-row call.
         """
         W, _ = self._rows(W)
-        out = np.empty(W.shape[0])
-        self._value_share(W, out, _row_blocks(W.shape[0], self.component_count))
-        return out
-
-    def _value_share(self, W, out, blocks):
-        # the rows of out in blocks, consecutive (lo, hi) bounds, through
-        # two scratch arrays sized to the first block and reused
         n = self.component_count
-        lo, hi = blocks[0]
-        base = np.empty((hi - lo, n))
+        out = np.empty(W.shape[0])
+        blocks = _row_blocks(W.shape[0], n)
+        base = np.empty((blocks[0][1], n))
         tmp = np.empty(base.shape)
         for lo, hi in blocks:
             if hi - lo < base.shape[0]:  # the last, shorter block
@@ -379,14 +377,11 @@ class Objective:
             vals /= n
             if self._reg is not None:
                 vals += self.regularization_weight * self._reg.values(block)
+        return out
 
     def value(self, w) -> float:
-        """F(w), computed as the one-row case of value_many, straight
-        through its block loop."""
-        W, _ = self._rows(np.asarray(w, dtype=float)[None])
-        out = np.empty(1)
-        self._value_share(W, out, _row_blocks(1, self.component_count))
-        return float(out[0])
+        """F(w): value_many's one-row call."""
+        return float(self.value_many(np.asarray(w, dtype=float)[None])[0])
 
     def gradient(self, w) -> np.ndarray:
         """grad F(w): the mean of the component gradients at w, summed over
@@ -425,86 +420,93 @@ class Objective:
         return self._base_L + self.regularization_weight * reg
 
 
-class LogisticObjective(Objective):
-    """Binary logistic regression: f_i(w) = log(1 + exp(-y_i x_i' w))."""
+class _MarginObjective(Objective):
+    """Components base_i(w) = loss(m_i, b_i) of one margin m_i = a_i'w and
+    an optional label b_i, with gradient slope(m_i, b_i) a_i. A loss gives
+    A, its labels or None, the curvature bound of its loss in the margin,
+    _loss(m, tmp, data), which overwrites m with the loss (tmp is scratch),
+    and _slope(m, data), which returns the slope, maybe in m; data holds
+    the (A[, b]) rows of the margins. The four kernels and L live here."""
+
+    def __init__(self, A, b, curvature, regularizer, lam):
+        super().__init__(A.shape[0], A.shape[1], regularizer, lam)
+        # a loss without labels gathers one array per index: the engine
+        # zips the gathered arrays once per step
+        self._data = (A,) if b is None else (A, b)
+        self._AT = A.T.copy()
+        # zero curvature keeps L at exactly 0, also where a row's squared
+        # norm overflows and 0 * inf would be nan
+        if curvature:
+            self._base_L = curvature * float(np.max(np.einsum("ij,ij->i", A, A)))
+
+    def _gather(self, idx):
+        return tuple([a[idx] for a in self._data])
+
+    def _base_values(self, W, out, tmp):
+        np.einsum("kj,ji->ki", W, self._AT, out=out)
+        self._loss(out, tmp, self._data)
+
+    def _base_values_gathered(self, data, W):
+        m = np.einsum("ij,ij->i", data[0], W)
+        self._loss(m, np.empty_like(m), data)
+        return m
+
+    def _base_grad_gathered(self, data, W, out):
+        m = self._slope(np.einsum("ij,ij->i", data[0], W), data)
+        return np.multiply(m[:, None], data[0], out)
+
+
+class LogisticObjective(_MarginObjective):
+    """Binary logistic regression: f_i(w) = log(1 + exp(-y_i x_i' w)), the
+    softplus of the margin a_i'w with a_i = -y_i x_i."""
+
+    _loss = staticmethod(lambda m, tmp, data: _softplus_inplace(m, tmp))
+    _slope = staticmethod(lambda m, data: _sigmoid(m))
 
     def __init__(self, dataset: Dataset, regularizer: str = "plain", lam: float = 0.0):
         if not np.all(np.isin(dataset.y, (-1.0, 1.0))):
             raise ValueError("logistic labels must be exactly +-1")
-        super().__init__(dataset.size, dataset.dimension, regularizer, lam)
-        self.X = dataset.X
-        self.y = dataset.y
         # sigmoid' <= 1/4, so the component Hessian is bounded by ||x_i||^2/4
-        self._base_L = float(np.max(np.einsum("ij,ij->i", self.X, self.X))) / 4.0
-        # y_i x_i, and -y_i x_i transposed for the margins -y_i x_i'w
-        self._yX = self.y[:, None] * self.X
-        self._neg_yX_T = (-self._yX).T.copy()
-
-    def _base_values(self, W, out, tmp):
-        np.einsum("kj,ji->ki", W, self._neg_yX_T, out=out)
-        _softplus_inplace(out, tmp)
-
-    def _gather(self, idx):
-        return (self._yX[idx],)
-
-    def _base_values_gathered(self, data, W):
-        m = -np.einsum("ij,ij->i", data[0], W)
-        _softplus_inplace(m, np.empty_like(m))
-        return m
-
-    def _base_grad_gathered(self, data, W, out):
-        yXi, = data
-        s = _sigmoid_neg(np.einsum("ij,ij->i", yXi, W))
-        return np.multiply(np.negative(s, s)[:, None], yXi, out)
+        super().__init__(-(dataset.y[:, None] * dataset.X), None, 0.25,
+                         regularizer, lam)
 
     def _base_hessian_product(self, w):
-        # (1/n) sum_i s_i (1 - s_i) x_i x_i' v with s_i = sigmoid(-y_i x_i'w);
-        # 1 - s_i is taken as sigmoid(y_i x_i'w), which keeps its relative
+        # (1/n) sum_i s_i (1 - s_i) a_i a_i' v with s_i = sigmoid(a_i'w);
+        # 1 - s_i is taken as sigmoid(-a_i'w), which keeps its relative
         # accuracy where s_i rounds to 1
-        margins = np.einsum("ij,j->i", self._yX, w)
-        weights = _sigmoid_neg(margins) * _sigmoid_neg(-margins)
+        A = self._data[0]
+        margins = np.einsum("ij,j->i", A, w)
+        weights = _sigmoid(margins) * _sigmoid(-margins)
         weights /= self.component_count
         return lambda v: np.einsum(
-            "i,ij->j", weights * np.einsum("ij,j->i", self._yX, v), self._yX)
+            "i,ij->j", weights * np.einsum("ij,j->i", A, v), A)
 
 
-class LeastSquaresObjective(Objective):
+class LeastSquaresObjective(_MarginObjective):
     """Squared-error components f_i(w) = (a_i' w - b_i)^2."""
 
     def __init__(self, dataset: Dataset, regularizer: str = "plain", lam: float = 0.0):
-        super().__init__(dataset.size, dataset.dimension, regularizer, lam)
-        self.X = dataset.X
-        self.y = dataset.y
-        self._XT = self.X.T.copy()
-        self._base_L = 2.0 * float(np.max(np.einsum("ij,ij->i", self.X, self.X)))
+        super().__init__(dataset.X, dataset.y, 2.0, regularizer, lam)
 
-    def _base_values(self, W, out, tmp):
-        np.einsum("kj,ji->ki", W, self._XT, out=out)
-        np.subtract(out, self.y, out=out)
-        np.multiply(out, out, out=out)
+    @staticmethod
+    def _loss(m, tmp, data):
+        np.subtract(m, data[1], m)
+        np.multiply(m, m, m)
 
-    def _gather(self, idx):
-        return self.X[idx], self.y[idx]
-
-    def _base_values_gathered(self, data, W):
-        r = np.einsum("ij,ij->i", data[0], W) - data[1]
-        return np.multiply(r, r, r)
-
-    def _base_grad_gathered(self, data, W, out):
-        Xi, yi = data
-        r = np.einsum("ij,ij->i", Xi, W)
-        np.subtract(r, yi, r)
-        np.add(r, r, r)
-        return np.multiply(r[:, None], Xi, out)
+    @staticmethod
+    def _slope(m, data):
+        np.subtract(m, data[1], m)
+        return np.add(m, m, m)
 
     def _base_hessian_product(self, w):
-        # (2/n) X'X v, the same map at every w
+        # (2/n) A'A v, the same map at every w
+        A = self._data[0]
         scale = 2.0 / self.component_count
         return lambda v: np.einsum(
-            "i,ij->j", np.einsum("ij,j->i", self.X, v), self.X) * scale
+            "i,ij->j", np.einsum("ij,j->i", A, v), A) * scale
 
 
-class LinearObjective(Objective):
+class LinearObjective(_MarginObjective):
     """Linear components f_i(w) = c_i' w, usually paired with a regularizer.
 
     With rows of C summing to zero, F(w) is exactly lam * reg(w) and the
@@ -512,6 +514,7 @@ class LinearObjective(Objective):
     """
 
     _base_L = 0.0
+    _loss = staticmethod(lambda m, tmp, data: None)  # the margin is the value
 
     def __init__(self, C, regularizer: str = "plain", lam: float = 0.0):
         C = np.asarray(C, dtype=float)
@@ -519,18 +522,7 @@ class LinearObjective(Objective):
             raise ValueError("C must be a 2-d array of component gradients")
         if not np.all(np.isfinite(C)):
             raise ValueError("C must be finite")
-        super().__init__(C.shape[0], C.shape[1], regularizer, lam)
-        self.C = C
-        self._CT = C.T.copy()
-
-    def _base_values(self, W, out, tmp):
-        np.einsum("kj,ji->ki", W, self._CT, out=out)
-
-    def _gather(self, idx):
-        return (self.C[idx],)
-
-    def _base_values_gathered(self, data, W):
-        return np.einsum("ij,ij->i", data[0], W)
+        super().__init__(C, None, 0.0, regularizer, lam)
 
     def _base_grad_gathered(self, data, W, out):
         return data[0]

@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -226,6 +227,12 @@ def test_smoothness_bounds():
     box = objectives._REGULARIZER_TERMS["exp_cosh_G"].box_bound
     assert cg.LinearObjective(data.X, "exp_cosh_G", 0.3).smoothness_bound() == 0.3 * box
     assert cg.LinearObjective(data.X).smoothness_bound() == 0.0
+    # and exactly none when a row's squared norm overflows, where 0 times
+    # max ||c_i||^2 would be 0 * inf = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = cg.LinearObjective([[1e200], [-1e200]], "exp_cosh_G", 1.0)
+        assert huge.smoothness_bound() == box
     assert cg.QuadraticMeanObjective(3.0, data.X).smoothness_bound() == 3.0
 
 
@@ -684,11 +691,65 @@ def allocating_grad_rows(kind, X, y, regularizer, lam, idx, W, mu=2.0):
     return G + lam * R
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3])
-@pytest.mark.parametrize("regularizer", REGULARIZERS)
-@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
-                                                            lam):
+def allocating_values(kind, X, y, regularizer, lam, idx, W):
+    """(value_many, value_rows) by the allocating formulas, whose bits the
+    in-place value hooks keep."""
+    def softplus(m):
+        return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+
+    if kind == "logistic":
+        yX = y[:, None] * X
+        full = softplus(np.einsum("kj,ji->ki", W, (-yX).T.copy()))
+        rows = softplus(-np.einsum("ij,ij->i", yX[idx], W))
+    elif kind == "least_squares":
+        r = np.einsum("kj,ji->ki", W, X.T.copy()) - y
+        full = r * r
+        r = np.einsum("ij,ij->i", X[idx], W) - y[idx]
+        rows = r * r
+    else:
+        full = np.einsum("kj,ji->ki", W, X.T.copy())
+        rows = np.einsum("ij,ij->i", X[idx], W)
+    F = full.sum(axis=1) / X.shape[0]
+    if not lam or regularizer == "plain":
+        return F, rows
+    if regularizer == "norm2":
+        R = np.linalg.norm(W, axis=1)
+    elif regularizer == "norm2_squared":
+        R = 0.5 * np.einsum("ij,ij->i", W, W)
+    else:
+        R = np.sum(np.expm1(W) + np.expm1(-W) - W * W, axis=1)
+    return F + lam * R, rows + lam * R
+
+
+def allocating_hessian_product(kind, X, y, regularizer, lam, w, v):
+    """H v at w by the allocating formulas, or None where F has no Hessian
+    product."""
+    n = X.shape[0]
+    if kind == "logistic":
+        def sigmoid_neg(z):
+            return np.exp(-np.maximum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+        yX = y[:, None] * X
+        margins = np.einsum("ij,j->i", yX, w)
+        weights = sigmoid_neg(margins) * sigmoid_neg(-margins)
+        weights /= n
+        Hv = np.einsum("i,ij->j", weights * np.einsum("ij,j->i", yX, v), yX)
+    elif kind == "least_squares":
+        Hv = np.einsum("i,ij->j", np.einsum("ij,j->i", X, v), X) * (2.0 / n)
+    else:
+        Hv = np.zeros_like(v)
+    if not lam or regularizer == "plain":
+        return Hv
+    if regularizer == "norm2":
+        return None
+    if regularizer == "norm2_squared":
+        return Hv + (lam * 1.0) * v
+    return Hv + (lam * (np.expm1(w) + np.expm1(-w))) * v
+
+
+def oracle_case(kind, regularizer, lam):
+    """(X, y, objective, idx, W) of the bit oracles: W holds signed zeros
+    and rows near the exp_cosh overflow at |w| = 709.78, and past it."""
     rng = np.random.default_rng(29)
     X, y = make_data(kind, rng, 6, 3)
     obj = build_objective(kind, X, y, regularizer, lam)
@@ -696,10 +757,18 @@ def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
     W = rng.uniform(-3.0, 3.0, size=(40, 3))
     W[0] = 0.0  # the kink of norm2
     W[1] = -0.0
-    # rows near the exp_cosh overflow at |w| = 709.78, and past it
     W[2:8] = [[709.7, -709.7, 1e-300], [709.78, -709.78, 0.0],
               [709.79, -709.79, 3.0], [710.0, -710.0, -1e-300],
               [-709.7, 709.7, 5e-324], [-710.0, 710.0, 2.5]]
+    return X, y, obj, idx, W
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
+                                                            lam):
+    X, y, obj, idx, W = oracle_case(kind, regularizer, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = allocating_grad_rows(kind, X, y, regularizer, lam, idx, W)
         G = obj.grad_rows(idx, W)
@@ -712,6 +781,27 @@ def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
             assert np.array_equal(G, expected, equal_nan=True)
     if regularizer == "exp_cosh_G" and lam:
         assert np.isinf(G[4:8]).any()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", ["logistic", "least_squares", "linear"])
+def test_values_and_hessian_products_keep_the_bits_of_the_allocating_formulas(
+        kind, regularizer, lam):
+    X, y, obj, idx, W = oracle_case(kind, regularizer, lam)
+    v = np.random.default_rng(30).uniform(-1.0, 1.0, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, V = allocating_values(kind, X, y, regularizer, lam, idx, W)
+        assert np.array_equal(obj.value_many(W), F, equal_nan=True)
+        assert np.array_equal(obj.value_rows(idx, W), V, equal_nan=True)
+        for w in W:
+            expected = allocating_hessian_product(kind, X, y, regularizer, lam,
+                                                  w, v)
+            product = obj._hessian_product(w)
+            if expected is None:
+                assert product is None
+            else:
+                assert np.array_equal(product(v), expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("regularizer", REGULARIZERS)
