@@ -14,7 +14,7 @@ terms of iterates. The objective gathers the component data of a whole
 chunk's indices in one call. Each step is then one call of the objective's
 gradient kernel, _grad_gathered(data, W, out, tmp), into two buffers the
 sweep reuses, and one update into the chunk's buffer; a one-schedule step
-size is a Python float, which a ufunc takes faster than a numpy scalar.
+size is a Python float: a list of them iterates faster than an array.
 After the chunk, its largest and smallest entry settle the region check and
 the divergence test of a chunk that stayed inside the box, which is
 capped at the largest float so that an infinite entry never passes; only

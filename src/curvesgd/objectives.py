@@ -94,24 +94,21 @@ def regularizer_G_value(w):
 
 
 def regularizer_G_gradient(w):
-    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i; a 0-d w yields
-    a float."""
+    """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i, computed as
+    2 (sinh w_i - w_i); a 0-d w yields a float."""
     w = np.asarray(w, dtype=float)
-    return _g_gradient(w, np.empty_like(w), np.empty_like(w))[()]
+    return _g_gradient(w, np.empty_like(w))[()]
 
 
-def _g_gradient(w, out, scratch):
-    # grad G at w written into out, with scratch overwritten: both arrays
-    # of w's shape, distinct from w and from each other
-    np.negative(w, scratch)
-    np.expm1(scratch, scratch)
-    np.expm1(w, out)
-    np.subtract(out, scratch, out)
-    np.add(w, w, scratch)
-    return np.subtract(out, scratch, out)
+def _g_gradient(w, out):
+    # grad G at w as 2 (sinh w - w), written into out, an array of w's shape
+    # distinct from w
+    np.sinh(w, out)
+    np.subtract(out, w, out)
+    return np.add(out, out, out)
 
 
-def _norm2_gradient(W, out, scratch):
+def _norm2_gradient(W, out):
     # a zero row takes the subgradient 0, valid at the kink
     out.fill(0.0)
     nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
@@ -123,8 +120,8 @@ class _Regularizer:
     """What one regularizer adds to each component, per unit of weight."""
 
     values: object  # W -> (rows,) array of reg(W[k])
-    # (W, out, scratch) -> the gradient at each row of W in out, or W itself,
-    # which callers scale; scratch, distinct from out, may be overwritten
+    # (W, out) -> the gradient at each row of W, written into out, an array
+    # of W's shape distinct from W, or W itself; callers scale it
     gradient: object
     hessian_diagonal: object  # w -> the Hessian's diagonal at w, or None
     box_bound: float  # Hessian bound on the REGION_RADIUS box
@@ -139,7 +136,7 @@ _REGULARIZER_TERMS = {
         hessian_diagonal=None, box_bound=math.inf, mu=0.0),
     "norm2_squared": _Regularizer(
         values=lambda W: 0.5 * np.einsum("ij,ij->i", W, W),
-        gradient=lambda W, out, scratch: W,
+        gradient=lambda W, out: W,
         hessian_diagonal=lambda w: 1.0, box_bound=1.0, mu=1.0),
     "exp_cosh_G": _Regularizer(
         values=regularizer_G_value, gradient=_g_gradient,
@@ -333,9 +330,9 @@ class Objective:
         # with buffers it reuses.
         if self._reg is None:
             return self._base_grad_gathered(data, W, out)
-        # lam times the regularizer term goes into tmp first, with out as
-        # its scratch, and the loss's gradient into out after it
-        np.multiply(self._reg.gradient(W, tmp, out), self._lam, tmp)
+        # lam times the regularizer term goes into tmp first, and the loss's
+        # gradient into out after it
+        np.multiply(self._reg.gradient(W, tmp), self._lam, tmp)
         return np.add(self._base_grad_gathered(data, W, out), tmp, out)
 
     def value_rows(self, idx, W) -> np.ndarray:
@@ -396,7 +393,7 @@ class Objective:
         g = total / n
         if self._reg is not None:
             # every component carries the same regularizer gradient
-            reg = self._reg.gradient(W, np.empty(W.shape), np.empty(W.shape))[0]
+            reg = self._reg.gradient(W, np.empty(W.shape))[0]
             g = g + self.regularization_weight * reg
         return g
 
