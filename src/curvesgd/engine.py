@@ -10,11 +10,12 @@ projected; excursions outside the stated region are counted and flagged,
 not corrected.
 
 A sweep steps in chunks of at most objectives._BLOCK_TERMS (row, coordinate)
-terms of iterates. The objective gathers the component data of a whole
-chunk's indices in one call. Each step is then one call of the objective's
-gradient kernel, _grad_gathered(data, W, out, tmp), into two buffers the
-sweep reuses, and one update into the chunk's buffer; a one-schedule step
-size is a Python float: a list of them iterates faster than an array.
+terms of iterates. The sweep builds the objective's gradient kernel,
+_grad_kernel(rows), once, and the kernel owns its scratch. The objective
+gathers the component data of a whole chunk's indices in one call. Each
+step is then one call of that kernel, into a gradient buffer the sweep
+reuses, and one update into the chunk's buffer; a one-schedule step size
+is a Python float: a list of them iterates faster than an array.
 After the chunk, its largest and smallest entry settle the region check and
 the divergence test of a chunk that stayed inside the box, which is
 capped at the largest float so that an infinite entry never passes; only
@@ -205,7 +206,8 @@ def multi_seed_sweep(config: RunConfig, seeds):
     stride = config.record_stride
     total = config.iterations
     gather = obj._gather
-    grad = obj._grad_gathered
+    kernel = obj._grad_kernel(rows)
+    multiply, subtract = np.multiply, np.subtract
 
     # records fall at every multiple of the stride and at the last
     # iteration; iteration t lands in the first record column at or after t
@@ -231,10 +233,8 @@ def multi_seed_sweep(config: RunConfig, seeds):
     chunk = max(1, min(objectives._BLOCK_TERMS // (rows * d), INDEX_BLOCK,
                        total))
     H = np.empty((chunk, rows, d))
-    # a step's gradient, then its step size times the gradient, and the
-    # gradient kernel's scratch
+    # a step's gradient, then its step size times the gradient
     G = np.empty((rows, d))
-    tmp = np.empty((rows, d))
 
     def settle(lo, count):
         """Settle the first `count` steps of the chunk that follows
@@ -304,8 +304,7 @@ def multi_seed_sweep(config: RunConfig, seeds):
             try:
                 for j, (out, eta, step_data) in enumerate(
                         zip(H, step, zip(*data))):
-                    np.multiply(grad(step_data, W, G, tmp), eta, G)
-                    W = np.subtract(W, G, out)
+                    W = subtract(W, multiply(kernel(step_data, W, G), eta, G), out)
             except Exception:
                 # past a non-finite iterate the gradient may raise; a
                 # step-by-step run stops at that iterate with EngineError

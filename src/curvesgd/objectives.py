@@ -158,11 +158,18 @@ def _softplus_inplace(m, tmp):
     np.add(m, tmp, out=m)
 
 
-def _sigmoid(m):
+def _sigmoid(m, out=None, tmp=None):
     """1 / (1 + e^-m) to full relative accuracy for every m: with
     e = exp(-|m|) it is e / (1 + e) for m < 0 and 1 / (1 + e) otherwise,
-    the numerator being exp(min(m, 0))."""
-    return np.exp(np.minimum(m, 0.0)) / (1.0 + np.exp(-np.abs(m)))
+    the numerator being exp(min(m, 0)). Written into out, which may be m,
+    with tmp as scratch of m's shape; either is a new array when omitted."""
+    num = np.minimum(m, 0.0, out=tmp)
+    np.exp(num, num)
+    den = np.abs(m, out=out)
+    np.negative(den, den)
+    np.exp(den, den)
+    np.add(1.0, den, den)
+    return np.divide(num, den, den)
 
 
 @dataclass(frozen=True)
@@ -202,20 +209,21 @@ class Objective:
     per component, so a stochastic gradient always carries the regularizer
     gradient. A loss supplies four kernels, the hooks that depend on w:
     ``_gather`` looks up the component data of some indices, the row-local
-    ``_base_values(W, out, tmp)`` takes every component and
-    ``_base_values_gathered(data, W)`` and ``_base_grad_gathered(data, W,
-    out)`` the component each row names; every value and gradient of the
-    public surface is built from them. Its two constants, ``_base_L`` and
-    ``_base_mu``, are set when it is built. The logistic, least-squares and
-    linear losses share one set of kernels, _MarginObjective's, and give
-    only their loss of the margin a_i'w and its slope. What each
-    regularizer adds is one row of _REGULARIZER_TERMS. The gradient kernel
-    ``_grad_gathered(data, W, out, tmp)`` adds lam times the regularizer
-    gradient in place. The engine gathers the data of many steps at once and
-    calls the same kernel once per step, with buffers it reuses; grad_rows
-    and gradient call it with fresh ones. The constants these paths multiply
-    by are 0-d arrays made once. Instances are immutable after construction
-    and safe to share across threads.
+    ``_base_values(W, out, tmp)`` takes every component,
+    ``_base_values_gathered(data, W)`` the component each row names, and
+    ``_base_grad_kernel(rows)`` builds the gradient function of that many
+    such rows, with its scratch bound inside it; every value and gradient
+    of the public surface is built from them. Its two constants,
+    ``_base_L`` and ``_base_mu``, are set when it is built. The logistic,
+    least-squares and linear losses share one set of kernels,
+    _MarginObjective's, and give only their loss of the margin a_i'w and
+    its slope. What each regularizer adds is one row of _REGULARIZER_TERMS.
+    ``_grad_kernel(rows)`` adds lam times its gradient to the loss's
+    kernel: the one gradient formula of grad_rows, gradient and the engine,
+    which builds it once per sweep. Scratch belongs to kernels, and the
+    constants they multiply by are 0-d arrays made once, so instances are
+    immutable after construction and safe to share across threads; a
+    kernel, which writes its scratch, is not.
     """
 
     # a bound on the base component Hessian that holds everywhere, so it takes
@@ -257,13 +265,13 @@ class Objective:
         i whose data is row k of each array of data, from it and W[k] alone."""
         raise NotImplementedError
 
-    def _base_grad_gathered(self, data: tuple, W: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-        """The (rows, d) matrix whose row k is grad base_i(W[k]) for the
-        component i whose data is row k of each array of data, computed
-        from that data and W[k] alone: written into out, an array of W's
-        shape, or, when the gradient does not depend on W, an array of data
-        returned as it is."""
+    def _base_grad_kernel(self, rows: int):
+        """A function (data, W, out) of rows-row arguments that gives the
+        (rows, d) matrix whose row k is grad base_i(W[k]) for the component
+        i whose data is row k of each array of data, computed from that
+        data and W[k] alone: written into out, an array of W's shape, or,
+        when the gradient does not depend on W, an array of data returned
+        as it is. Scratch it needs is made here and bound inside it."""
         raise NotImplementedError
 
     def _base_hessian_product(self, w: np.ndarray):
@@ -320,20 +328,28 @@ class Objective:
         rows, so a row has the same bits whatever the other rows hold.
         """
         W, idx = self._rows(W, idx)
-        return self._grad_gathered(self._gather(idx), W, np.empty(W.shape),
-                                   np.empty(W.shape))
+        return self._grad_kernel(W.shape[0])(self._gather(idx), W,
+                                             np.empty(W.shape))
 
-    def _grad_gathered(self, data, W, out, tmp):
-        # grad_rows on data _gather has looked up and W it has validated:
-        # out, or what the loss returned when no regularizer term is added;
-        # tmp is scratch of W's shape. The engine calls this once per step,
-        # with buffers it reuses.
-        if self._reg is None:
-            return self._base_grad_gathered(data, W, out)
-        # lam times the regularizer term goes into tmp first, and the loss's
-        # gradient into out after it
-        np.multiply(self._reg.gradient(W, tmp), self._lam, tmp)
-        return np.add(self._base_grad_gathered(data, W, out), tmp, out)
+    def _grad_kernel(self, rows: int, term: bool = True):
+        """The function (data, W, out) that gives grad_rows on data _gather
+        has looked up and rows-row W it has validated: out, or what the
+        loss's kernel returned when no regularizer term is added. With term
+        False it leaves the term out, for gradient, which adds it once to
+        the mean."""
+        base = self._base_grad_kernel(rows)
+        if self._reg is None or not term:
+            return base
+        reg_gradient, lam = self._reg.gradient, self._lam
+        multiply, add = np.multiply, np.add
+        # lam times the regularizer term goes into this buffer first, and
+        # the loss's gradient into out after it
+        reg = np.empty((rows, self.dimension))
+
+        def kernel(data, W, out):
+            multiply(reg_gradient(W, reg), lam, reg)
+            return add(base(data, W, out), reg, out)
+        return kernel
 
     def value_rows(self, idx, W) -> np.ndarray:
         """Component values row by row: entry k is f_{idx[k]}(W[k]).
@@ -388,8 +404,9 @@ class Objective:
         total = np.zeros(d)
         for lo, hi in _row_blocks(n, d):
             block = W.repeat(hi - lo, axis=0)
-            total += self._base_grad_gathered(self._gather(np.arange(lo, hi)), block,
-                                              np.empty(block.shape)).sum(axis=0)
+            kernel = self._grad_kernel(hi - lo, term=False)
+            total += kernel(self._gather(np.arange(lo, hi)), block,
+                            np.empty(block.shape)).sum(axis=0)
         g = total / n
         if self._reg is not None:
             # every component carries the same regularizer gradient
@@ -421,9 +438,11 @@ class _MarginObjective(Objective):
     """Components base_i(w) = loss(m_i, b_i) of one margin m_i = a_i'w and
     an optional label b_i, with gradient slope(m_i, b_i) a_i. A loss gives
     A, its labels or None, the curvature bound of its loss in the margin,
-    _loss(m, tmp, data), which overwrites m with the loss (tmp is scratch),
-    and _slope(m, data), which returns the slope, maybe in m; data holds
-    the (A[, b]) rows of the margins. The four kernels and L live here."""
+    _loss(m, tmp, data) and _slope(m, tmp, data), which overwrite m with
+    the loss and the slope (tmp is scratch of m's shape); data holds the
+    (A[, b]) rows of the margins. The four kernels and L live here: the
+    gradient kernel writes the margins into a (rows, 1) column it owns,
+    takes their slope in place and scales each row of A by it."""
 
     def __init__(self, A, b, curvature, regularizer, lam):
         super().__init__(A.shape[0], A.shape[1], regularizer, lam)
@@ -437,7 +456,7 @@ class _MarginObjective(Objective):
             self._base_L = curvature * float(np.max(np.einsum("ij,ij->i", A, A)))
 
     def _gather(self, idx):
-        return tuple([a[idx] for a in self._data])
+        return tuple([a.take(idx, axis=0) for a in self._data])
 
     def _base_values(self, W, out, tmp):
         np.einsum("kj,ji->ki", W, self._AT, out=out)
@@ -448,9 +467,18 @@ class _MarginObjective(Objective):
         self._loss(m, np.empty_like(m), data)
         return m
 
-    def _base_grad_gathered(self, data, W, out):
-        m = self._slope(np.einsum("ij,ij->i", data[0], W), data)
-        return np.multiply(m[:, None], data[0], out)
+    def _base_grad_kernel(self, rows):
+        slope = self._slope
+        einsum, multiply = np.einsum, np.multiply
+        column = np.empty((rows, 1))
+        m, tmp = column[:, 0], np.empty(rows)
+
+        def kernel(data, W, out):
+            A = data[0]
+            einsum("ij,ij->i", A, W, out=m)
+            slope(m, tmp, data)
+            return multiply(column, A, out)
+        return kernel
 
 
 class LogisticObjective(_MarginObjective):
@@ -458,7 +486,7 @@ class LogisticObjective(_MarginObjective):
     softplus of the margin a_i'w with a_i = -y_i x_i."""
 
     _loss = staticmethod(lambda m, tmp, data: _softplus_inplace(m, tmp))
-    _slope = staticmethod(lambda m, data: _sigmoid(m))
+    _slope = staticmethod(lambda m, tmp, data: _sigmoid(m, m, tmp))
 
     def __init__(self, dataset: Dataset, regularizer: str = "plain", lam: float = 0.0):
         if not np.all(np.isin(dataset.y, (-1.0, 1.0))):
@@ -491,9 +519,9 @@ class LeastSquaresObjective(_MarginObjective):
         np.multiply(m, m, m)
 
     @staticmethod
-    def _slope(m, data):
+    def _slope(m, tmp, data):
         np.subtract(m, data[1], m)
-        return np.add(m, m, m)
+        np.add(m, m, m)
 
     def _base_hessian_product(self, w):
         # (2/n) A'A v, the same map at every w
@@ -521,8 +549,8 @@ class LinearObjective(_MarginObjective):
             raise ValueError("C must be finite")
         super().__init__(C, None, 0.0, regularizer, lam)
 
-    def _base_grad_gathered(self, data, W, out):
-        return data[0]
+    def _base_grad_kernel(self, rows):
+        return lambda data, W, out: data[0]
 
     def _base_hessian_product(self, w):
         return np.zeros_like  # v -> 0
@@ -554,16 +582,16 @@ class QuadraticMeanObjective(Objective):
         out *= 0.5 * self.mu
 
     def _gather(self, idx):
-        return (self.centers[idx],)
+        return (self.centers.take(idx, axis=0),)
 
     def _base_values_gathered(self, data, W):
         D = W - data[0]
         return np.einsum("ij,ij->i", D, D) * (0.5 * self.mu)
 
-    def _base_grad_gathered(self, data, W, out):
-        centers, = data
-        np.subtract(W, centers, out)
-        return np.multiply(out, self._mu, out)
+    def _base_grad_kernel(self, rows):
+        mu = self._mu
+        return lambda data, W, out: np.multiply(
+            np.subtract(W, data[0], out), mu, out)
 
     def _base_hessian_product(self, w):
         return lambda v: self.mu * v
@@ -594,11 +622,14 @@ class CallableObjective(Objective):
     def _base_values_gathered(self, data, W):
         return np.array([float(self._values[i](w)) for i, w in zip(*data, W)])
 
-    def _base_grad_gathered(self, data, W, out):
-        idx, = data
-        for k in range(W.shape[0]):
-            out[k] = self._grads[int(idx[k])](W[k])
-        return out
+    def _base_grad_kernel(self, rows):
+        grads = self._grads
+
+        def kernel(data, W, out):
+            for k, i in enumerate(data[0]):
+                out[k] = grads[int(i)](W[k])
+            return out
+        return kernel
 
 
 def _newton_direction(objective, w, g, grad_norm):

@@ -139,25 +139,6 @@ def test_regularizer_G_basics():
         assert isinstance(g0, np.float64) and g0 == g[0]
 
 
-def test_exp_cosh_kernel_allocates_no_rows_array():
-    # the gradient kernel writes the exp-cosh term into the buffers it is
-    # given, so an engine step allocates no (rows, d) array
-    obj = cg.LinearObjective(np.ones((1, 50)), "exp_cosh_G", 0.5)
-    W = np.full((200, 50), 0.3)
-    data = obj._gather(np.zeros(200, dtype=np.int64))
-    out, tmp = np.empty(W.shape), np.empty(W.shape)
-    expected = obj._grad_gathered(data, W, out, tmp).copy()
-    tracemalloc.start()
-    try:
-        G = obj._grad_gathered(data, W, out, tmp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert G is out and np.array_equal(G, expected)
-    assert np.array_equal(G, obj.grad_rows(np.zeros(200, dtype=np.int64), W))
-    assert peak < W.nbytes // 4, peak
-
-
 def test_regularizer_G_batch_rows():
     W = np.array([[1.0, 0.0], [0.0, 0.0]])
     vals = cg.regularizer_G_value(W)
@@ -523,9 +504,11 @@ class PseudoHuberObjective(cg.Objective):
     def _base_values_gathered(self, data, W):
         return np.hypot(1.0, np.einsum("ij,ij->i", data[0], W) - data[1]) - 1.0
 
-    def _base_grad_gathered(self, data, W, out):
-        r = np.einsum("ij,ij->i", data[0], W) - data[1]
-        return np.multiply((r / np.hypot(1.0, r))[:, None], data[0], out)
+    def _base_grad_kernel(self, rows):
+        def kernel(data, W, out):
+            r = np.einsum("ij,ij->i", data[0], W) - data[1]
+            return np.multiply((r / np.hypot(1.0, r))[:, None], data[0], out)
+        return kernel
 
 
 @pytest.mark.parametrize("regularizer, lam", [("plain", 0.0), ("norm2_squared", 0.5)])
@@ -858,6 +841,71 @@ def test_grad_rows_returns_an_array_the_caller_owns(kind, regularizer):
         # writing into it changes neither the objective nor the next call
         G[:] = math.nan
         assert np.array_equal(obj.grad_rows(idx, W), expected)
+
+
+@pytest.mark.parametrize("regularizer", ["plain", "norm2_squared", "exp_cosh_G"])
+@pytest.mark.parametrize("kind", ["logistic", "least_squares", "linear",
+                                  "quadratic_mean"])
+def test_grad_kernel_allocates_no_rows_array(kind, regularizer):
+    # a kernel writes into the scratch bound inside it and the out it is
+    # given, so an engine step allocates no (rows, d) array and no (rows,)
+    # one. The peak is stated before the first run: a margin loss's
+    # broadcast product (rows, 1) x (rows, d) goes through numpy's buffered
+    # iterator, whose buffer holds at most 8192 doubles whatever the rows;
+    # 4 KiB more is less than the 16,000 bytes of one (rows,) array
+    limit = 8 * 8192 + 4096
+    rows, d = 2000, 50
+    obj = build_objective(kind, *make_data(kind, np.random.default_rng(37), 3, d),
+                          regularizer, 0.5)
+    W = np.full((rows, d), 0.3)
+    idx = np.arange(rows) % 3
+    data = obj._gather(idx)
+    out = np.empty(W.shape)
+    kernel = obj._grad_kernel(rows)
+    expected = kernel(data, W, out).copy()
+    tracemalloc.start()
+    try:
+        G = kernel(data, W, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a linear loss without a term returns its gathered data as it is
+    assert G is (data[0] if (kind, regularizer) == ("linear", "plain") else out)
+    assert np.array_equal(G, expected)
+    assert np.array_equal(G, obj.grad_rows(idx, W))
+    assert peak < W.nbytes // 4 and peak < limit, peak
+
+
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_a_kernel_owns_its_scratch(kind, regularizer):
+    rng = np.random.default_rng(41)
+    obj = make_objective(kind, rng, 4, 3, regularizer, 0.3)
+    attributes = {name: id(value) for name, value in vars(obj).items()}
+
+    def case(rows):
+        return (obj._gather(rng.integers(0, 4, size=rows)),
+                rng.uniform(-1.0, 1.0, size=(rows, 3)))
+
+    def fresh(data, W):
+        return obj._grad_kernel(W.shape[0])(data, W, np.empty(W.shape)).copy()
+
+    # a reused kernel gives the bits of a fresh one, call after call
+    kernel = obj._grad_kernel(3)
+    out = np.empty((3, 3))
+    for data, W in [case(3) for _ in range(4)]:
+        assert np.array_equal(kernel(data, W, out), fresh(data, W))
+    # two kernels of one objective, called interleaved, keep apart
+    three, five = obj._grad_kernel(3), obj._grad_kernel(5)
+    cases = [case(3), case(5), case(3), case(5)]
+    outs = [np.empty(W.shape) for _, W in cases]
+    results = [(three if W.shape[0] == 3 else five)(data, W, G)
+               for (data, W), G in zip(cases, outs)]
+    for (data, W), G in zip(cases, results):
+        assert np.array_equal(G, fresh(data, W))
+    # building and calling kernels left the objective as it was; that a
+    # grad_rows result is the caller's to write into is checked above
+    assert {name: id(value) for name, value in vars(obj).items()} == attributes
 
 
 @pytest.mark.parametrize("d", [1, 5, 10, 17, 33])
