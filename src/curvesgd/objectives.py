@@ -95,23 +95,30 @@ def regularizer_G_value(w):
 
 def regularizer_G_gradient(w):
     """Component i of grad G is e^{w_i} - e^{-w_i} - 2 w_i, computed as
-    2 (sinh w_i - w_i); a 0-d w yields a float."""
+    2 (sinh w_i - w_i); a 0-d w yields a float. It overflows to +-inf once
+    some |w_i| passes 709.782712893384."""
     w = np.asarray(w, dtype=float)
-    return _g_gradient(w, np.empty_like(w))[()]
+    half = _g_half_gradient(w, np.empty_like(w))
+    return np.add(half, half, half)[()]
 
 
-def _g_gradient(w, out):
-    # grad G at w as 2 (sinh w - w), written into out, an array of w's shape
-    # distinct from w
+def _g_half_gradient(w, out):
+    # half of grad G at w, sinh w - w, written into out, an array of w's
+    # shape distinct from w; finite up to |w| = 710.4758600739439
     np.sinh(w, out)
-    np.subtract(out, w, out)
-    return np.add(out, out, out)
+    return np.subtract(out, w, out)
+
+
+# einsum without numpy's __array_function__ dispatch, which costs about a
+# microsecond a call: the same c_einsum call, for per-step kernels, whose
+# operands are arrays they gathered or own, so no override is skipped
+_einsum_direct = np.einsum.__wrapped__
 
 
 def _norm2_gradient(W, out):
     # a zero row takes the subgradient 0, valid at the kink
     out.fill(0.0)
-    nrm = np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+    nrm = np.sqrt(_einsum_direct("ij,ij->i", W, W))[:, None]
     return np.divide(W, nrm, out=out, where=nrm != 0.0)
 
 
@@ -120,12 +127,15 @@ class _Regularizer:
     """What one regularizer adds to each component, per unit of weight."""
 
     values: object  # W -> (rows,) array of reg(W[k])
-    # (W, out) -> the gradient at each row of W, written into out, an array
-    # of W's shape distinct from W, or W itself; callers scale it
+    # (W, out) -> the gradient at each row of W divided by gradient_factor,
+    # written into out, an array of W's shape distinct from W, or W itself
     gradient: object
     hessian_diagonal: object  # w -> the Hessian's diagonal at w, or None
     box_bound: float  # Hessian bound on the REGION_RADIUS box
     mu: float  # strong-convexity modulus
+    # a power of two that the objective folds into its weight once, so the
+    # term costs one multiply per step
+    gradient_factor: float = 1.0
 
 
 # every regularizer but plain, which adds no term
@@ -139,7 +149,8 @@ _REGULARIZER_TERMS = {
         gradient=lambda W, out: W,
         hessian_diagonal=lambda w: 1.0, box_bound=1.0, mu=1.0),
     "exp_cosh_G": _Regularizer(
-        values=regularizer_G_value, gradient=_g_gradient,
+        values=regularizer_G_value, gradient=_g_half_gradient,
+        gradient_factor=2.0,
         hessian_diagonal=lambda w: np.expm1(w) + np.expm1(-w),
         box_bound=math.exp(REGION_RADIUS) + math.exp(-REGION_RADIUS) - 2.0,
         mu=0.0),
@@ -243,10 +254,18 @@ class Objective:
         self.dimension = int(d)
         self.regularizer = regularizer
         self.regularization_weight = float(lam)
-        self._lam = _constant(self.regularization_weight)
         # the regularizer's row of _REGULARIZER_TERMS, or None when it adds
         # no term: plain, or a zero weight
         self._reg = _REGULARIZER_TERMS.get(regularizer) if lam else None
+        # the weight of the row's gradient: (2 lam) u has the bits of
+        # lam (2 u) wherever 2 u is finite
+        factor = 1.0 if self._reg is None else self._reg.gradient_factor
+        if not math.isfinite(factor * lam):
+            raise ValueError(
+                "regularization weight %r is too large for %s, whose gradient "
+                "takes %g times it: it must be at most %.17g"
+                % (lam, regularizer, factor, np.finfo(float).max / factor))
+        self._lam = _constant(factor * self.regularization_weight)
 
     # ----- subclass hooks -------------------------------------------------
     def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -411,7 +430,7 @@ class Objective:
         if self._reg is not None:
             # every component carries the same regularizer gradient
             reg = self._reg.gradient(W, np.empty(W.shape))[0]
-            g = g + self.regularization_weight * reg
+            g = g + self._lam * reg
         return g
 
     @property
@@ -469,7 +488,7 @@ class _MarginObjective(Objective):
 
     def _base_grad_kernel(self, rows):
         slope = self._slope
-        einsum, multiply = np.einsum, np.multiply
+        einsum, multiply = _einsum_direct, np.multiply
         column = np.empty((rows, 1))
         m, tmp = column[:, 0], np.empty(rows)
 

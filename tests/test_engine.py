@@ -923,3 +923,36 @@ def test_run_config_validation():
     # an unbounded region stays legal
     cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
                  region_radius=math.inf)
+
+
+def test_steps_make_no_dispatching_einsum_call():
+    # the per-step margins and norm2 row norms call einsum's implementation
+    # directly; numpy.einsum, whose dispatch layer costs about a microsecond
+    # a call, runs only for a chunk's records, never once per step
+    calls = []
+    dispatching = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dispatching(*args, **kwargs)
+
+    ridge = cg.load_benchmark("ridge")
+    logistic = make_objective("logistic", np.random.default_rng(37), 40, 5,
+                              "norm2", 0.1)
+    steps, seeds = 2000, 8
+    for obj, ref in ((ridge.objective, ridge.reference), (logistic, None)):
+        cfg = cg.RunConfig(objective=obj, schedule=cg.ScheduleSpec.constant(0.01),
+                           seed=0, iterations=steps, record_stride=100,
+                           reference=ref)
+        with mock.patch.object(np, "einsum", counted):
+            cg.multi_seed_sweep(cfg, seeds=range(seeds))
+        chunk = min(objectives._BLOCK_TERMS // (seeds * obj.dimension),
+                    INDEX_BLOCK, steps)
+        chunks = -(-steps // chunk)  # 3 for ridge, 2 for logistic
+        # value_many and squared_distance for the records at t = 0, then
+        # for those of each chunk
+        assert 0 < len(calls) <= 4 * (chunks + 1)
+        calls.clear()
+    with mock.patch.object(np, "einsum", counted):
+        logistic.grad_rows(np.arange(40), np.ones((40, 5)))
+    assert calls == []

@@ -165,6 +165,38 @@ def test_regularizer_G_overflow_guard():
             assert cg.regularizer_G_gradient(np.array([-w]))[0] == -g
 
 
+@pytest.mark.parametrize("w", [709.79, 710.0])
+def test_exp_cosh_term_in_the_gradient_overflow_band(w):
+    # 2 (sinh w - w) overflows past 709.782712893384 and sinh w only past
+    # 710.4758600739439; the objective scales sinh w - w by 2 lam, so in
+    # between its term is finite for lam < 1, as the true value is
+    W = np.array([[w, -w]])
+    C = np.zeros((1, 2))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(cg.regularizer_G_gradient(W),
+                              [[math.inf, -math.inf]])
+        obj = cg.LinearObjective(C, "exp_cosh_G", 0.3)
+        G = obj.grad_rows([0], W)
+        assert np.array_equal(G, (2.0 * 0.3) * (np.sinh(W) - W))
+        assert np.isfinite(G).all()
+        assert np.array_equal(obj.gradient(W[0]), G[0])
+        obj = cg.LinearObjective(C, "exp_cosh_G", 1.0)
+        assert np.array_equal(obj.grad_rows([0], W), [[math.inf, -math.inf]])
+
+
+def test_exp_cosh_weight_whose_double_overflows_is_refused():
+    # 2 lam = inf would make the term inf * 0 = nan at w = 0
+    top = np.finfo(float).max
+    C = np.zeros((1, 2))
+    with pytest.raises(ValueError, match=r"weight 1e\+308 is too large for "
+                                         r"exp_cosh_G"):
+        cg.LinearObjective(C, "exp_cosh_G", 1e308)
+    obj = cg.LinearObjective(C, "exp_cosh_G", top / 2.0)
+    assert np.array_equal(obj.grad_rows([0], np.zeros((1, 2))), np.zeros((1, 2)))
+    for regularizer in ("norm2", "norm2_squared"):
+        cg.LinearObjective(C, regularizer, top)
+
+
 def exact_G_gradient(w):
     """2 (sinh w - w) at the float w, as a Decimal: the odd series
     2 sum_{k>=1} w^(2k+1) / (2k+1)!, summed to 60 digits."""
@@ -709,7 +741,7 @@ def allocating_grad_rows(kind, X, y, regularizer, lam, idx, W, mu=2.0):
     elif regularizer == "norm2_squared":
         R = W
     else:
-        R = 2.0 * (np.sinh(W) - W)
+        return G + (2.0 * lam) * (np.sinh(W) - W)
     return G + lam * R
 
 
@@ -802,7 +834,9 @@ def test_grad_rows_keep_the_bits_of_the_allocating_formulas(kind, regularizer,
                                             W, mu=0.7)
             assert np.array_equal(G, expected, equal_nan=True)
     if regularizer == "exp_cosh_G" and lam:
-        assert np.isinf(G[4:8]).any()
+        # rows 4 to 7 pass |w| = 709.78, where 2 (sinh w - w) overflows;
+        # (2 lam)(sinh w - w) stays finite there for lam < 1
+        assert np.isfinite(G[4:8]).all()
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
