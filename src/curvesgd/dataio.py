@@ -21,6 +21,7 @@ from .objectives import (
     Dataset,
     LeastSquaresObjective,
     LogisticObjective,
+    _folded_weight,
     solve_reference,
 )
 from .schedule import comma_entries, parse_fields, parse_schedule
@@ -218,7 +219,7 @@ class RunFileConfig:
 
     def __post_init__(self):
         for key, (field, _) in RUNFILE_FIELDS.items():
-            _check_field(key, getattr(self, field))
+            _check_field(key, getattr(self, field), self.variant)
 
     def schedule_list(self):
         return _schedule_entries(self.schedule)
@@ -232,13 +233,16 @@ def _schedule_entries(text: str) -> list:
     return entries
 
 
-def _check_field(key: str, value) -> None:
-    """The range rule of one parsed runfile value; raises ValueError."""
+def _check_field(key: str, value, variant) -> None:
+    """The range rule of one parsed runfile value, lambda's under the
+    variant named; raises ValueError."""
     if key == "variant" and value not in REGULARIZERS:
         raise ValueError("unknown variant %r (choose from %s)"
                          % (value, ", ".join(REGULARIZERS)))
-    if key == "lambda" and not 0.0 <= value < math.inf:
-        raise ValueError("lambda must be nonnegative and finite")
+    if key == "lambda":
+        if not 0.0 <= value < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        _folded_weight(variant, value)
     if key in ("epochs", "stride") and value < 1:
         raise ValueError("%s must be at least 1" % key)
     if key == "seeds":
@@ -273,12 +277,12 @@ RUNFILE_FIELDS = {
 }
 
 
-def _checked_parser(key: str):
+def _checked_parser(key: str, variant):
     parse = RUNFILE_FIELDS[key][1]
 
     def parse_and_check(text):
         value = parse(text)
-        _check_field(key, value)
+        _check_field(key, value, variant)
         return value
     return parse_and_check
 
@@ -286,7 +290,10 @@ def _checked_parser(key: str):
 def parse_runfile(text: str) -> RunFileConfig:
     """Parse `key = value` lines; '#' comments and blank lines are skipped.
     The lines walk RUNFILE_FIELDS through parse_fields, each value parsed
-    and range checked (_check_field), and each error after `line N: `."""
+    and range checked (_check_field), and each error after `line N: `.
+    lambda's range depends on the variant, which any line may name, so its
+    check reads the first variant line's text; a bad variant is reported
+    at its own line."""
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -296,7 +303,8 @@ def parse_runfile(text: str) -> RunFileConfig:
         if not sep:
             raise ValueError("line %d: expected key = value" % line_no)
         entries.append(("line %d: " % line_no, key.strip(), value.strip()))
-    values = parse_fields(entries, {key: _checked_parser(key)
+    variant = next((v for _, k, v in entries if k == "variant"), None)
+    values = parse_fields(entries, {key: _checked_parser(key, variant)
                                     for key in RUNFILE_FIELDS}, "runfile")
     return RunFileConfig(**{RUNFILE_FIELDS[key][0]: value
                             for key, value in values.items()})

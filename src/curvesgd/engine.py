@@ -269,8 +269,9 @@ def multi_seed_sweep(config: RunConfig, seeds):
                 "for this objective"
                 % (lo + 1 + j, seeds[k], format_schedule(scheds[c])))
 
-    # one column per seed, each drawn from that seed's own generator
-    rngs = [np.random.default_rng(s) for s in seeds]
+    # one column per seed, each drawn from that seed's own generator, built
+    # as default_rng(s) builds it, without its argument dispatch
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     # the indices are drawn as int64, which fixes the stream, and stored as
     # int32 at half the memory: component counts stay far below 2**31
     block = np.empty((INDEX_BLOCK, S), dtype=np.int32)

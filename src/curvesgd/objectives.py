@@ -69,6 +69,13 @@ class Dataset:
         return self.X.shape[1]
 
 
+# the ufuncs of the per-step helpers below, bound once here, so that a step
+# pays for no attribute lookup on numpy
+_abs, _add, _divide, _exp, _minimum, _negative, _sinh, _sqrt, _subtract = (
+    np.abs, np.add, np.divide, np.exp, np.minimum, np.negative, np.sinh,
+    np.sqrt, np.subtract)
+
+
 def _constant(value) -> np.ndarray:
     """value as a read-only 0-d float array: a ufunc takes one about as
     cheaply as an array operand, and faster than a Python or numpy float."""
@@ -105,8 +112,8 @@ def regularizer_G_gradient(w):
 def _g_half_gradient(w, out):
     # half of grad G at w, sinh w - w, written into out, an array of w's
     # shape distinct from w; finite up to |w| = 710.4758600739439
-    np.sinh(w, out)
-    return np.subtract(out, w, out)
+    _sinh(w, out)
+    return _subtract(out, w, out)
 
 
 # einsum without numpy's __array_function__ dispatch, which costs about a
@@ -118,8 +125,8 @@ _einsum_direct = np.einsum.__wrapped__
 def _norm2_gradient(W, out):
     # a zero row takes the subgradient 0, valid at the kink
     out.fill(0.0)
-    nrm = np.sqrt(_einsum_direct("ij,ij->i", W, W))[:, None]
-    return np.divide(W, nrm, out=out, where=nrm != 0.0)
+    nrm = _sqrt(_einsum_direct("ij,ij->i", W, W))[:, None]
+    return _divide(W, nrm, out=out, where=nrm != 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,20 @@ _REGULARIZER_TERMS = {
 REGULARIZERS = ("plain",) + tuple(_REGULARIZER_TERMS)
 
 
+def _folded_weight(regularizer: str, lam: float) -> float:
+    """The weight of the regularizer row's gradient, lam times its factor:
+    (2 lam) u has the bits of lam (2 u) wherever 2 u is finite. ValueError
+    when it overflows; a regularizer without a row has factor 1."""
+    row = _REGULARIZER_TERMS.get(regularizer)
+    factor = 1.0 if row is None else row.gradient_factor
+    if not math.isfinite(factor * lam):
+        raise ValueError(
+            "regularization weight %r is too large for %s, whose gradient "
+            "takes %g times it: it must be at most %.17g"
+            % (lam, regularizer, factor, np.finfo(float).max / factor))
+    return factor * lam
+
+
 def _softplus_inplace(m, tmp):
     """Overwrite m with log(1 + e^m), computed without overflow as
     max(m, 0) + log1p(e^-|m|), using tmp as scratch."""
@@ -174,13 +195,13 @@ def _sigmoid(m, out=None, tmp=None):
     e = exp(-|m|) it is e / (1 + e) for m < 0 and 1 / (1 + e) otherwise,
     the numerator being exp(min(m, 0)). Written into out, which may be m,
     with tmp as scratch of m's shape; either is a new array when omitted."""
-    num = np.minimum(m, 0.0, out=tmp)
-    np.exp(num, num)
-    den = np.abs(m, out=out)
-    np.negative(den, den)
-    np.exp(den, den)
-    np.add(1.0, den, den)
-    return np.divide(num, den, den)
+    num = _minimum(m, 0.0, out=tmp)
+    _exp(num, num)
+    den = _abs(m, out=out)
+    _negative(den, den)
+    _exp(den, den)
+    _add(1.0, den, den)
+    return _divide(num, den, den)
 
 
 @dataclass(frozen=True)
@@ -257,15 +278,7 @@ class Objective:
         # the regularizer's row of _REGULARIZER_TERMS, or None when it adds
         # no term: plain, or a zero weight
         self._reg = _REGULARIZER_TERMS.get(regularizer) if lam else None
-        # the weight of the row's gradient: (2 lam) u has the bits of
-        # lam (2 u) wherever 2 u is finite
-        factor = 1.0 if self._reg is None else self._reg.gradient_factor
-        if not math.isfinite(factor * lam):
-            raise ValueError(
-                "regularization weight %r is too large for %s, whose gradient "
-                "takes %g times it: it must be at most %.17g"
-                % (lam, regularizer, factor, np.finfo(float).max / factor))
-        self._lam = _constant(factor * self.regularization_weight)
+        self._lam = _constant(_folded_weight(regularizer, float(lam)))
 
     # ----- subclass hooks -------------------------------------------------
     def _base_values(self, W: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -361,9 +374,13 @@ class Objective:
             return base
         reg_gradient, lam = self._reg.gradient, self._lam
         multiply, add = np.multiply, np.add
-        # lam times the regularizer term goes into this buffer first, and
-        # the loss's gradient into out after it
+        # the regularizer term goes into this buffer, times lam, and the
+        # loss's gradient into out; x * 1 is x for every float, so a unit
+        # weight adds the term without the multiply
         reg = np.empty((rows, self.dimension))
+        if lam == 1.0:
+            return lambda data, W, out: add(base(data, W, out),
+                                            reg_gradient(W, reg), out)
 
         def kernel(data, W, out):
             multiply(reg_gradient(W, reg), lam, reg)
@@ -539,8 +556,8 @@ class LeastSquaresObjective(_MarginObjective):
 
     @staticmethod
     def _slope(m, tmp, data):
-        np.subtract(m, data[1], m)
-        np.add(m, m, m)
+        _subtract(m, data[1], m)
+        _add(m, m, m)
 
     def _base_hessian_product(self, w):
         # (2/n) A'A v, the same map at every w
@@ -608,9 +625,8 @@ class QuadraticMeanObjective(Objective):
         return np.einsum("ij,ij->i", D, D) * (0.5 * self.mu)
 
     def _base_grad_kernel(self, rows):
-        mu = self._mu
-        return lambda data, W, out: np.multiply(
-            np.subtract(W, data[0], out), mu, out)
+        mu, multiply, subtract = self._mu, np.multiply, np.subtract
+        return lambda data, W, out: multiply(subtract(W, data[0], out), mu, out)
 
     def _base_hessian_product(self, w):
         return lambda v: self.mu * v

@@ -108,6 +108,17 @@ def test_run_rejects_non_finite_runfile_values(tmp_path, capsys, old, new, field
     assert not (tmp_path / "res.csv").exists()
 
 
+def test_run_rejects_an_exp_cosh_weight_past_half_the_largest_double(
+        tmp_path, capsys):
+    text = BASE_RUNFILE.replace("norm2_squared", "exp_cosh_G")
+    path = write_runfile(tmp_path, text.replace("lambda = 0.5", "lambda = 1e308"))
+    rc = main(["run", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: line 4: bad lambda value '1e308': ")
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_verify_quick_passes(capsys):
     rc = main(["verify", "--quick"])
     out = capsys.readouterr().out

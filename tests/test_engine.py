@@ -366,7 +366,7 @@ def _assert_sweeps_replay(obj, texts, seeds, w0, iterations):
     assert np.array_equal(np.concatenate(together), expected)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("regularizer", objectives.REGULARIZERS)
 @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
 def test_sweep_steps_are_the_grad_rows_replay(kind, regularizer, lam):

@@ -184,7 +184,8 @@ schedule_text = st.lists(
     st.sampled_from(["const:0.01", "power:scale=0.1,h=0.25",
                      "paper-opt:h=0.5,beta=1.0,L=2.0,r=inf"]),
     min_size=1, max_size=3).map("; ".join)
-runfiles = st.builds(
+# the exp_cosh_G gradient takes twice lambda, which bounds it by DBL_MAX/2
+runfiles = st.sampled_from(dataio.REGULARIZERS).flatmap(lambda variant: st.builds(
     cg.RunFileConfig,
     dataset=field_text,
     schedule=schedule_text,
@@ -192,10 +193,12 @@ runfiles = st.builds(
                    unique=True).map(tuple),
     epochs=st.integers(1, 10 ** 6),
     out=field_text.filter(os.path.basename),
-    variant=st.sampled_from(dataio.REGULARIZERS),
-    lam=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    variant=st.just(variant),
+    lam=st.floats(min_value=0.0, max_value=np.finfo(float).max
+                  / (2.0 if variant == "exp_cosh_G" else 1.0),
+                  allow_nan=False, allow_infinity=False),
     stride=st.integers(1, 10 ** 6),
-)
+))
 
 
 @given(runfiles)
@@ -243,6 +246,32 @@ def test_runfile_range_error_names_its_line(key):
         cg.parse_runfile("\n".join(lines))
     assert str(err.value) == "line %d: bad %s value %r: %s" % (
         line_no, key, value, reason)
+
+
+@pytest.mark.parametrize("variant_last", [False, True])
+def test_exp_cosh_weight_past_half_the_largest_double_names_its_line(
+        variant_last):
+    # the exp_cosh_G gradient takes 2 lambda, finite only up to DBL_MAX/2;
+    # the check names lambda's line whichever line names the variant
+    top = float(np.finfo(float).max)
+    lines = RUNFILE_TEXT.replace("norm2_squared", "exp_cosh_G").splitlines()
+    if variant_last:
+        lines.append(lines.pop(3))
+    line_no = next(k for k, line in enumerate(lines, start=1)
+                   if line.startswith("lambda ="))
+    lines[line_no - 1] = "lambda = 1e308"
+    with pytest.raises(ValueError) as err:
+        cg.parse_runfile("\n".join(lines))
+    assert str(err.value) == (
+        "line %d: bad lambda value '1e308': regularization weight 1e+308 is "
+        "too large for exp_cosh_G, whose gradient takes 2 times it: it must "
+        "be at most 8.9884656743115785e+307" % line_no)
+    lines[line_no - 1] = "lambda = %r" % (top / 2.0)
+    assert cg.parse_runfile("\n".join(lines)).lam == top / 2.0
+    text = RUNFILE_TEXT.replace("lambda = 0.5", "lambda = %r" % top)
+    for variant in ("plain", "norm2", "norm2_squared"):
+        config = cg.parse_runfile(text.replace("norm2_squared", variant))
+        assert cg.parse_runfile(cg.format_runfile(config)) == config
 
 
 def test_parse_runfile_requires_core_keys():
