@@ -14,8 +14,9 @@ terms of iterates. The sweep builds the objective's gradient kernel,
 _grad_kernel(rows), once, and the kernel owns its scratch. The objective
 gathers the component data of a whole chunk's indices in one call. Each
 step is then one call of that kernel, into a gradient buffer the sweep
-reuses, and one update into the chunk's buffer; a one-schedule step size
-is a Python float: a list of them iterates faster than an array.
+reuses, its step size assigned to the sweep's step operand, and one update
+into the chunk's buffer. The step operand is a 0-d array for one schedule
+and a (rows, d) array for several, so that no step's multiply broadcasts.
 After the chunk, its largest and smallest entry settle the region check and
 the divergence test of a chunk that stayed inside the box, which is
 capped at the largest float so that an infinite entry never passes; only
@@ -235,6 +236,11 @@ def multi_seed_sweep(config: RunConfig, seeds):
     H = np.empty((chunk, rows, d))
     # a step's gradient, then its step size times the gradient
     G = np.empty((rows, d))
+    # the step operand, which each step's size is assigned to: 0-d for one
+    # schedule; for several, G's shape with one block of rows per schedule,
+    # which `spread` views as one row per schedule
+    E = np.empty(() if len(scheds) == 1 else (rows, d))
+    spread = E.reshape(len(scheds), -1) if E.ndim else E
 
     def settle(lo, count):
         """Settle the first `count` steps of the chunk that follows
@@ -291,21 +297,22 @@ def multi_seed_sweep(config: RunConfig, seeds):
             m = min(chunk, stop - lo)
             idx = block[lo - base : lo - base + m]
             step = steps[lo - base : lo - base + m]
-            # one schedule steps by a Python float; several by a contiguous
-            # (rows, 1) column, so that each row's update keeps the bits of
-            # its solo run, and every schedule's row of a seed takes that
+            # one schedule's step sizes as Python floats, which a list
+            # iterates faster than an array; several as one (schedules, 1)
+            # column a step, and every schedule's row of a seed takes that
             # seed's draws
             if len(scheds) == 1:
                 step = step[:, 0].tolist()
             else:
-                step = step.repeat(S, axis=1)[:, :, None]
+                step = step[:, :, None]
                 idx = np.tile(idx, (1, len(scheds)))
             data = gather(idx)
             j = 0
             try:
                 for j, (out, eta, step_data) in enumerate(
                         zip(H, step, zip(*data))):
-                    W = subtract(W, multiply(kernel(step_data, W, G), eta, G), out)
+                    spread[...] = eta
+                    W = subtract(W, multiply(kernel(step_data, W, G), E, G), out)
             except Exception:
                 # past a non-finite iterate the gradient may raise; a
                 # step-by-step run stops at that iterate with EngineError

@@ -84,6 +84,10 @@ def _constant(value) -> np.ndarray:
     return const
 
 
+# the sigmoid's constants, as 0-d arrays for its per-step calls
+_ZERO, _ONE = _constant(0.0), _constant(1.0)
+
+
 def _g_terms(w: np.ndarray) -> np.ndarray:
     # cancels twice near 0, where G is O(w^4): against the series, the
     # relative error is 1.5e-6 at w = 1e-3, 4.4e-4 at 1e-4 and 1.3 at 1e-5
@@ -195,12 +199,12 @@ def _sigmoid(m, out=None, tmp=None):
     e = exp(-|m|) it is e / (1 + e) for m < 0 and 1 / (1 + e) otherwise,
     the numerator being exp(min(m, 0)). Written into out, which may be m,
     with tmp as scratch of m's shape; either is a new array when omitted."""
-    num = _minimum(m, 0.0, out=tmp)
+    num = _minimum(m, _ZERO, out=tmp)
     _exp(num, num)
     den = _abs(m, out=out)
     _negative(den, den)
     _exp(den, den)
-    _add(1.0, den, den)
+    _add(_ONE, den, den)
     return _divide(num, den, den)
 
 
@@ -478,7 +482,8 @@ class _MarginObjective(Objective):
     the loss and the slope (tmp is scratch of m's shape); data holds the
     (A[, b]) rows of the margins. The four kernels and L live here: the
     gradient kernel writes the margins into a (rows, 1) column it owns,
-    takes their slope in place and scales each row of A by it."""
+    takes their slope in place, spreads it across out by assignment and
+    multiplies out by A, two operands of one shape."""
 
     def __init__(self, A, b, curvature, regularizer, lam):
         super().__init__(A.shape[0], A.shape[1], regularizer, lam)
@@ -513,7 +518,11 @@ class _MarginObjective(Objective):
             A = data[0]
             einsum("ij,ij->i", A, W, out=m)
             slope(m, tmp, data)
-            return multiply(column, A, out)
+            # an assignment copies each slope exactly, and a product of
+            # same-shape operands takes no pass through numpy's buffered
+            # broadcasting iterator, which the (rows, 1) column would
+            out[...] = column
+            return multiply(out, A, out)
         return kernel
 
 

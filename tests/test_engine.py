@@ -294,6 +294,27 @@ def test_lockstep_schedule_matches_its_solo_sweep(problem, start, stride):
         assert all(sweep.violation_count.min() > 0 for sweep in together)
 
 
+@pytest.mark.parametrize("regularizer, lam", [("norm2_squared", 0.5),
+                                               ("exp_cosh_G", 0.3)])
+def test_lockstep_logistic_matches_its_solo_sweep(regularizer, lam):
+    # 3 schedules x 40 seeds x d = 80 is 9,600 doubles a step, more than the
+    # 8,192 of one buffer of numpy's broadcasting iterator, which a step
+    # would fill twice if its multiplies broadcast
+    obj = make_objective("logistic", np.random.default_rng(43), 60, 80,
+                         regularizer, lam)
+    schedules = tuple(cg.parse_schedule(text) for text in LOCKSTEP_SCHEDULES)
+    config = cg.RunConfig(objective=obj, schedule=schedules, seed=0,
+                          iterations=40, record_stride=7,
+                          reference=cg.solve_reference(obj),
+                          keep_iterates=True)
+    seeds = tuple(range(40))
+    for sched, sweep in zip(schedules, cg.multi_seed_sweep(config, seeds)):
+        alone = cg.multi_seed_sweep(dataclasses.replace(config, schedule=sched),
+                                    seeds)
+        for name in SWEEP_ARRAYS:
+            assert np.array_equal(getattr(sweep, name), getattr(alone, name))
+
+
 @pytest.mark.parametrize("schedule", [
     (),
     [cg.ScheduleSpec.constant(0.01)],
@@ -923,6 +944,48 @@ def test_run_config_validation():
     # an unbounded region stays legal
     cg.RunConfig(objective=obj, schedule=sched, seed=0, iterations=1,
                  region_radius=math.inf)
+
+
+def test_steps_make_no_broadcasting_multiply():
+    # the margin kernel spreads its slopes into out before it multiplies by
+    # the rows of A, and a sweep assigns each step size to a step operand of
+    # the gradient's shape, or a 0-d one for one schedule, so that no step
+    # takes numpy's buffered broadcasting iterator, nor converts a Python
+    # float. The multiply is bound when a sweep builds its kernel, so it is
+    # patched before each sweep
+    shapes = []
+    multiply = np.multiply
+
+    class Recorded:
+        # numpy.multiply with the operand shapes of its calls recorded, None
+        # for an operand that is no array, and its methods, such as the
+        # reduce of np.prod, passed through
+        def __call__(self, *args, **kwargs):
+            shapes.append({a.shape if isinstance(a, np.ndarray) else None
+                           for a in args} - {()})
+            return multiply(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(multiply, name)
+
+    ridge = cg.load_benchmark("ridge")
+    logistic = make_objective("logistic", np.random.default_rng(37), 40, 5,
+                              "norm2_squared", 0.1)
+    lockstep = tuple(cg.parse_schedule(text) for text in LOCKSTEP_SCHEDULES)
+    steps = 300
+    for obj, schedule in ((ridge.objective, ridge.schedule),
+                          (logistic, cg.ScheduleSpec.constant(0.01)),
+                          (ridge.objective, lockstep)):
+        cfg = cg.RunConfig(objective=obj, schedule=schedule, seed=0,
+                           iterations=steps, record_stride=100)
+        with mock.patch.object(np, "multiply", Recorded()):
+            cg.multi_seed_sweep(cfg, seeds=range(8))
+        # the step size's multiply at least, once a step
+        assert len(shapes) >= steps
+        bad = [operands for operands in shapes
+               if len(operands) > 1 or None in operands]
+        assert not bad, bad[:3]
+        shapes.clear()
 
 
 def test_steps_make_no_dispatching_einsum_call():

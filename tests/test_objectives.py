@@ -884,31 +884,31 @@ def test_grad_rows_returns_an_array_the_caller_owns(kind, regularizer):
 def test_grad_kernel_allocates_no_rows_array(kind, regularizer):
     # a kernel writes into the scratch bound inside it and the out it is
     # given, so an engine step allocates no (rows, d) array and no (rows,)
-    # one. The peak is stated before the first run: a margin loss's
-    # broadcast product (rows, 1) x (rows, d) goes through numpy's buffered
-    # iterator, whose buffer holds at most 8192 doubles whatever the rows;
-    # 4 KiB more is less than the 16,000 bytes of one (rows,) array
-    limit = 8 * 8192 + 4096
-    rows, d = 2000, 50
-    obj = build_objective(kind, *make_data(kind, np.random.default_rng(37), 3, d),
-                          regularizer, 0.5)
-    W = np.full((rows, d), 0.3)
-    idx = np.arange(rows) % 3
-    data = obj._gather(idx)
-    out = np.empty(W.shape)
-    kernel = obj._grad_kernel(rows)
-    expected = kernel(data, W, out).copy()
-    tracemalloc.start()
-    try:
-        G = kernel(data, W, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a linear loss without a term returns its gathered data as it is
-    assert G is (data[0] if (kind, regularizer) == ("linear", "plain") else out)
-    assert np.array_equal(G, expected)
-    assert np.array_equal(G, obj.grad_rows(idx, W))
-    assert peak < W.nbytes // 4 and peak < limit, peak
+    # one, and no buffer of numpy's broadcasting iterator either. The peak
+    # is stated before the first run: 2 KiB, less than the 16,000 bytes of
+    # one (rows,) array at 2000 x 50 and the 2,560 of one (rows, d) array at
+    # 32 x 10, the slope_sweep shape
+    limit = 2048
+    for rows, d in ((2000, 50), (32, 10)):
+        obj = build_objective(kind, *make_data(kind, np.random.default_rng(37), 3, d),
+                              regularizer, 0.5)
+        W = np.full((rows, d), 0.3)
+        idx = np.arange(rows) % 3
+        data = obj._gather(idx)
+        out = np.empty(W.shape)
+        kernel = obj._grad_kernel(rows)
+        expected = kernel(data, W, out).copy()
+        tracemalloc.start()
+        try:
+            G = kernel(data, W, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a linear loss without a term returns its gathered data as it is
+        assert G is (data[0] if (kind, regularizer) == ("linear", "plain") else out)
+        assert np.array_equal(G, expected)
+        assert np.array_equal(G, obj.grad_rows(idx, W))
+        assert peak < limit, (rows, d, peak)
 
 
 @pytest.mark.parametrize("regularizer", REGULARIZERS)
